@@ -10,7 +10,9 @@ function of the configuration, so repeated runs produce byte-identical CSVs.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import shutil
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +24,7 @@ from .metrics import average_lagging, awr, corpus_bleu, delay_vector
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, train_ngram
 from .trace import RunConfig, load_trace, snapshot_from_trace
-from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_corpus_lines
+from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_artifact, write_corpus_lines
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
 OOD_SEED_OFFSET = 1  # out-of-domain chain seed = task seed + 1
@@ -35,6 +37,7 @@ SUMMARY_COLUMNS = [
 ]
 
 PREDICTOR_KINDS = ("indomain", "outdomain", "oracle", "always_wrong")
+OWNED_DIRS = ("traces", "data")  # subdirectories of out_dir that a sweep clears and rewrites
 
 
 class ExperimentError(ValueError):
@@ -231,8 +234,22 @@ def build_predictors(config: ExperimentConfig, data: PreparedData) -> dict[str, 
     return trained
 
 
+def _clear_outputs(config: ExperimentConfig, out_dir: Path) -> None:
+    """Remove what an earlier run left in `out_dir`'s owned subdirectories,
+    and its meta.json, so that a re-run leaves exactly the files of a fresh
+    run and an interrupted one has no meta.json. A subdirectory that holds
+    this run's own corpus, lexicon or references is kept."""
+    inputs = [Path(p).resolve() for p in (config.corpus, config.lexicon, config.references) if p is not None]
+    for name in OWNED_DIRS:
+        owned = out_dir / name
+        if owned.is_dir() and not any(p.is_relative_to(owned.resolve()) for p in inputs):
+            shutil.rmtree(owned)
+    (out_dir / "meta.json").unlink(missing_ok=True)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out_dir = Path(config.out_dir)
+    _clear_outputs(config, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = prepare_data(config, out_dir)
     trained = build_predictors(config, data)
@@ -339,7 +356,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "config": {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)},
         "failures": result.failures,
     }
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, default=list) + "\n", encoding="utf-8")
+    write_artifact(out_dir / "meta.json", json.dumps(meta, indent=2, default=list) + "\n")  # last: marks a finished run
     return result
 
 
@@ -372,11 +389,11 @@ def _run_row(run: RunResult, policy: PolicyConfig, tau: float, kind: str, index:
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({col: row[col] for col in columns})
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows({col: row[col] for col in columns} for row in rows)
+    write_artifact(path, text.getvalue())
 
 
 def plot_data(results_dir: str | Path, max_awr: float | None = None) -> list[Path]:

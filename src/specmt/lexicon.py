@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .vocab import RESERVED_SURFACES, UNK, Vocabulary
+from .vocab import RESERVED_SURFACES, UNK, Vocabulary, write_artifact
 
 
 class LexiconError(ValueError):
@@ -126,4 +126,4 @@ def save_lexicon(path: str | Path, lexicon: Lexicon, vocab: Vocabulary) -> None:
     for (src, cond) in sorted(lexicon.conditional):
         tgt = lexicon.conditional[(src, cond)]
         lines.append(f"{vocab.surface(src)}\t{vocab.surface(cond)}\t{vocab.surface(tgt)}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_artifact(path, "".join(line + "\n" for line in lines))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .vocab import BOS, EOS, UNK, Sentence, Vocabulary
+from .vocab import BOS, EOS, UNK, Sentence, Vocabulary, write_artifact
 
 
 class PredictorError(ValueError):
@@ -138,7 +138,7 @@ class NgramModel:
             "tokens": list(self.vocabulary.tokens[4:]),
             "counts": entries,
         }
-        Path(path).write_text(json.dumps(payload, ensure_ascii=False, indent=0) + "\n", encoding="utf-8")
+        write_artifact(path, json.dumps(payload, ensure_ascii=False, indent=0) + "\n")
 
 
 def train_ngram(

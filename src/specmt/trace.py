@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from .vocab import EOS_SURFACE, PHI_SURFACE
+from .vocab import EOS_SURFACE, PHI_SURFACE, write_artifact
 
 READ = "READ"
 PREDICT = "PREDICT"
@@ -116,7 +116,7 @@ class EventTrace:
         return "".join(line + "\n" for line in lines)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.serialize(), encoding="utf-8")
+        write_artifact(path, self.serialize())
 
 
 def parse_trace(text: str) -> EventTrace:

@@ -97,8 +97,23 @@ def read_corpus_lines(path: str | Path) -> list[str]:
     return [line.strip() for line in lines if line.strip()]
 
 
+def write_artifact(path: str | Path, text: str) -> None:
+    """Write `text` as a new file at `path`: unlink any old file, then create.
+
+    Every file the package writes goes through here. Truncating or renaming
+    over a file that holds data makes ext4 (with its default `auto_da_alloc`)
+    flush it, and the next unlink or truncate of it waits for that writeback;
+    a new inode costs neither. Artifacts are regenerable, so the crash guard
+    that flush gives is not needed.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    with path.open("x", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
 def write_corpus_lines(path: str | Path, lines: Iterable[str]) -> None:
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_artifact(path, "".join(line + "\n" for line in lines))
 
 
 def encode_source(line: str, vocab: Vocabulary) -> Sentence:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import os
 
 import pytest
 
@@ -119,3 +120,37 @@ def test_metrics_from_trace_files(workspace, capsys):
         run_rows = list(csv.DictReader(handle))
     assert run_rows
     assert all(float(r["BLEU"]) == pytest.approx(1.0) for r in run_rows)
+
+
+def test_reruns_replace_artifacts_instead_of_truncating(workspace):
+    # A writer that truncated in place would keep the inode a side link shares;
+    # unlink-then-create leaves the side link as the old file's only name.
+    out_dir = workspace / "sweep_out"
+    metrics_out = workspace / "metrics_out"
+    model_path = workspace / "lm.json"
+    commands = [
+        ["sweep", "--set", "n_sentences=60", "--set", "k_grid=2", "--set", "record_traces=true",
+         "--set", "predictors=oracle", "--out", out_dir],
+        ["metrics", "--traces", out_dir / "traces", "--references", out_dir / "data" / "references.txt",
+         "--out", metrics_out],
+        ["train-lm", "--corpus", workspace / "data" / "corpus.txt", "--out", model_path],
+        ["plot-data", "--results", out_dir],
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 0
+    artifacts = [
+        out_dir / "runs.csv", out_dir / "summary.csv", out_dir / "meta.json",
+        *sorted((out_dir / "data").iterdir()),
+        sorted((out_dir / "traces").rglob("*.jsonl"))[0],
+        metrics_out / "trace_runs.csv", metrics_out / "trace_paired.csv",
+        model_path, out_dir / "fig1_latency_improvement.csv",
+    ]
+    side = workspace / "side"
+    side.mkdir()
+    links = []
+    for n, path in enumerate(artifacts):
+        links.append(side / f"{n}-{path.name}")
+        os.link(path, links[-1])
+    for argv in commands:
+        assert run_cli(*argv) == 0
+    assert {link.name: link.stat().st_nlink for link in links} == {link.name: 1 for link in links}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from specmt.experiment import (
     prepare_data,
     write_trace_metrics,
 )
+from specmt.vocab import read_corpus_lines
 
 
 def _config(tmp_path, **kw):
@@ -29,6 +32,11 @@ def _config(tmp_path, **kw):
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def _tree(root):
+    """Relative path -> bytes of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestConfig:
@@ -118,6 +126,41 @@ class TestRunExperiment:
         for name in ("runs.csv", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_dirty_rerun_equals_fresh_run(self, tmp_path):
+        # A smaller grid re-run over a larger one must leave no stale traces.
+        # Fresh and dirty runs share one path, because meta.json records it.
+        out = tmp_path / "results"
+        config = _config(tmp_path, n_sentences=60, record_traces=True, k_grid=(1,))
+        assert run_experiment(replace(config, k_grid=(1, 3))).ok
+        assert run_experiment(config).ok
+        dirty = _tree(out)
+        shutil.rmtree(out)
+        assert run_experiment(config).ok
+        fresh = _tree(out)
+        assert sorted(dirty) == sorted(fresh)
+        assert dirty == fresh
+
+        traces = sorted((out / "traces").rglob("*.jsonl"))
+        references = read_corpus_lines(out / "data" / "references.txt")
+        runs_path, _ = write_trace_metrics(traces, tmp_path / "m", references)
+        recomputed = {r["run_id"]: r for r in _read_csv(runs_path)}
+        assert recomputed == {r["run_id"]: r for r in _read_csv(out / "runs.csv")}
+
+    def test_rerun_keeps_inputs_inside_out_dir(self, tmp_path):
+        # a sweep may read the world an earlier sweep wrote to its own data/
+        config = _config(tmp_path, record_traces=True)
+        assert run_experiment(config).ok
+        data_dir = Path(config.out_dir) / "data"
+        inputs = _tree(data_dir)
+        loaded = replace(
+            config,
+            corpus=str(data_dir / "corpus.txt"),
+            lexicon=str(data_dir / "lexicon.tsv"),
+            references=str(data_dir / "references.txt"),
+        )
+        assert run_experiment(loaded).ok
+        assert _tree(data_dir) == inputs
+
     def test_oracle_beats_trained_predictor(self, tmp_path):
         config = _config(tmp_path, predictors=("indomain", "oracle"), n_sentences=200)
         result = run_experiment(config)
@@ -132,22 +175,31 @@ class TestRunExperiment:
 
 class TestTraceMetrics:
     def test_traces_agree_with_run_rows(self, tmp_path):
-        config = _config(tmp_path, record_traces=True, predictors=("oracle",), k_grid=(2,))
+        # `metrics` reproduces every runs.csv row, string for string
+        config = _config(
+            tmp_path, record_traces=True, predictors=("indomain", "oracle"),
+            k_grid=(2,), l_grid=(0.1,), tau_grid=(0.0, 0.5),
+        )
         result = run_experiment(config)
         assert result.ok
         out = Path(config.out_dir)
         traces = sorted((out / "traces").rglob("*.jsonl"))
         assert traces
-        run_rows, paired = metrics_from_traces(traces)
+        references = read_corpus_lines(out / "data" / "references.txt")
+        runs_path, _ = write_trace_metrics(traces, tmp_path / "m", references)
+        recomputed = _read_csv(runs_path)
         runs_csv = {r["run_id"]: r for r in _read_csv(out / "runs.csv")}
-        for row in run_rows:
-            recorded = runs_csv[row["run_id"]]
-            assert float(recorded["AL"]) == pytest.approx(row["AL"])
-            assert int(recorded["W"]) == row["W"]
+        assert len(recomputed) == len(runs_csv)
+        for row in recomputed:
+            assert list(row) == RUN_COLUMNS
+            assert row == runs_csv[row["run_id"]]
         # paired summary reproduces the sweep's AL_diff
-        assert len(paired) == 1
-        sweep_row = result.summary_rows[0]
-        assert paired[0]["al_diff"] == pytest.approx(sweep_row["al_diff"])
+        _, paired = metrics_from_traces(traces)
+        sweep_rows = {(r["policy"], r["param"], r["tau"], r["predictor"]): r for r in result.summary_rows}
+        assert len(paired) == len(sweep_rows) == 8
+        for row in paired:
+            sweep_row = sweep_rows[(row["policy"], row["param"], row["tau"], row["predictor"])]
+            assert row["al_diff"] == pytest.approx(sweep_row["al_diff"])
 
     def test_paired_requires_baselines(self, tmp_path):
         config = _config(tmp_path, record_traces=True, predictors=("oracle",), k_grid=(2,))
