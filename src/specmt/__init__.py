@@ -6,7 +6,7 @@ model, decodes against the predictions, and withdraws wrong guesses. Latency
 and stability are evaluated from event traces with revision-aware metrics.
 """
 
-from .engine import CONCURRENT, SEQUENTIAL, EngineConfig, EngineError, RunResult, run_baseline, run_corpus, run_speculative
+from .engine import EngineConfig, EngineError, RunResult, run_baseline, run_corpus, run_speculative
 from .experiment import ExperimentConfig, load_config, metrics_from_traces, plot_data, run_experiment
 from .lexicon import Lexicon, LexiconError, load_lexicon, read_lexicon_vocabulary, save_lexicon
 from .markov import GeneratedCorpus, MarkovSourceSpec, gen_corpus, generate, generate_out_of_domain_sources
@@ -38,12 +38,12 @@ from .trace import (
 from .vocab import BOS, EOS, PHI, UNK, Sentence, Vocabulary, VocabularyError, build_vocabulary
 
 __all__ = [
-    "ADAPTIVE", "AlwaysWrongPredictor", "BOS", "CONCURRENT", "DelayVector", "EOS",
+    "ADAPTIVE", "AlwaysWrongPredictor", "BOS", "DelayVector", "EOS",
     "EngineConfig", "EngineError", "Event", "EventTrace", "ExperimentConfig",
     "GeneratedCorpus", "Lexicon", "LexiconError", "MarkovSourceSpec", "MetricsError",
     "MetricsReport", "ModelError", "NgramModel", "OraclePredictor", "PHI",
     "PolicyConfig", "Prediction", "PredictorError", "RunConfig", "RunResult",
-    "SEQUENTIAL", "Sentence", "SimtModel", "SnapshotMatrix", "TraceError", "UNK",
+    "Sentence", "SimtModel", "SnapshotMatrix", "TraceError", "UNK",
     "Vocabulary", "VocabularyError", "WAIT_K", "adaptive_threshold", "al_diff",
     "average_lagging", "awr", "build_vocabulary", "corpus_bleu", "delay_vector",
     "gen_corpus", "generate", "generate_out_of_domain_sources", "load_config",

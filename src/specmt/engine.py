@@ -17,13 +17,11 @@ decoded autoregressively with no speculation.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .model import SimtModel
-from .ngram import Prediction
 from .trace import (
     COMMIT,
     END,
@@ -40,9 +38,6 @@ from .trace import (
 )
 from .vocab import BOS, EOS, PHI, Sentence
 
-SEQUENTIAL = "sequential"
-CONCURRENT = "concurrent"
-
 
 class EngineError(RuntimeError):
     pass
@@ -54,21 +49,16 @@ class EngineConfig:
 
     `tau` gates speculation on the predictor's probability: a step is only
     speculated when probability >= tau, so tau=0 speculates always and tau=1
-    only on fully confident predictions. `mode` chooses whether the predictor
-    call for the next token overlaps the current correction decode in wall
-    time; committed traces are identical either way.
+    only on fully confident predictions.
     """
 
     tau: float = 0.0
-    mode: str = SEQUENTIAL
     record_trace: bool = False
     max_output: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise EngineError("tau must be in [0, 1]")
-        if self.mode not in (SEQUENTIAL, CONCURRENT):
-            raise EngineError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -202,14 +192,11 @@ def run_speculative(
     pending: tuple[int, int, int] | None = None  # (slot, decision, predicted token)
     finished = False
 
-    executor = ThreadPoolExecutor(max_workers=1) if config.mode == CONCURRENT else None
-
-    def speculate(basis: int, prediction: Prediction | None = None) -> None:
+    def speculate(basis: int) -> None:
         """Predict the token for read basis+1 and decode one decision against it."""
         nonlocal slot, speculations, pending
         prefix = source[:basis]
-        if prediction is None:
-            prediction = predict_clock.run(predictor.predict, prefix)
+        prediction = predict_clock.run(predictor.predict, prefix)
         events.append(Event(PREDICT, i=basis + 1, pred=surf(prediction.token), p=prediction.probability))
         if prediction.probability < config.tau:
             pending = None
@@ -222,60 +209,45 @@ def run_speculative(
         events.append(Event(SPECULATE, j=slot, tok=surf(decision), i=basis))
         pending = (slot, decision, prediction.token)
 
-    try:
-        speculate(0)
-        for i in range(1, src_len + 2):
-            tok = source[i - 1] if i <= src_len else EOS
-            events.append(Event(READ, i=i, tok=surf(tok)))
-            done = tok == EOS
-            prefix = source[:min(i, src_len)]
+    speculate(0)
+    for i in range(1, src_len + 2):
+        tok = source[i - 1] if i <= src_len else EOS
+        events.append(Event(READ, i=i, tok=surf(tok)))
+        done = tok == EOS
+        prefix = source[:min(i, src_len)]
 
-            # The prediction for the next read only needs the tokens read so
-            # far, so in concurrent mode it runs while this step resolves.
-            next_prediction = None
-            if not done and executor is not None:
-                next_prediction = executor.submit(
-                    lambda p=prefix: predict_clock.run(predictor.predict, p)
-                )
-
-            decision: int | None = None
-            if pending is not None:
-                pending_slot, pending_decision, predicted = pending
-                pending = None
-                if predicted == tok:
-                    hits += 1
-                    events.append(Event(COMMIT, j=pending_slot))
-                    decision = pending_decision
-                else:
-                    withdrawals += 1
-                    decision = translate_clock.run(model.step, prefix, tuple(out), done)
-                    events.append(
-                        Event(WITHDRAW, j=pending_slot, old=surf(pending_decision), new=surf(decision))
-                    )
-                if decision not in (PHI, EOS):
-                    out.append(decision)
-
-            while decision not in (PHI, EOS):
-                if decision is not None and len(out) > limit:
-                    raise EngineError("runaway decode")
-                decision = translate_clock.run(model.step, prefix, tuple(out), done)
-                slot += 1
-                events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
-                if decision not in (PHI, EOS):
-                    out.append(decision)
-
-            if decision == EOS:
-                finished = True
-                break
-            if done:
-                raise EngineError("policy requested a read past the end of source")
-            if next_prediction is not None:
-                speculate(i, prediction=next_prediction.result())
+        decision: int | None = None
+        if pending is not None:
+            pending_slot, pending_decision, predicted = pending
+            pending = None
+            if predicted == tok:
+                hits += 1
+                events.append(Event(COMMIT, j=pending_slot))
+                decision = pending_decision
             else:
-                speculate(i)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+                withdrawals += 1
+                decision = translate_clock.run(model.step, prefix, tuple(out), done)
+                events.append(
+                    Event(WITHDRAW, j=pending_slot, old=surf(pending_decision), new=surf(decision))
+                )
+            if decision not in (PHI, EOS):
+                out.append(decision)
+
+        while decision not in (PHI, EOS):
+            if decision is not None and len(out) > limit:
+                raise EngineError("runaway decode")
+            decision = translate_clock.run(model.step, prefix, tuple(out), done)
+            slot += 1
+            events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
+            if decision not in (PHI, EOS):
+                out.append(decision)
+
+        if decision == EOS:
+            finished = True
+            break
+        if done:
+            raise EngineError("policy requested a read past the end of source")
+        speculate(i)
 
     if not finished:
         raise EngineError("source exhausted before the translation finished")

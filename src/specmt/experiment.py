@@ -17,13 +17,13 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from .engine import SEQUENTIAL, EngineConfig, RunResult, run_baseline, run_speculative
+from .engine import EngineConfig, RunResult, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary, save_lexicon
 from .markov import MarkovSourceSpec, generate, generate_out_of_domain_sources
 from .metrics import average_lagging, awr, corpus_bleu, delay_vector
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, train_ngram
-from .trace import RunConfig, load_trace, snapshot_from_trace
+from .trace import COMMIT, SPECULATE, WITHDRAW, RunConfig, load_trace, snapshot_from_trace
 from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_artifact, write_corpus_lines
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
@@ -67,7 +67,6 @@ class ExperimentConfig:
     beta: float = 0.9
     out_dir: str = "results"
     record_traces: bool = False
-    mode: str = SEQUENTIAL
 
     def __post_init__(self) -> None:
         for kind in self.predictors:
@@ -192,10 +191,6 @@ def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> Prepa
     )
 
 
-def _sentence_al(result: RunResult) -> float:
-    return average_lagging(delay_vector(result.snapshots))
-
-
 @dataclass
 class ExperimentResult:
     out_dir: Path
@@ -281,16 +276,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             base_dir.mkdir(parents=True, exist_ok=True)
             for i, run in enumerate(baselines):
                 run.trace.save(base_dir / f"{data.test_offset + i:05d}.jsonl")
-        base_als = [_sentence_al(r) for r in baselines]
-        for i, run in enumerate(baselines):
-            run_rows.append(
-                _run_row(run, policy, 0.0, "none", data.test_offset + i, data.test_references[i])
-            )
+        base_rows = [
+            _run_row(run, policy, 0.0, "none", data.test_offset + i, data.test_references[i])
+            for i, run in enumerate(baselines)
+        ]
+        run_rows.extend(base_rows)
+        al_base = sum(row["AL"] for row in base_rows) / len(base_rows)
 
         for tau in config.tau_grid:
             for kind in config.predictors:
                 point = f"{policy.describe()} tau={tau} predictor={kind}"
-                engine_config = EngineConfig(tau=tau, mode=config.mode, record_trace=config.record_traces)
+                engine_config = EngineConfig(tau=tau, record_trace=config.record_traces)
                 trace_dir = out_dir / "traces" / f"{policy.kind}-{policy.param}-tau{tau}-{kind}"
                 if config.record_traces:
                     trace_dir.mkdir(parents=True, exist_ok=True)
@@ -311,6 +307,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     result.failures.append(f"{point}: {exc}")
                     continue
 
+                spec_rows = []
                 for i, run in enumerate(spec_runs):
                     if run.final_output != baselines[i].final_output:
                         result.failures.append(f"{point}: sentence {i}: speculative output differs")
@@ -318,13 +315,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         result.failures.append(f"{point}: sentence {i}: speculation accounting broken")
                     if tuple(surfaces(run.final_output).split()) != run.snapshots.final:
                         result.failures.append(f"{point}: sentence {i}: snapshot disagrees with output")
-                    run_rows.append(
+                    spec_rows.append(
                         _run_row(run, policy, tau, kind, data.test_offset + i, data.test_references[i])
                     )
+                run_rows.extend(spec_rows)
 
-                spec_als = [_sentence_al(r) for r in spec_runs]
-                al_base = sum(base_als) / len(base_als)
-                al_spec = sum(spec_als) / len(spec_als)
+                al_spec = sum(row["AL"] for row in spec_rows) / len(spec_rows)
                 total_j = sum(len(r.final_output) for r in spec_runs)
                 if kind not in accuracy_cache:
                     accuracy_cache[kind] = _speculative_accuracy(kind, trained, data)
@@ -467,6 +463,7 @@ def metrics_from_traces(
         delays = delay_vector(snapshots)
         target_length = len(snapshots.final)
         cfg = trace.run_config
+        counts = trace.kind_counts()
         bleu = ""
         if reference_lines is not None:
             reference = tuple(reference_lines[cfg.sentence_index].split())
@@ -479,11 +476,11 @@ def metrics_from_traces(
             "predictor": cfg.predictor,
             "I": delays.source_length,
             "J": target_length,
-            "W": trace.withdraw_count(),
-            "S": trace.speculate_count(),
-            "H": trace.commit_count(),
+            "W": counts[WITHDRAW],
+            "S": counts[SPECULATE],
+            "H": counts[COMMIT],
             "AL": average_lagging(delays),
-            "AWR": awr(trace.withdraw_count(), target_length),
+            "AWR": awr(counts[WITHDRAW], target_length),
             "BLEU": bleu,
             "sentence_index": cfg.sentence_index,
         })

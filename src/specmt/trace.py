@@ -10,8 +10,13 @@ to reproduce any reported number.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
+
 from .vocab import EOS_SURFACE, PHI_SURFACE, write_artifact
 
 READ = "READ"
@@ -21,14 +26,69 @@ COMMIT = "COMMIT"
 WITHDRAW = "WITHDRAW"
 WRITE = "WRITE"
 END = "END"
+EVENT_KINDS = frozenset((READ, PREDICT, SPECULATE, COMMIT, WITHDRAW, WRITE, END))
 
 
 class TraceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Event:
+def _dumps(value: object) -> str:
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _string(value: object) -> str:
+    """`json.dumps` of a string field; `encode_basestring` is the encoder it
+    uses for strings when `ensure_ascii=False`."""
+    return encode_basestring(value) if type(value) is str else _dumps(value)
+
+
+class _Literals(dict):
+    """`_string` of each distinct surface, computed once."""
+
+    def __missing__(self, value: object) -> str:
+        literal = _string(value)
+        if type(value) is str:  # 1, 1.0 and True are equal keys with different spellings
+            self[value] = literal
+        return literal
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps spellings
+
+
+def _number(value: object) -> str:
+    """`json.dumps(value)` for an int or a float, without its per-call set-up."""
+    if type(value) is int:
+        return repr(value)
+    if type(value) is float:
+        text = repr(value)
+        return _NON_FINITE.get(text, text)
+    return _dumps(value)
+
+
+def _event_parts(parts: list[str], event: Event, end: str, literal: _Literals) -> None:
+    """Append one event's JSON object, keys in field order and None fields
+    left out, then `end`."""
+    ev, i, j, tok, pred, p, old, new = event
+    parts += ('{"ev": ', literal[ev])
+    if i is not None:
+        parts += (', "i": ', _number(i))
+    if j is not None:
+        parts += (', "j": ', _number(j))
+    if tok is not None:
+        parts += (', "tok": ', literal[tok])
+    if pred is not None:
+        parts += (', "pred": ', literal[pred])
+    if p is not None:
+        parts += (', "p": ', _number(p))
+    if old is not None:
+        parts += (', "old": ', literal[old])
+    if new is not None:
+        parts += (', "new": ', literal[new])
+    parts.append(end)
+
+
+class Event(NamedTuple):
     """One trace record.
 
     Field use by kind:
@@ -55,21 +115,14 @@ class Event:
     new: str | None = None
 
     def to_json(self) -> str:
-        payload: dict[str, object] = {"ev": self.ev}
-        for key in ("i", "j", "tok", "pred", "p", "old", "new"):
-            value = getattr(self, key)
-            if value is not None:
-                payload[key] = value
-        return json.dumps(payload, ensure_ascii=False)
+        parts: list[str] = []
+        _event_parts(parts, self, "}", _Literals())
+        return "".join(parts)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Identifying metadata for one run; serialized in the trace header.
-
-    The engine mode is deliberately not part of the header: sequential and
-    concurrent executions of the same run must produce identical files.
-    """
+    """Identifying metadata for one run; serialized in the trace header."""
 
     policy: str = "none"
     param: float = 0.0
@@ -80,16 +133,16 @@ class RunConfig:
     sentence_index: int = 0
 
     def to_json(self) -> str:
-        payload = {
-            "policy": self.policy,
-            "param": self.param,
-            "tau": self.tau,
-            "predictor": self.predictor,
-            "corpus": self.corpus,
-            "seed": self.seed,
-            "sentence_index": self.sentence_index,
-        }
-        return json.dumps(payload, ensure_ascii=False)
+        return "".join((
+            '{"policy": ', _string(self.policy),
+            ', "param": ', _number(self.param),
+            ', "tau": ', _number(self.tau),
+            ', "predictor": ', _string(self.predictor),
+            ', "corpus": ', _string(self.corpus),
+            ', "seed": ', _number(self.seed),
+            ', "sentence_index": ', _number(self.sentence_index),
+            "}",
+        ))
 
 
 @dataclass(frozen=True)
@@ -97,58 +150,167 @@ class EventTrace:
     events: tuple[Event, ...]
     run_config: RunConfig = field(default_factory=RunConfig)
 
+    def kind_counts(self) -> Counter[str]:
+        """Number of events of each kind, in one pass."""
+        return Counter(map(itemgetter(0), self.events))
+
     def withdraw_count(self) -> int:
-        return sum(1 for e in self.events if e.ev == WITHDRAW)
+        return self.kind_counts()[WITHDRAW]
 
     def speculate_count(self) -> int:
-        return sum(1 for e in self.events if e.ev == SPECULATE)
+        return self.kind_counts()[SPECULATE]
 
     def commit_count(self) -> int:
-        return sum(1 for e in self.events if e.ev == COMMIT)
+        return self.kind_counts()[COMMIT]
 
     def read_count(self) -> int:
         """Number of real source tokens read (the EOS arrival is not counted)."""
         return sum(1 for e in self.events if e.ev == READ and e.tok != EOS_SURFACE)
 
     def serialize(self) -> str:
-        lines = [self.run_config.to_json()]
-        lines.extend(e.to_json() for e in self.events)
-        return "".join(line + "\n" for line in lines)
+        """The JSON Lines file: the header, then one line per event, with
+        keys in a fixed order; byte-identical to `json.dumps` of each line."""
+        parts = [self.run_config.to_json(), "\n"]
+        literals = _Literals()
+        for event in self.events:
+            _event_parts(parts, event, "}\n", literals)
+        return "".join(parts)
 
     def save(self, path: str | Path) -> None:
         write_artifact(path, self.serialize())
 
 
-def parse_trace(text: str) -> EventTrace:
-    """Parse the JSON Lines trace format (header object, then one event per line)."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise TraceError("empty trace file")
-    header = json.loads(lines[0])
-    if "ev" in header:
+_HEADER_TYPES: dict[str, tuple[type, ...]] = {
+    "policy": (str,), "param": (int, float), "tau": (int, float), "predictor": (str,),
+    "corpus": (str,), "seed": (int,), "sentence_index": (int,),
+}
+_EVENT_TYPES: dict[str, tuple[type, ...]] = {
+    "ev": (str,), "i": (int,), "j": (int,), "tok": (str,), "pred": (str,),
+    "p": (int, float), "old": (str,), "new": (str,),
+}
+_TYPE_NAMES = {(str,): "a string", (int,): "an int", (int, float): "a number"}
+
+
+def _field_problem(obj: dict, types: dict[str, tuple[type, ...]], what: str) -> str | None:
+    for key, value in obj.items():
+        allowed = types.get(key)
+        if allowed is None:
+            return f"unknown {what} key {key!r}"
+        if value is not None and type(value) not in allowed:
+            return f"{what} key {key!r} is not {_TYPE_NAMES[allowed]}: {value!r}"
+    return None
+
+
+def _run_config(obj: object) -> RunConfig:
+    if type(obj) is not dict:
+        raise TraceError("header is not a JSON object")
+    if "ev" in obj:
         raise TraceError("missing header line")
-    config = RunConfig(
-        policy=header.get("policy", "none"),
-        param=header.get("param", 0.0),
-        tau=header.get("tau", 0.0),
-        predictor=header.get("predictor", "none"),
-        corpus=header.get("corpus", "none"),
-        seed=header.get("seed", 0),
-        sentence_index=header.get("sentence_index", 0),
-    )
-    events = []
-    for line in lines[1:]:
-        obj = json.loads(line)
+    problem = _field_problem(obj, _HEADER_TYPES, "header")
+    if problem is not None:
+        raise TraceError(problem)
+    return RunConfig(**{key: value for key, value in obj.items() if value is not None})
+
+
+def _event(obj: object) -> Event:
+    """Build an event from a parsed JSON value, checking keys and types."""
+    if type(obj) is dict:
         try:
-            ev = obj.pop("ev")
-            events.append(Event(ev=ev, **obj))
-        except (KeyError, TypeError):
-            raise TraceError(f"malformed event line: {line!r}") from None
+            event = Event(**obj)
+        except TypeError:  # unknown key, or no "ev"
+            pass
+        else:
+            ev, i, j, tok, pred, p, old, new = event
+            if (
+                type(ev) is str and ev in EVENT_KINDS
+                and (i is None or type(i) is int) and (j is None or type(j) is int)
+                and (tok is None or type(tok) is str) and (pred is None or type(pred) is str)
+                and (p is None or type(p) is float or type(p) is int)
+                and (old is None or type(old) is str) and (new is None or type(new) is str)
+            ):
+                return event
+    # the slow path only explains what is wrong
+    if type(obj) is not dict:
+        raise TraceError("event is not a JSON object")
+    problem = _field_problem(obj, _EVENT_TYPES, "event")
+    if problem is not None:
+        raise TraceError(problem)
+    if "ev" not in obj:
+        raise TraceError("event without 'ev'")
+    raise TraceError(f"unknown event kind {obj['ev']!r}")
+
+
+def _parse_whole(text: str) -> EventTrace | None:
+    """One `json.loads` over the whole file as an array, or None when the
+    text is not in the writer's exact layout or anything in it is wrong.
+
+    The layout check makes the array's items the file's lines: every line
+    starts with "{" and ends with "}" and none is blank, and a raw newline
+    cannot sit inside a JSON string, so a line break can only fall between
+    two objects, and as many items as lines means one object per line.
+    """
+    lines = text.count("\n")
+    if (
+        not lines or text[0] != "{" or text[-1] != "\n"
+        or text.count("}\n") != lines or text.count("\n{") != lines - 1
+    ):
+        return None
+    try:
+        items = json.loads("[" + text[:-1].replace("\n", ",\n") + "]")
+    except (ValueError, RecursionError):
+        return None
+    if len(items) != lines:
+        return None
+    try:
+        return EventTrace(events=tuple(map(_event, items[1:])), run_config=_run_config(items[0]))
+    except TraceError:
+        return None
+
+
+def _parse_lines(text: str) -> EventTrace:
+    """Line-by-line parse that names the first bad line."""
+    config: RunConfig | None = None
+    events: list[Event] = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"malformed JSON: {exc.msg} at column {exc.colno}") from None
+            except (ValueError, RecursionError) as exc:
+                raise TraceError(f"malformed JSON: {exc}") from None
+            if config is None:
+                config = _run_config(obj)
+            else:
+                events.append(_event(obj))
+        except TraceError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
+    if config is None:
+        raise TraceError("line 1: empty trace file, no header")
     return EventTrace(events=tuple(events), run_config=config)
 
 
+def parse_trace(text: str) -> EventTrace:
+    """Parse the JSON Lines trace format (header object, then one event per line).
+
+    A file in the writer's layout is parsed with one `json.loads` call; any
+    other text is parsed line by line. Only a line feed ends a line (a
+    carriage return before it is ignored), blank lines are skipped, and any
+    problem raises TraceError naming the 1-based line.
+    """
+    trace = _parse_whole(text)
+    return trace if trace is not None else _parse_lines(text)
+
+
 def load_trace(path: str | Path) -> EventTrace:
-    return parse_trace(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_trace(Path(path).read_text(encoding="utf-8"))
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
 @dataclass(frozen=True)
@@ -195,9 +357,10 @@ def snapshot_from_trace(trace: EventTrace) -> SnapshotMatrix:
     ended = False
 
     for event in trace.events:
+        kind = event.ev
         if ended:
             raise TraceError("inconsistent trace: events after END")
-        if event.ev == READ:
+        if kind == READ:
             if event.i is None or event.i <= last_read:
                 raise TraceError("inconsistent trace: READ indices not increasing")
             last_read = event.i
@@ -205,21 +368,21 @@ def snapshot_from_trace(trace: EventTrace) -> SnapshotMatrix:
                 if reads > 0:
                     rows.append(tuple(visible))
                 reads += 1
-        elif event.ev in (WRITE, SPECULATE):
+        elif kind in (WRITE, SPECULATE):
             if event.tok is None:
-                raise TraceError(f"inconsistent trace: {event.ev} without token")
-            if event.ev == SPECULATE:
+                raise TraceError(f"inconsistent trace: {kind} without token")
+            if kind == SPECULATE:
                 if pending is not None:
                     raise TraceError("inconsistent trace: nested speculation")
                 pending = (event.j or 0, event.tok)
             if event.tok not in (PHI_SURFACE, EOS_SURFACE):
                 visible.append(event.tok)
-        elif event.ev == COMMIT:
+        elif kind == COMMIT:
             if pending is None or pending[0] != event.j:
                 raise TraceError("inconsistent trace: COMMIT without speculation")
             committed_slots.add(pending[0])
             pending = None
-        elif event.ev == WITHDRAW:
+        elif kind == WITHDRAW:
             if event.j in committed_slots:
                 raise TraceError("inconsistent trace: WITHDRAW after COMMIT")
             if pending is None or pending[0] != event.j:
@@ -234,12 +397,12 @@ def snapshot_from_trace(trace: EventTrace) -> SnapshotMatrix:
             if event.new is not None and event.new not in (PHI_SURFACE, EOS_SURFACE):
                 visible.append(event.new)
             pending = None
-        elif event.ev == PREDICT:
+        elif kind == PREDICT:
             pass
-        elif event.ev == END:
+        elif kind == END:
             ended = True
         else:
-            raise TraceError(f"inconsistent trace: unknown event {event.ev!r}")
+            raise TraceError(f"inconsistent trace: unknown event {kind!r}")
 
     if not ended:
         raise TraceError("inconsistent trace: missing END")

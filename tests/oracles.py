@@ -7,11 +7,44 @@ package, so agreement is evidence and not tautology.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 
-from specmt.trace import EventTrace
+from specmt.trace import Event, EventTrace, RunConfig
 from specmt.vocab import EOS_SURFACE, PHI_SURFACE
+
+
+def dumps_event_json(event: Event) -> str:
+    """An event line as the package wrote it with `json.dumps`: keys in field
+    order, None fields left out, non-ASCII text kept as is."""
+    payload: dict[str, object] = {"ev": event.ev}
+    for key in ("i", "j", "tok", "pred", "p", "old", "new"):
+        value = getattr(event, key)
+        if value is not None:
+            payload[key] = value
+    return json.dumps(payload, ensure_ascii=False)
+
+
+def dumps_run_config_json(config: RunConfig) -> str:
+    """A trace header as the package wrote it with `json.dumps`."""
+    payload = {
+        "policy": config.policy,
+        "param": config.param,
+        "tau": config.tau,
+        "predictor": config.predictor,
+        "corpus": config.corpus,
+        "seed": config.seed,
+        "sentence_index": config.sentence_index,
+    }
+    return json.dumps(payload, ensure_ascii=False)
+
+
+def dumps_serialize(trace: EventTrace) -> str:
+    """A whole trace file as the `json.dumps` writer produced it."""
+    lines = [dumps_run_config_json(trace.run_config)]
+    lines.extend(dumps_event_json(e) for e in trace.events)
+    return "".join(line + "\n" for line in lines)
 
 
 def brute_force_delays(rows: tuple[tuple, ...]) -> tuple[int, ...]:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from specmt import (
-    CONCURRENT,
-    SEQUENTIAL,
     AlwaysWrongPredictor,
     EngineConfig,
     EngineError,
@@ -216,23 +214,24 @@ class TestEquivalence:
                 assert all(shift in (0, 1) for shift in shifts)
 
 
-class TestModes:
-    def test_concurrent_traces_are_byte_identical(self, toy, markov_corpus):
+class TestDeterminism:
+    def test_repeated_runs_are_byte_identical(self, markov_corpus):
         data = markov_corpus
-        model = make_model(data.vocabulary, data.lexicon, PolicyConfig.wait_k(2))
         lm = train_ngram(data.sources[:200], 2, vocabulary=data.vocabulary)
-        for source in data.sources[200:230]:
-            seq = run_speculative(model, lm, source, EngineConfig(mode=SEQUENTIAL, tau=0.2))
-            conc = run_speculative(model, lm, source, EngineConfig(mode=CONCURRENT, tau=0.2))
-            assert seq.trace.serialize() == conc.trace.serialize()
+        runs = []
+        for _ in range(5):
+            model = make_model(data.vocabulary, data.lexicon, PolicyConfig.wait_k(2))
+            runs.append([
+                run_speculative(model, lm, source, EngineConfig(tau=0.2)).trace.serialize()
+                for source in data.sources[200:230]
+            ])
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestConfigAndReports:
     def test_engine_config_validation(self):
         with pytest.raises(EngineError, match="tau"):
             EngineConfig(tau=1.5)
-        with pytest.raises(EngineError, match="mode"):
-            EngineConfig(mode="psychic")
 
     def test_report_from_run(self, toy):
         vocab, lexicon, ids = toy

@@ -10,12 +10,14 @@ from specmt import (
     PolicyConfig,
     RunConfig,
     TraceError,
+    load_trace,
     parse_trace,
     run_baseline,
     run_speculative,
     snapshot_from_trace,
 )
 from conftest import make_model
+from oracles import dumps_event_json
 
 
 def _trace(*events, config=None):
@@ -126,8 +128,6 @@ class TestSerialization:
         result = run_baseline(model, (ids["a"], ids["b"]))
         path = tmp_path / "run.jsonl"
         result.trace.save(path)
-        from specmt import load_trace
-
         assert load_trace(path).serialize() == result.trace.serialize()
 
     def test_header_required(self):
@@ -144,3 +144,142 @@ class TestSerialization:
         assert trace.speculate_count() == result.speculations
         assert trace.commit_count() == result.hits
         assert trace.withdraw_count() == result.withdrawals
+
+
+HEADER = RunConfig(policy="wait_k", param=1.0, predictor="oracle").to_json()
+
+
+class TestReaderErrors:
+    """Every malformed input gives a TraceError naming its 1-based line."""
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"ev": "READ", "i": 1, "tok": "a"', "malformed JSON"),
+        ('{"ev": "END"} {"ev": "END"}', "malformed JSON"),
+        ('["READ", 1]', "not a JSON object"),
+        ('"END"', "not a JSON object"),
+        ('{"ev": "READ", "i": 1, "tok": "a", "extra": 0}', "unknown event key 'extra'"),
+        ('{"i": 1, "tok": "a"}', "without 'ev'"),
+        ('{"ev": "JUMP"}', "unknown event kind 'JUMP'"),
+        ('{"ev": 7}', "'ev' is not a string"),
+        ('{"ev": "READ", "i": 1, "tok": 3}', "'tok' is not a string"),
+        ('{"ev": "PREDICT", "i": 1, "pred": ["a"], "p": 0.5}', "'pred' is not a string"),
+        ('{"ev": "WITHDRAW", "j": 1, "old": true, "new": "B"}', "'old' is not a string"),
+        ('{"ev": "WITHDRAW", "j": 1, "old": "A", "new": {}}', "'new' is not a string"),
+        ('{"ev": "READ", "i": 1.0, "tok": "a"}', "'i' is not an int"),
+        ('{"ev": "READ", "i": true, "tok": "a"}', "'i' is not an int"),
+        ('{"ev": "COMMIT", "j": "1"}', "'j' is not an int"),
+        ('{"ev": "COMMIT", "j": false}', "'j' is not an int"),
+        ('{"ev": "PREDICT", "i": 1, "pred": "a", "p": "0.5"}', "'p' is not a number"),
+        ('{"ev": "PREDICT", "i": 1, "pred": "a", "p": true}', "'p' is not a number"),
+    ], ids=[
+        "truncated", "two-objects", "array", "string", "unknown-key", "no-ev", "unknown-kind", "ev-int",
+        "tok-int", "pred-list", "old-bool", "new-object", "i-float", "i-bool", "j-string", "j-bool",
+        "p-string", "p-bool",
+    ])
+    def test_bad_event_line_is_named(self, line, message):
+        text = "\n".join([HEADER, '{"ev": "READ", "i": 1, "tok": "a"}', line, '{"ev": "END"}']) + "\n"
+        with pytest.raises(TraceError, match="^line 3: ") as info:
+            parse_trace(text)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("header, message", [
+        ("[]", "header is not a JSON object"),
+        ('{"policy": "wait_k", "colour": "red"}', "unknown header key 'colour'"),
+        ('{"policy": 1}', "'policy' is not a string"),
+        ('{"param": "1"}', "'param' is not a number"),
+        ('{"sentence_index": 1.5}', "'sentence_index' is not an int"),
+        ("{", "malformed JSON"),
+    ], ids=["array", "unknown-key", "policy-int", "param-string", "index-float", "truncated"])
+    def test_bad_header_is_named(self, header, message):
+        with pytest.raises(TraceError, match="^line 2: ") as info:
+            parse_trace("\n" + header + '\n{"ev": "END"}\n')
+        assert message in str(info.value)
+
+    def test_empty_text(self):
+        for text in ("", "\n", "  \n\t\n"):
+            with pytest.raises(TraceError, match="^line 1: empty trace file"):
+                parse_trace(text)
+
+    def test_deep_nesting_is_a_trace_error(self):
+        with pytest.raises(TraceError, match="^line 2: malformed JSON"):
+            parse_trace(HEADER + "\n" + "[" * 100_000 + "\n")
+
+    def test_lines_that_are_not_one_object_each_are_rejected(self):
+        # As a JSON array these lines parse to two well-formed events, one per
+        # line; read one line at a time, neither line is an object.
+        text = HEADER + '\n{"ev": "END"}, {"ev": "READ"\n"i": 1}\n'
+        with pytest.raises(TraceError, match="^line 2: malformed JSON"):
+            parse_trace(text)
+        # A string cannot hide a line break either.
+        text = HEADER + '\n{"ev": "}\n{"}\n{"ev": "END"}, {"ev": "END"}\n'
+        with pytest.raises(TraceError, match="^line 2: malformed JSON"):
+            parse_trace(text)
+
+    def test_load_trace_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(HEADER + '\n{"ev": "READ", "i": "1"}\n', encoding="utf-8")
+        with pytest.raises(TraceError, match=r"bad\.jsonl: line 2: event key 'i' is not an int"):
+            load_trace(path)
+        path.write_bytes(b"\xff\n")
+        with pytest.raises(TraceError, match=r"bad\.jsonl: not UTF-8"):
+            load_trace(path)
+
+
+class TestReaderLayouts:
+    def test_blank_lines_and_crlf_are_accepted(self):
+        trace = _trace(ev("READ", i=1, tok="a"), ev("END"), config=RunConfig(policy="wait_k"))
+        text = trace.serialize()
+        assert parse_trace("\n" + text.replace("\n", "\r\n\n")) == trace
+        assert parse_trace(text.rstrip("\n")) == trace
+
+    def test_null_fields_are_absent_fields(self):
+        trace = parse_trace('{"policy": null}\n{"ev": "COMMIT", "i": null, "j": 2}\n')
+        assert trace == _trace(ev("COMMIT", j=2))
+
+    def test_line_separators_inside_strings_stay_in_the_string(self):
+        trace = _trace(ev("READ", i=1, tok="a b\x85c\x0bd"), ev("END"))
+        assert parse_trace(trace.serialize()) == trace
+
+    def test_one_json_loads_per_file(self, toy, monkeypatch):
+        import specmt.trace as trace_module
+
+        vocab, lexicon, ids = toy
+        model = make_model(vocab, lexicon, PolicyConfig.wait_k(2))
+        source = (ids["b"], ids["c"], ids["a"], ids["d"])
+        text = run_speculative(model, OraclePredictor(source), source).trace.serialize()
+        calls = []
+        real_loads = trace_module.json.loads
+        monkeypatch.setattr(trace_module.json, "loads", lambda s: calls.append(s) or real_loads(s))
+        parsed = parse_trace(text)
+        assert len(calls) == 1
+        assert len(parsed.events) == text.count("\n") - 1
+
+    def test_writer_does_not_call_json_dumps_for_strings(self, monkeypatch):
+        import specmt.trace as trace_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(trace_module.json, "dumps", refuse)
+        event = Event("WITHDRAW", j=3, old="x\"\\y", new="<phi>")
+        assert event.to_json() == '{"ev": "WITHDRAW", "j": 3, "old": "x\\"\\\\y", "new": "<phi>"}'
+        trace = _trace(ev("PREDICT", i=1, pred="é", p=0.25), event, config=RunConfig(corpus="cé"))
+        assert trace.serialize().count("\n") == 3
+
+
+class TestWriter:
+    def test_mistyped_values_keep_json_dumps_spelling(self):
+        for event in (
+            Event("READ", i=1, tok="1"), Event("READ", i=True, tok=1), Event("READ", i=1.0, tok=True),
+            Event("READ", i=1, tok=1.0), Event("PREDICT", pred=None, p=True), Event(None, j="2"),
+        ):
+            assert event.to_json() == dumps_event_json(event)
+
+
+class TestCounts:
+    def test_kind_counts(self):
+        trace = _trace(
+            ev("READ", i=1, tok="a"), ev("SPECULATE", j=1, tok="A", i=1), ev("READ", i=2, tok="b"),
+            ev("WITHDRAW", j=1, old="A", new="B"), ev("END"),
+        )
+        assert trace.kind_counts() == {"READ": 2, "SPECULATE": 1, "WITHDRAW": 1, "END": 1}
