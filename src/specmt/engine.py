@@ -16,10 +16,7 @@ decoded autoregressively with no speculation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 from .model import SimtModel
 from .trace import (
@@ -53,7 +50,6 @@ class EngineConfig:
     """
 
     tau: float = 0.0
-    record_trace: bool = False
     max_output: int | None = None
 
     def __post_init__(self) -> None:
@@ -71,8 +67,6 @@ class RunResult:
     withdrawals: int
     speculations: int
     hits: int
-    predict_seconds: float = 0.0
-    translate_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.withdrawals != self.trace.withdraw_count():
@@ -89,20 +83,6 @@ def _check_source(source: Sentence) -> None:
             raise EngineError("reserved marker in source sentence")
 
 
-class _Clock:
-    """Accumulates wall time per call site; never feeds back into outputs."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-
-    def run(self, fn, *args):
-        start = time.perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            self.total += time.perf_counter() - start
-
-
 def run_baseline(
     model: SimtModel,
     source: Sentence,
@@ -114,7 +94,6 @@ def run_baseline(
     src_len = len(source)
     limit = max_output if max_output is not None else 2 * src_len + 8
     surf = model.vocabulary.surface
-    clock = _Clock()
 
     out: list[int] = []
     events: list[Event] = []
@@ -127,7 +106,7 @@ def run_baseline(
         done = tok == EOS
         prefix = source[:min(i, src_len)]
         while True:
-            decision = clock.run(model.step, prefix, tuple(out), done)
+            decision = model.step(prefix, tuple(out), done)
             slot += 1
             events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
             if decision == PHI:
@@ -154,7 +133,6 @@ def run_baseline(
         withdrawals=0,
         speculations=0,
         hits=0,
-        translate_seconds=clock.total,
     )
 
 
@@ -182,8 +160,6 @@ def run_speculative(
     src_len = len(source)
     limit = config.max_output if config.max_output is not None else 2 * src_len + 8
     surf = model.vocabulary.surface
-    predict_clock = _Clock()
-    translate_clock = _Clock()
 
     out: list[int] = []
     events: list[Event] = []
@@ -196,14 +172,14 @@ def run_speculative(
         """Predict the token for read basis+1 and decode one decision against it."""
         nonlocal slot, speculations, pending
         prefix = source[:basis]
-        prediction = predict_clock.run(predictor.predict, prefix)
+        prediction = predictor.predict(prefix)
         events.append(Event(PREDICT, i=basis + 1, pred=surf(prediction.token), p=prediction.probability))
         if prediction.probability < config.tau:
             pending = None
             return
         hypothesis_done = prediction.token == EOS
         hypothesis = prefix if hypothesis_done else prefix + (prediction.token,)
-        decision = translate_clock.run(model.step, hypothesis, tuple(out), hypothesis_done)
+        decision = model.step(hypothesis, tuple(out), hypothesis_done)
         slot += 1
         speculations += 1
         events.append(Event(SPECULATE, j=slot, tok=surf(decision), i=basis))
@@ -226,7 +202,7 @@ def run_speculative(
                 decision = pending_decision
             else:
                 withdrawals += 1
-                decision = translate_clock.run(model.step, prefix, tuple(out), done)
+                decision = model.step(prefix, tuple(out), done)
                 events.append(
                     Event(WITHDRAW, j=pending_slot, old=surf(pending_decision), new=surf(decision))
                 )
@@ -236,7 +212,7 @@ def run_speculative(
         while decision not in (PHI, EOS):
             if decision is not None and len(out) > limit:
                 raise EngineError("runaway decode")
-            decision = translate_clock.run(model.step, prefix, tuple(out), done)
+            decision = model.step(prefix, tuple(out), done)
             slot += 1
             events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
             if decision not in (PHI, EOS):
@@ -261,49 +237,5 @@ def run_speculative(
         withdrawals=withdrawals,
         speculations=speculations,
         hits=hits,
-        predict_seconds=predict_clock.total,
-        translate_seconds=translate_clock.total,
     )
 
-
-def run_corpus(
-    model: SimtModel,
-    predictor,
-    corpus: Sequence[Sentence],
-    config: EngineConfig | None = None,
-    run_config: RunConfig | None = None,
-    trace_dir: str | Path | None = None,
-) -> list[RunResult]:
-    """Run every sentence in order; `predictor=None` runs the baseline loop.
-
-    Sentences are independent, so aggregate metrics do not depend on
-    execution order. Per-sentence errors are re-raised with the sentence
-    index attached.
-    """
-    if not corpus:
-        raise EngineError("empty corpus")
-    config = config or EngineConfig()
-    base = run_config or RunConfig()
-    results: list[RunResult] = []
-    for index, source in enumerate(corpus):
-        tagged = RunConfig(
-            policy=base.policy,
-            param=base.param,
-            tau=base.tau,
-            predictor=base.predictor,
-            corpus=base.corpus,
-            seed=base.seed,
-            sentence_index=index,
-        )
-        try:
-            if predictor is None:
-                result = run_baseline(model, source, run_config=tagged, max_output=config.max_output)
-            else:
-                result = run_speculative(model, predictor, source, config=config, run_config=tagged)
-        except Exception as exc:
-            raise EngineError(f"sentence {index}: {exc}") from exc
-        results.append(result)
-        if config.record_trace and trace_dir is not None:
-            name = f"{tagged.policy}-{tagged.param}-tau{tagged.tau}-{tagged.predictor}-{index:05d}.jsonl"
-            result.trace.save(Path(trace_dir) / name)
-    return results

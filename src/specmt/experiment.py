@@ -1,10 +1,11 @@
 """Experiment sweeps: grids over policies, thresholds, and predictors.
 
 Each grid point runs a baseline pass and a speculative pass over the test
-split, verifies inline that speculation left the output untouched and that
-the withdrawal accounting is consistent, and emits one CSV row per run plus
-a paired summary row per grid point. The whole pipeline is a deterministic
-function of the configuration, so repeated runs produce byte-identical CSVs.
+split, verifies inline that speculation left the output untouched, and emits
+one CSV row per run, scored by `score_run` exactly as `metrics` scores a
+trace file, plus a paired summary row per grid point. The whole pipeline is
+a deterministic function of the configuration, so repeated runs produce
+byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from .engine import EngineConfig, RunResult, run_baseline, run_speculative
+from .engine import EngineConfig, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary, save_lexicon
 from .markov import MarkovSourceSpec, generate, generate_out_of_domain_sources
-from .metrics import average_lagging, awr, corpus_bleu, delay_vector
+from .metrics import MetricsError, average_lagging, awr, bleu_from_stats, bleu_stats, delay_vector, sum_bleu_stats
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, train_ngram
-from .trace import COMMIT, SPECULATE, WITHDRAW, RunConfig, load_trace, snapshot_from_trace
+from .trace import (
+    COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, SnapshotMatrix, TraceError, load_trace, snapshot_from_trace,
+)
 from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_artifact, write_corpus_lines
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
@@ -96,6 +99,7 @@ class ExperimentConfig:
 
 
 _BOOL_KEYS = {"record_traces"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = {"vocab_size", "min_length", "max_length", "n_sentences", "seed", "ngram_order"}
 _FLOAT_KEYS = {"kappa", "ambiguity_rate", "alpha", "beta"}
 _INT_LIST_KEYS = {"k_grid"}
@@ -116,14 +120,19 @@ def parse_config_text(text: str) -> dict[str, object]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in valid:
             raise ExperimentError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = coerce_config_value(key, value)
+        try:
+            out[key] = coerce_config_value(key, value)
+        except ExperimentError as exc:
+            raise ExperimentError(f"config line {lineno}: {exc}") from None
     return out
 
 
 def coerce_config_value(key: str, value: str) -> object:
     try:
         if key in _BOOL_KEYS:
-            return value.lower() in ("1", "true", "yes", "on")
+            if value.lower() not in _BOOL_WORDS:
+                raise ValueError(value)
+            return _BOOL_WORDS[value.lower()]
         if key in _INT_KEYS:
             return int(value)
         if key in _FLOAT_KEYS:
@@ -249,96 +258,85 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     data = prepare_data(config, out_dir)
     trained = build_predictors(config, data)
     result = ExperimentResult(out_dir=out_dir)
+    surface = data.vocabulary.surface
+    references = [tuple(map(surface, ref)) for ref in data.test_references]
+
+    def run_point(point: str, trace_name: str, run_one, baseline_outputs=None):
+        """Run, save, check and score every test sentence of one grid point.
+        Returns the outputs and the rows, or None after recording an error
+        with the sentence that raised it."""
+        trace_dir = out_dir / "traces" / trace_name
+        if config.record_traces:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+        outputs: list[Sentence] = []
+        rows: list[dict] = []
+        for i, source in enumerate(data.test_sources):
+            index = data.test_offset + i
+            where = f"{point}: sentence {index} (corpus line {index + 1})"
+            try:
+                run = run_one(source, index)
+            except Exception as exc:
+                result.failures.append(f"{where}: {exc}")
+                return None
+            if config.record_traces:
+                run.trace.save(trace_dir / f"{index:05d}.jsonl")
+            if baseline_outputs is not None and run.final_output != baseline_outputs[i]:
+                result.failures.append(f"{where}: speculative output differs")
+            if tuple(map(surface, run.final_output)) != run.snapshots.final:
+                result.failures.append(f"{where}: snapshot disagrees with output")
+            outputs.append(run.final_output)
+            rows.append(score_run(run.trace, run.snapshots, references[i]))
+        return outputs, rows
 
     run_rows: list[dict] = []
     accuracy_cache: dict[str, float] = {}
-    surfaces = data.vocabulary.decode
-
     for policy in config.policy_grid():
         model = SimtModel(lexicon=data.lexicon, policy=policy, vocabulary=data.vocabulary)
-        base_config = RunConfig(
-            policy=policy.kind, param=policy.param, tau=0.0,
-            predictor="none", corpus=data.corpus_id, seed=config.seed,
+        tagged = RunConfig(policy=policy.kind, param=policy.param, corpus=data.corpus_id, seed=config.seed)
+        baseline = run_point(
+            f"baseline {policy.describe()}", f"{policy.kind}-{policy.param}-baseline",
+            lambda source, index: run_baseline(model, source, replace(tagged, sentence_index=index)),
         )
-        try:
-            baselines = [
-                run_baseline(
-                    model, source,
-                    run_config=replace(base_config, sentence_index=data.test_offset + i),
-                )
-                for i, source in enumerate(data.test_sources)
-            ]
-        except Exception as exc:
-            result.failures.append(f"baseline {policy.describe()}: {exc}")
+        if baseline is None:
             continue
-        if config.record_traces:
-            base_dir = out_dir / "traces" / f"{policy.kind}-{policy.param}-baseline"
-            base_dir.mkdir(parents=True, exist_ok=True)
-            for i, run in enumerate(baselines):
-                run.trace.save(base_dir / f"{data.test_offset + i:05d}.jsonl")
-        base_rows = [
-            _run_row(run, policy, 0.0, "none", data.test_offset + i, data.test_references[i])
-            for i, run in enumerate(baselines)
-        ]
+        baseline_outputs, base_rows = baseline
         run_rows.extend(base_rows)
-        al_base = sum(row["AL"] for row in base_rows) / len(base_rows)
+        al_base = _mean_al(base_rows)
 
         for tau in config.tau_grid:
+            engine_config = EngineConfig(tau=tau)
             for kind in config.predictors:
-                point = f"{policy.describe()} tau={tau} predictor={kind}"
-                engine_config = EngineConfig(tau=tau, record_trace=config.record_traces)
-                trace_dir = out_dir / "traces" / f"{policy.kind}-{policy.param}-tau{tau}-{kind}"
-                if config.record_traces:
-                    trace_dir.mkdir(parents=True, exist_ok=True)
-                spec_runs: list[RunResult] = []
-                try:
-                    for i, source in enumerate(data.test_sources):
-                        predictor = _predictor_for(kind, trained, source, data.vocabulary)
-                        run_config = RunConfig(
-                            policy=policy.kind, param=policy.param, tau=tau,
-                            predictor=kind, corpus=data.corpus_id, seed=config.seed,
-                            sentence_index=data.test_offset + i,
-                        )
-                        run = run_speculative(model, predictor, source, engine_config, run_config)
-                        spec_runs.append(run)
-                        if config.record_traces:
-                            run.trace.save(trace_dir / f"{data.test_offset + i:05d}.jsonl")
-                except Exception as exc:
-                    result.failures.append(f"{point}: {exc}")
+                point = run_point(
+                    f"{policy.describe()} tau={tau} predictor={kind}",
+                    f"{policy.kind}-{policy.param}-tau{tau}-{kind}",
+                    lambda source, index: run_speculative(
+                        model, _predictor_for(kind, trained, source, data.vocabulary), source, engine_config,
+                        replace(tagged, tau=tau, predictor=kind, sentence_index=index),
+                    ),
+                    baseline_outputs,
+                )
+                if point is None:
                     continue
-
-                spec_rows = []
-                for i, run in enumerate(spec_runs):
-                    if run.final_output != baselines[i].final_output:
-                        result.failures.append(f"{point}: sentence {i}: speculative output differs")
-                    if run.speculations != run.hits + run.withdrawals:
-                        result.failures.append(f"{point}: sentence {i}: speculation accounting broken")
-                    if tuple(surfaces(run.final_output).split()) != run.snapshots.final:
-                        result.failures.append(f"{point}: sentence {i}: snapshot disagrees with output")
-                    spec_rows.append(
-                        _run_row(run, policy, tau, kind, data.test_offset + i, data.test_references[i])
-                    )
-                run_rows.extend(spec_rows)
-
-                al_spec = sum(row["AL"] for row in spec_rows) / len(spec_rows)
-                total_j = sum(len(r.final_output) for r in spec_runs)
+                rows = point[1]
+                run_rows.extend(rows)
                 if kind not in accuracy_cache:
                     accuracy_cache[kind] = _speculative_accuracy(kind, trained, data)
+                al_spec = _mean_al(rows)
                 result.summary_rows.append({
                     "policy": policy.kind,
                     "param": policy.param,
                     "tau": tau,
                     "predictor": kind,
-                    "sentences": len(spec_runs),
+                    "sentences": len(rows),
                     "al_baseline": al_base,
                     "al_speculative": al_spec,
                     "al_diff": al_base - al_spec,
-                    "awr": sum(r.withdrawals for r in spec_runs) / total_j,
-                    "bleu": corpus_bleu([r.final_output for r in spec_runs], list(data.test_references)),
+                    "awr": sum(row["W"] for row in rows) / sum(row["J"] for row in rows),
+                    "bleu": bleu_from_stats(sum_bleu_stats(row["bleu_stats"] for row in rows)),
                     "accuracy": accuracy_cache[kind],
-                    "speculations": sum(r.speculations for r in spec_runs),
-                    "hits": sum(r.hits for r in spec_runs),
-                    "withdrawals": sum(r.withdrawals for r in spec_runs),
+                    "speculations": sum(row["S"] for row in rows),
+                    "hits": sum(row["H"] for row in rows),
+                    "withdrawals": sum(row["W"] for row in rows),
                 })
 
     _write_csv(out_dir / "runs.csv", RUN_COLUMNS, run_rows)
@@ -364,23 +362,35 @@ def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, 
     return trained[kind]
 
 
-def _run_row(run: RunResult, policy: PolicyConfig, tau: float, kind: str, index: int, reference: Sentence) -> dict:
-    delays = delay_vector(run.snapshots)
-    target_length = len(run.final_output)
+def _mean_al(rows: list[dict]) -> float:
+    return sum(row["AL"] for row in rows) / len(rows)
+
+
+def score_run(trace: EventTrace, snapshots: SnapshotMatrix, reference: Sequence[str] | None = None) -> dict:
+    """The `RUN_COLUMNS` row of one run, plus its `sentence_index` and, with
+    a reference (a sequence of surface strings), its `bleu_stats`; BLEU is
+    left empty without one."""
+    cfg = trace.run_config
+    counts = trace.kind_counts()
+    delays = delay_vector(snapshots)
+    target_length = len(snapshots.final)
+    stats = None if reference is None else bleu_stats(snapshots.final, reference)
     return {
-        "run_id": f"{policy.kind}-{policy.param}-tau{tau}-{kind}-{index:05d}",
-        "policy": policy.kind,
-        "param": policy.param,
-        "tau": tau,
-        "predictor": kind,
+        "run_id": f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}",
+        "policy": cfg.policy,
+        "param": cfg.param,
+        "tau": cfg.tau,
+        "predictor": cfg.predictor,
         "I": delays.source_length,
         "J": target_length,
-        "W": run.withdrawals,
-        "S": run.speculations,
-        "H": run.hits,
+        "W": counts[WITHDRAW],
+        "S": counts[SPECULATE],
+        "H": counts[COMMIT],
         "AL": average_lagging(delays),
-        "AWR": awr(run.withdrawals, target_length),
-        "BLEU": corpus_bleu([run.final_output], [reference]),
+        "AWR": awr(counts[WITHDRAW], target_length),
+        "BLEU": "" if stats is None else bleu_from_stats(stats),
+        "sentence_index": cfg.sentence_index,
+        "bleu_stats": stats,
     }
 
 
@@ -459,31 +469,18 @@ def metrics_from_traces(
     run_rows: list[dict] = []
     for path in trace_paths:
         trace = load_trace(path)
-        snapshots = snapshot_from_trace(trace)
-        delays = delay_vector(snapshots)
-        target_length = len(snapshots.final)
-        cfg = trace.run_config
-        counts = trace.kind_counts()
-        bleu = ""
+        index = trace.run_config.sentence_index
+        reference = None
         if reference_lines is not None:
-            reference = tuple(reference_lines[cfg.sentence_index].split())
-            bleu = corpus_bleu([snapshots.final], [reference])
-        run_rows.append({
-            "run_id": f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}",
-            "policy": cfg.policy,
-            "param": cfg.param,
-            "tau": cfg.tau,
-            "predictor": cfg.predictor,
-            "I": delays.source_length,
-            "J": target_length,
-            "W": counts[WITHDRAW],
-            "S": counts[SPECULATE],
-            "H": counts[COMMIT],
-            "AL": average_lagging(delays),
-            "AWR": awr(counts[WITHDRAW], target_length),
-            "BLEU": bleu,
-            "sentence_index": cfg.sentence_index,
-        })
+            if not 0 <= index < len(reference_lines):
+                raise ExperimentError(
+                    f"{path}: sentence_index {index} is outside the {len(reference_lines)} reference lines"
+                )
+            reference = reference_lines[index].split()
+        try:
+            run_rows.append(score_run(trace, snapshot_from_trace(trace), reference))
+        except (TraceError, MetricsError) as exc:
+            raise ExperimentError(f"{path}: {exc}") from exc
     run_rows.sort(key=lambda r: (r["policy"], float(r["param"]), float(r["tau"]), r["predictor"], r["sentence_index"]))
 
     baselines = {

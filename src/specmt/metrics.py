@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .trace import SnapshotMatrix
 
@@ -64,15 +62,11 @@ def delay_vector(snapshots: SnapshotMatrix) -> DelayVector:
     return DelayVector(delays=tuple(delays), source_length=n_rows)
 
 
-def average_lagging(delays: DelayVector, cutoff: bool = False) -> float:
-    """Mean excess of the delays over the ideal diagonal schedule.
+def average_lagging(delays: DelayVector) -> float:
+    """Mean excess of the delays over the ideal diagonal schedule, over every
+    output position.
 
     AL = (1/J) * sum_{j=1..J} ( g_j - (j-1) / (J/I) )
-
-    The default sums over every output position. `cutoff=True` selects the
-    non-default variant that stops at the first position produced only after
-    the whole source was read; it exists for cross-checking against other
-    tools and is not used by any metric in this package.
     """
     g = delays.delays
     src_len = delays.source_length
@@ -81,13 +75,9 @@ def average_lagging(delays: DelayVector, cutoff: bool = False) -> float:
     if src_len < 1:
         raise MetricsError("empty source")
     j_count = len(g)
-    if cutoff:
-        stop = next((j for j in range(1, j_count + 1) if g[j - 1] >= src_len), j_count)
-    else:
-        stop = j_count
     rate = j_count / src_len
-    total = sum(g[j - 1] - (j - 1) / rate for j in range(1, stop + 1))
-    return total / stop
+    total = sum(g[j - 1] - (j - 1) / rate for j in range(1, j_count + 1))
+    return total / j_count
 
 
 def awr(withdrawals: int, target_length: int) -> float:
@@ -99,46 +89,13 @@ def awr(withdrawals: int, target_length: int) -> float:
     return withdrawals / target_length
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    al: float
-    awr: float
-    bleu: float | None = None
-    al_diff: float | None = None
-    withdrawals: int = 0
-    speculations: int = 0
-    hits: int = 0
-    source_length: int = 0
-    target_length: int = 0
-    corpus_id: str = "none"
-
-
-def report_from_run(run, reference: Sequence | None = None, corpus_id: str | None = None) -> MetricsReport:
-    """All metrics of one engine run; BLEU only when a reference is given."""
-    delays = delay_vector(run.snapshots)
-    target_length = len(run.final_output)
-    return MetricsReport(
-        al=average_lagging(delays),
-        awr=awr(run.withdrawals, target_length),
-        bleu=corpus_bleu([run.final_output], [reference]) if reference is not None else None,
-        withdrawals=run.withdrawals,
-        speculations=run.speculations,
-        hits=run.hits,
-        source_length=delays.source_length,
-        target_length=target_length,
-        corpus_id=corpus_id if corpus_id is not None else run.trace.run_config.corpus,
-    )
-
-
-def al_diff(baseline: MetricsReport, speculative: MetricsReport) -> float:
-    """Latency improvement: baseline lagging minus speculative lagging."""
-    if baseline.corpus_id != speculative.corpus_id:
-        raise MetricsError("corpus-id mismatch")
-    return baseline.al - speculative.al
-
-
 def _ngrams(tokens: Sequence, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _clipped_matches(hyp: Sequence, ref: Sequence, n: int) -> int:
+    ref_counts = _ngrams(ref, n)
+    return sum(min(count, ref_counts[gram]) for gram, count in _ngrams(hyp, n).items())
 
 
 def modified_precision(
@@ -148,32 +105,39 @@ def modified_precision(
     matched = 0
     total = 0
     for hyp, ref in zip(hypotheses, references):
-        hyp_counts = _ngrams(hyp, n)
-        ref_counts = _ngrams(ref, n)
-        matched += sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+        matched += _clipped_matches(hyp, ref, n)
         total += max(len(hyp) - n + 1, 0)
     return matched, total
 
 
-def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> float:
-    """Corpus BLEU-4 on a [0, 1] scale, one reference per hypothesis.
+def bleu_stats(hyp: Sequence, ref: Sequence) -> tuple[int, ...]:
+    """BLEU sufficient statistics of one sentence pair: clipped n-gram
+    matches and hypothesis n-gram totals for n = 1..4, then the hypothesis
+    and reference lengths. Corpus statistics are the element-wise sum."""
+    stats: list[int] = []
+    for n in range(1, 5):
+        stats += (_clipped_matches(hyp, ref, n), max(len(hyp) - n + 1, 0))
+    stats += (len(hyp), len(ref))
+    return tuple(stats)
+
+
+def sum_bleu_stats(stats: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*stats)))
+
+
+def bleu_from_stats(stats: Sequence[int]) -> float:
+    """BLEU-4 on a [0, 1] scale from summed `bleu_stats`.
 
     Uniformly weighted geometric mean of clipped n-gram precisions for
     n = 1..4, times the brevity penalty exp(min(0, 1 - ref_len/hyp_len)).
     No smoothing: any zero precision (including a missing n-gram order)
     yields 0, which is the documented behavior rather than an edge case.
     """
-    if len(hypotheses) != len(references):
-        raise MetricsError("hypothesis/reference count mismatch")
-    if not hypotheses:
-        raise MetricsError("empty corpus")
-    hyp_len = sum(len(h) for h in hypotheses)
-    ref_len = sum(len(r) for r in references)
+    hyp_len, ref_len = stats[8], stats[9]
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(1, 5):
-        matched, total = modified_precision(hypotheses, references, n)
+    for matched, total in zip(stats[0:8:2], stats[1:8:2]):
         if matched == 0 or total == 0:
             return 0.0
         log_sum += 0.25 * math.log(matched / total)
@@ -181,21 +145,10 @@ def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) 
     return math.exp(brevity + log_sum)
 
 
-def paired_bootstrap_pvalue(
-    treatment: Sequence[float],
-    control: Sequence[float],
-    resamples: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """One-sided paired bootstrap p-value for mean(treatment) > mean(control).
-
-    Resamples sentence pairs with replacement and reports the fraction of
-    resampled mean differences that are not positive.
-    """
-    if len(treatment) != len(control) or len(treatment) == 0:
-        raise MetricsError("paired samples required")
-    deltas = np.asarray(treatment, dtype=float) - np.asarray(control, dtype=float)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(deltas), size=(resamples, len(deltas)))
-    means = deltas[idx].mean(axis=1)
-    return float(np.mean(means <= 0.0))
+def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> float:
+    """Corpus BLEU-4 on a [0, 1] scale, one reference per hypothesis."""
+    if len(hypotheses) != len(references):
+        raise MetricsError("hypothesis/reference count mismatch")
+    if not hypotheses:
+        raise MetricsError("empty corpus")
+    return bleu_from_stats(sum_bleu_stats(map(bleu_stats, hypotheses, references)))

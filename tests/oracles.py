@@ -10,7 +10,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from typing import Sequence
 
+import numpy as np
+
+from specmt.metrics import MetricsError
 from specmt.trace import Event, EventTrace, RunConfig
 from specmt.vocab import EOS_SURFACE, PHI_SURFACE
 
@@ -97,6 +101,27 @@ def brute_force_bleu(hypotheses, references) -> float:
         return 0.0
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return brevity * product ** 0.25
+
+
+
+def paired_bootstrap_pvalue(
+    treatment: Sequence[float],
+    control: Sequence[float],
+    resamples: int = 10_000,
+    seed: int = 0,
+) -> float:
+    """One-sided paired bootstrap p-value for mean(treatment) > mean(control).
+
+    Resamples sentence pairs with replacement and reports the fraction of
+    resampled mean differences that are not positive.
+    """
+    if len(treatment) != len(control) or len(treatment) == 0:
+        raise MetricsError("paired samples required")
+    deltas = np.asarray(treatment, dtype=float) - np.asarray(control, dtype=float)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(deltas), size=(resamples, len(deltas)))
+    means = deltas[idx].mean(axis=1)
+    return float(np.mean(means <= 0.0))
 
 
 def wait_k_closed_form_al(k: int, src_len: int, tgt_len: int) -> float:

@@ -27,7 +27,6 @@ from specmt import (
     generate,
     generate_out_of_domain_sources,
     modified_precision,
-    paired_bootstrap_pvalue,
     run_baseline,
     run_speculative,
     train_ngram,
@@ -36,6 +35,7 @@ from specmt.metrics import DelayVector, awr
 from oracles import (
     brute_force_bleu,
     brute_force_delays,
+    paired_bootstrap_pvalue,
     random_snapshot_rows,
     speculation_eligible_positions,
     wait_k_closed_form_al,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,9 @@ from specmt import (
     EngineError,
     OraclePredictor,
     PolicyConfig,
-    RunConfig,
     average_lagging,
     delay_vector,
-    report_from_run,
     run_baseline,
-    run_corpus,
     run_speculative,
     train_ngram,
 )
@@ -233,51 +232,16 @@ class TestConfigAndReports:
         with pytest.raises(EngineError, match="tau"):
             EngineConfig(tau=1.5)
 
-    def test_report_from_run(self, toy):
+
+class TestRunResult:
+    def test_rejects_inconsistent_counts(self, toy):
+        # the engine's own counters must agree with the trace it wrote
         vocab, lexicon, ids = toy
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(1))
-        source = (ids["a"], ids["c"], ids["d"], ids["a"], ids["c"])
-        reference = model.full_sentence_translate(source)
+        source = (ids["a"], ids["b"])
         result = run_speculative(model, AlwaysWrongPredictor(source, vocab), source)
-        report = report_from_run(result, reference=reference, corpus_id="toy")
-        assert report.awr == result.withdrawals / len(result.final_output)
-        assert report.al == average_lagging(delay_vector(result.snapshots))
-        assert report.bleu == pytest.approx(1.0)  # unambiguous tokens: output == reference
-        assert (report.source_length, report.target_length) == (5, 5)
-
-
-class TestRunCorpus:
-    def test_matches_individual_runs(self, toy):
-        vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
-        corpus = [(ids["a"], ids["b"]), (ids["c"],)]
-        results = run_corpus(model, None, corpus)
-        for source, result in zip(corpus, results):
-            assert result.final_output == run_baseline(model, source).final_output
-
-    def test_empty_corpus_rejected(self, toy):
-        vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
-        with pytest.raises(EngineError, match="empty corpus"):
-            run_corpus(model, None, [])
-
-    def test_errors_carry_sentence_index(self, toy):
-        vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
-        with pytest.raises(EngineError, match="sentence 1"):
-            run_corpus(model, None, [(ids["a"],), ()])
-
-    def test_trace_files_written(self, toy, tmp_path):
-        vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
-        corpus = [(ids["a"],), (ids["b"], ids["c"])]
-        run_corpus(
-            model,
-            None,
-            corpus,
-            EngineConfig(record_trace=True),
-            RunConfig(policy="wait_k", param=1),
-            trace_dir=tmp_path,
-        )
-        files = sorted(tmp_path.glob("*.jsonl"))
-        assert len(files) == 2
+        assert result.withdrawals == 3
+        with pytest.raises(EngineError, match="withdrawal count disagrees with trace"):
+            replace(result, withdrawals=2, speculations=2)
+        with pytest.raises(EngineError, match="speculation accounting broken"):
+            replace(result, hits=1)

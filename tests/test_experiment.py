@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import csv
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from specmt import ExperimentConfig, load_config, metrics_from_traces, plot_data, run_experiment
+from specmt import (
+    ExperimentConfig, gen_corpus, load_config, load_trace, metrics_from_traces, plot_data, run_experiment,
+    snapshot_from_trace,
+)
 from specmt.experiment import (
     ExperimentError,
     RUN_COLUMNS,
@@ -17,6 +21,7 @@ from specmt.experiment import (
     write_trace_metrics,
 )
 from specmt.vocab import read_corpus_lines
+from oracles import brute_force_bleu
 
 
 def _config(tmp_path, **kw):
@@ -57,6 +62,18 @@ class TestConfig:
         assert values["tau_grid"] == (0.0, 0.5)
         assert values["predictors"] == ("oracle", "indomain")
         assert values["record_traces"] is True
+
+    def test_bool_words(self):
+        for word in ("1", "true", "Yes", "ON"):
+            assert parse_config_text(f"record_traces = {word}")["record_traces"] is True
+        for word in ("0", "False", "no", "OFF"):
+            assert parse_config_text(f"record_traces = {word}")["record_traces"] is False
+
+    def test_bad_values_name_the_line(self):
+        for line in ("record_traces = ture", "seed = five", "kappa = x", "k_grid = 1, x", "tau_grid = 0, y"):
+            key, value = (part.strip() for part in line.split("="))
+            with pytest.raises(ExperimentError, match=re.escape(f"config line 3: bad value for {key!r}: {value!r}")):
+                parse_config_text(f"n_sentences = 100\n# comment\n{line}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ExperimentError, match="unknown key"):
@@ -161,6 +178,22 @@ class TestRunExperiment:
         assert run_experiment(loaded).ok
         assert _tree(data_dir) == inputs
 
+    def test_failure_names_sentence_and_corpus_line(self, tmp_path):
+        # an out-of-vocabulary source token on corpus line 57 (test split)
+        spec = _config(tmp_path).source_spec()
+        corpus, lexicon, references = gen_corpus(spec, 60, tmp_path / "world")
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        first, *rest = lines[56].split()
+        lines[56] = " ".join([first, "zzz_unknown", *rest])
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = _config(
+            tmp_path, corpus=str(corpus), lexicon=str(lexicon), references=str(references),
+            k_grid=(2,), predictors=("oracle",),
+        )
+        result = run_experiment(config)
+        assert len(result.failures) == 1
+        assert result.failures[0].startswith("baseline wait_k(k=2): sentence 56 (corpus line 57): ")
+
     def test_oracle_beats_trained_predictor(self, tmp_path):
         config = _config(tmp_path, predictors=("indomain", "oracle"), n_sentences=200)
         result = run_experiment(config)
@@ -193,6 +226,28 @@ class TestTraceMetrics:
         for row in recomputed:
             assert list(row) == RUN_COLUMNS
             assert row == runs_csv[row["run_id"]]
+        # summary.csv aggregates rebuilt from the recomputed rows and traces
+        summary = {(r["policy"], r["param"], r["tau"], r["predictor"]): r for r in _read_csv(out / "summary.csv")}
+        groups: dict[tuple, list[dict]] = {}
+        for row in recomputed:
+            if row["predictor"] != "none":
+                groups.setdefault((row["policy"], row["param"], row["tau"], row["predictor"]), []).append(row)
+        hypotheses = {
+            path.relative_to(out / "traces").with_suffix("").as_posix(): snapshot_from_trace(load_trace(path)).final
+            for path in traces
+        }
+        assert sorted(groups) == sorted(summary)
+        for key, rows in groups.items():
+            policy, param, tau, predictor = key
+            sums = {col: sum(int(r[col]) for r in rows) for col in ("W", "S", "H", "J")}
+            assert float(summary[key]["awr"]) == sums["W"] / sums["J"]
+            assert int(summary[key]["speculations"]) == sums["S"]
+            assert int(summary[key]["hits"]) == sums["H"]
+            assert int(summary[key]["withdrawals"]) == sums["W"]
+            indices = [int(r["run_id"].rsplit("-", 1)[1]) for r in rows]
+            hyps = [hypotheses[f"{policy}-{param}-tau{tau}-{predictor}/{i:05d}"] for i in indices]
+            refs = [tuple(references[i].split()) for i in indices]
+            assert float(summary[key]["bleu"]) == pytest.approx(brute_force_bleu(hyps, refs), abs=1e-12)
         # paired summary reproduces the sweep's AL_diff
         _, paired = metrics_from_traces(traces)
         sweep_rows = {(r["policy"], r["param"], r["tau"], r["predictor"]): r for r in result.summary_rows}
@@ -211,6 +266,34 @@ class TestTraceMetrics:
         # speculative traces only: pairing must fail loudly
         with pytest.raises(ExperimentError, match="no baseline trace"):
             metrics_from_traces(spec_only)
+
+    def test_replay_error_names_file(self, tmp_path):
+        path = tmp_path / "no_end.jsonl"
+        path.write_text(
+            '{"policy": "wait_k", "param": 1.0, "tau": 0.0, "predictor": "none", '
+            '"corpus": "c", "seed": 0, "sentence_index": 0}\n'
+            '{"ev": "READ", "i": 1, "tok": "a"}\n'
+            '{"ev": "WRITE", "i": 1, "j": 1, "tok": "A"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ExperimentError, match=re.escape(f"{path}: inconsistent trace: missing END")):
+            metrics_from_traces([path])
+
+    def test_reference_index_out_of_range_names_file(self, tmp_path):
+        path = tmp_path / "late.jsonl"
+        path.write_text(
+            '{"policy": "wait_k", "param": 1.0, "tau": 0.0, "predictor": "none", '
+            '"corpus": "c", "seed": 0, "sentence_index": 5}\n'
+            '{"ev": "READ", "i": 1, "tok": "a"}\n'
+            '{"ev": "WRITE", "i": 1, "j": 1, "tok": "A"}\n'
+            '{"ev": "READ", "i": 2, "tok": "</s>"}\n'
+            '{"ev": "WRITE", "i": 2, "j": 2, "tok": "</s>"}\n'
+            '{"ev": "END"}\n',
+            encoding="utf-8",
+        )
+        metrics_from_traces([path])  # a valid trace without references
+        with pytest.raises(ExperimentError, match=re.escape(f"{path}: sentence_index 5 is outside the 0 reference lines")):
+            metrics_from_traces([path], [])
 
     def test_write_trace_metrics_files(self, tmp_path):
         config = _config(tmp_path, record_traces=True, predictors=("oracle",), k_grid=(2,))

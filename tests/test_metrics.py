@@ -7,20 +7,18 @@ from specmt import (
     AlwaysWrongPredictor,
     DelayVector,
     MetricsError,
-    MetricsReport,
     PolicyConfig,
     SnapshotMatrix,
-    al_diff,
     average_lagging,
     awr,
     corpus_bleu,
     delay_vector,
     modified_precision,
-    paired_bootstrap_pvalue,
     run_speculative,
 )
+from specmt.metrics import bleu_from_stats, bleu_stats, sum_bleu_stats
 from conftest import make_model
-from oracles import brute_force_bleu, brute_force_delays, random_snapshot_rows
+from oracles import brute_force_bleu, brute_force_delays, paired_bootstrap_pvalue, random_snapshot_rows
 
 
 def dv(*delays, src_len):
@@ -77,15 +75,6 @@ class TestAverageLagging:
         with pytest.raises(MetricsError, match="empty output"):
             average_lagging(dv(src_len=3))
 
-    def test_cutoff_variant_differs_only_past_source_end(self):
-        full = average_lagging(dv(1, 2, 3, src_len=3))
-        cut = average_lagging(dv(1, 2, 3, src_len=3), cutoff=True)
-        assert cut == pytest.approx(full)
-        # delays hit the source end early: cutoff stops at the first such position
-        g = dv(3, 3, 3, src_len=3)
-        assert average_lagging(g, cutoff=True) == pytest.approx(3.0)
-        assert average_lagging(g) == pytest.approx((3 + 2 + 1) / 3)
-
 
 class TestWithdrawalRate:
     def test_zero(self):
@@ -111,23 +100,6 @@ class TestWithdrawalRate:
     def test_empty_output_rejected(self):
         with pytest.raises(MetricsError):
             awr(1, 0)
-
-
-class TestAlDiff:
-    def test_subtraction(self):
-        base = MetricsReport(al=2.4, awr=0.0, corpus_id="c")
-        spec = MetricsReport(al=1.6, awr=0.1, corpus_id="c")
-        assert al_diff(base, spec) == pytest.approx(0.8)
-
-    def test_identical_runs(self):
-        report = MetricsReport(al=1.0, awr=0.0, corpus_id="c")
-        assert al_diff(report, report) == 0.0
-
-    def test_corpus_mismatch_rejected(self):
-        base = MetricsReport(al=1.0, awr=0.0, corpus_id="a")
-        spec = MetricsReport(al=1.0, awr=0.0, corpus_id="b")
-        with pytest.raises(MetricsError, match="corpus-id mismatch"):
-            al_diff(base, spec)
 
 
 class TestBleu:
@@ -181,6 +153,30 @@ class TestBleu:
                 else:
                     refs.append(tuple(str(t) for t in rng.integers(0, 6, size=m)))
             assert corpus_bleu(hyps, refs) == pytest.approx(brute_force_bleu(hyps, refs), abs=1e-9)
+
+    def test_summed_sentence_stats_equal_corpus_bleu(self):
+        # corpus BLEU is a function of the summed per-sentence statistics,
+        # whatever the split into parts; empty hypotheses count too
+        rng = np.random.default_rng(78)
+        for _ in range(150):
+            size = int(rng.integers(2, 10))
+            hyps = [tuple(str(t) for t in rng.integers(0, 4, size=rng.integers(0, 10))) for _ in range(size)]
+            refs = [tuple(str(t) for t in rng.integers(0, 4, size=rng.integers(1, 10))) for _ in range(size)]
+            cut = int(rng.integers(1, size))
+            parts = [
+                sum_bleu_stats(map(bleu_stats, hyps[:cut], refs[:cut])),
+                sum_bleu_stats(map(bleu_stats, hyps[cut:], refs[cut:])),
+            ]
+            assert bleu_from_stats(sum_bleu_stats(parts)) == corpus_bleu(hyps, refs)
+            assert corpus_bleu(hyps, refs) == pytest.approx(brute_force_bleu(hyps, refs), abs=1e-9)
+
+    def test_sentence_stats_layout(self):
+        hyp = tuple("the the cat sat".split())
+        ref = tuple("the cat sat on the mat".split())
+        # (matches, totals) for n = 1..4, then hypothesis and reference lengths
+        assert bleu_stats(hyp, ref) == (4, 4, 2, 3, 1, 2, 0, 1, 4, 6)
+        assert bleu_stats((), ref) == (0, 0, 0, 0, 0, 0, 0, 0, 0, 6)
+        assert bleu_from_stats(bleu_stats((), ref)) == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(MetricsError):
