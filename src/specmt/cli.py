@@ -6,18 +6,24 @@ import argparse
 import sys
 from pathlib import Path
 
+from .engine import EngineError
 from .experiment import (
-    ExperimentConfig,
-    coerce_config_value,
-    load_config,
-    plot_data,
-    run_experiment,
+    PREDICTOR_KINDS, ExperimentConfig, ExperimentError, coerce_config_value, load_config, plot_data, run_experiment,
     write_trace_metrics,
 )
-from .lexicon import read_lexicon_vocabulary
-from .markov import MarkovSourceSpec, gen_corpus
-from .ngram import load_ngram, train_ngram
-from .vocab import Vocabulary, build_vocabulary, load_corpus, read_corpus_lines
+from .lexicon import LexiconError, read_lexicon_vocabulary
+from .markov import GenerationError, gen_corpus
+from .metrics import MetricsError
+from .model import ModelError
+from .ngram import PredictorError, load_ngram, train_ngram
+from .trace import TraceError
+from .vocab import Vocabulary, VocabularyError, build_vocabulary, load_corpus, read_corpus_lines
+
+# reported as `specmt: <message>` with exit status 2, without a traceback
+ERRORS = (
+    EngineError, ExperimentError, GenerationError, LexiconError, MetricsError, ModelError, PredictorError,
+    TraceError, VocabularyError, OSError,
+)
 
 
 def _add_gen_corpus(sub: argparse._SubParsersAction) -> None:
@@ -30,7 +36,7 @@ def _add_gen_corpus(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--min-length", type=int, default=None)
     p.add_argument("--max-length", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sentences", type=int, default=None)
+    p.add_argument("--sentences", dest="n_sentences", type=int, default=None)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
 
@@ -40,7 +46,7 @@ def _add_train_lm(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--lexicon", type=Path, default=None,
                    help="lexicon file fixing the vocabulary; default derives it from the corpus")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", dest="ngram_order", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--out", type=Path, required=True, help="model file to write")
@@ -69,8 +75,7 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
                    help="adaptive latency weight L; the policy writes an ambiguous token "
                         "early only when 0.5 >= min(1.0, 0.4 + L), i.e. L <= 0.1")
     p.add_argument("--tau", type=float, default=0.0, help="speculate only when prediction prob >= tau")
-    p.add_argument("--predictor", choices=["indomain", "outdomain", "oracle", "always_wrong"],
-                   default="indomain")
+    p.add_argument("--predictor", choices=PREDICTOR_KINDS, default="indomain")
     p.add_argument("--record-traces", action="store_true")
 
 
@@ -114,15 +119,18 @@ def _config_from_args(args: argparse.Namespace, extra: dict[str, object]) -> Exp
     overrides: dict[str, object] = {}
     for item in args.set:
         if "=" not in item:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
+            raise ExperimentError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = coerce_config_value(key, value)
     overrides.update(extra)
     if args.out is not None:
         overrides["out_dir"] = str(args.out)
-    if args.config is not None:
-        return load_config(args.config, overrides)
-    return ExperimentConfig(**overrides)
+    return load_config(args.config, overrides)
+
+
+def _config_with_flags(args: argparse.Namespace, keys: tuple[str, ...]) -> ExperimentConfig:
+    """Flag beats config file beats built-in default; each flag's dest is its config key."""
+    return load_config(args.config, {key: getattr(args, key) for key in keys if getattr(args, key) is not None})
 
 
 def _vocab_for_lm(corpus: Path, lexicon: Path | None) -> Vocabulary:
@@ -131,52 +139,33 @@ def _vocab_for_lm(corpus: Path, lexicon: Path | None) -> Vocabulary:
     return build_vocabulary(read_corpus_lines(corpus))
 
 
-def _resolve(args: argparse.Namespace, flag: str, key: str, default):
-    """Flag beats config file beats built-in default."""
-    value = getattr(args, flag)
-    if value is not None:
-        return value
-    if args.config is not None:
-        from .experiment import parse_config_text
-
-        values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-        if key in values:
-            return values[key]
-    return default
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except ERRORS as exc:
+        print(f"specmt: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "gen-corpus":
-        spec = MarkovSourceSpec(
-            vocab_size=_resolve(args, "vocab_size", "vocab_size", 24),
-            transition_concentration=_resolve(args, "kappa", "kappa", 0.1),
-            ambiguity_rate=_resolve(args, "ambiguity_rate", "ambiguity_rate", 0.2),
-            min_length=_resolve(args, "min_length", "min_length", 5),
-            max_length=_resolve(args, "max_length", "max_length", 15),
-            seed=_resolve(args, "seed", "seed", 0),
+        config = _config_with_flags(
+            args, ("vocab_size", "kappa", "ambiguity_rate", "min_length", "max_length", "seed", "n_sentences")
         )
-        sentences = _resolve(args, "sentences", "n_sentences", 400)
-        corpus_path, lexicon_path, refs_path = gen_corpus(spec, sentences, args.out)
+        corpus_path, lexicon_path, refs_path = gen_corpus(config.source_spec(), config.n_sentences, args.out)
         print(f"wrote {corpus_path}")
         print(f"wrote {lexicon_path}")
         print(f"wrote {refs_path}")
         return 0
 
     if args.command == "train-lm":
+        config = _config_with_flags(args, ("ngram_order", "alpha", "beta"))
         vocab = _vocab_for_lm(args.corpus, args.lexicon)
         corpus = load_corpus(args.corpus, vocab)
-        order = _resolve(args, "order", "ngram_order", 2)
-        model = train_ngram(
-            corpus,
-            order,
-            _resolve(args, "alpha", "alpha", 0.1),
-            _resolve(args, "beta", "beta", 0.9),
-            vocab,
-        )
+        model = train_ngram(corpus, config.ngram_order, config.alpha, config.beta, vocab)
         model.save(args.out)
-        print(f"trained order-{order} model on {len(corpus)} sentences -> {args.out}")
+        print(f"trained order-{config.ngram_order} model on {len(corpus)} sentences -> {args.out}")
         return 0
 
     if args.command == "lm-stats":
@@ -210,6 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "metrics":
         if args.traces.is_dir():
             paths = sorted(args.traces.rglob("*.jsonl"))
+            if not paths:
+                raise ExperimentError(f"no .jsonl trace files under {args.traces}")
         else:
             paths = [args.traces]
         references = read_corpus_lines(args.references) if args.references else None

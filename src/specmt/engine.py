@@ -50,7 +50,6 @@ class EngineConfig:
     """
 
     tau: float = 0.0
-    max_output: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
@@ -75,6 +74,12 @@ class RunResult:
             raise EngineError("speculation accounting broken")
 
 
+def _runaway_limit(source: Sentence) -> int:
+    """Output length past which either loop stops a translator that never
+    emits end-of-sequence; the translator is duck-typed, so this is checked."""
+    return 2 * len(source) + 8
+
+
 def _check_source(source: Sentence) -> None:
     if not source:
         raise EngineError("empty source")
@@ -87,12 +92,11 @@ def run_baseline(
     model: SimtModel,
     source: Sentence,
     run_config: RunConfig | None = None,
-    max_output: int | None = None,
 ) -> RunResult:
     """Standard incremental loop: read, then write until the policy asks to read."""
     _check_source(source)
     src_len = len(source)
-    limit = max_output if max_output is not None else 2 * src_len + 8
+    limit = _runaway_limit(source)
     surf = model.vocabulary.surface
 
     out: list[int] = []
@@ -158,7 +162,7 @@ def run_speculative(
         raise EngineError("predictor/vocabulary mismatch")
 
     src_len = len(source)
-    limit = config.max_output if config.max_output is not None else 2 * src_len + 8
+    limit = _runaway_limit(source)
     surf = model.vocabulary.surface
 
     out: list[int] = []

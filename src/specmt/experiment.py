@@ -3,7 +3,8 @@
 Each grid point runs a baseline pass and a speculative pass over the test
 split, verifies inline that speculation left the output untouched, and emits
 one CSV row per run, scored by `score_run` exactly as `metrics` scores a
-trace file, plus a paired summary row per grid point. The whole pipeline is
+trace file, plus a summary row per grid point, paired and aggregated by
+`summarize` exactly as `metrics` pairs trace files. The whole pipeline is
 a deterministic function of the configuration, so repeated runs produce
 byte-identical CSVs.
 """
@@ -16,7 +17,7 @@ import json
 import shutil
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .engine import EngineConfig, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary, save_lexicon
@@ -38,6 +39,8 @@ SUMMARY_COLUMNS = [
     "al_baseline", "al_speculative", "al_diff", "awr", "bleu", "accuracy",
     "speculations", "hits", "withdrawals",
 ]
+# what `summarize` gives, and `metrics` writes: a predictor's accuracy is not in a trace
+PAIRED_COLUMNS = [col for col in SUMMARY_COLUMNS if col != "accuracy"]
 
 PREDICTOR_KINDS = ("indomain", "outdomain", "oracle", "always_wrong")
 OWNED_DIRS = ("traces", "data")  # subdirectories of out_dir that a sweep clears and rewrites
@@ -81,6 +84,9 @@ class ExperimentConfig:
             raise ExperimentError("empty tau grid")
         if self.corpus is not None and (self.lexicon is None or self.references is None):
             raise ExperimentError("a corpus path needs lexicon and references paths")
+        for name in ("k_grid", "l_grid", "tau_grid", "predictors"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ExperimentError(f"duplicate value in {name}")
 
     def policy_grid(self) -> list[PolicyConfig]:
         points = [PolicyConfig.wait_k(k) for k in self.k_grid]
@@ -98,18 +104,12 @@ class ExperimentConfig:
         )
 
 
-_BOOL_KEYS = {"record_traces"}
+_KEY_TYPES = get_type_hints(ExperimentConfig)
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
-_INT_KEYS = {"vocab_size", "min_length", "max_length", "n_sentences", "seed", "ngram_order"}
-_FLOAT_KEYS = {"kappa", "ambiguity_rate", "alpha", "beta"}
-_INT_LIST_KEYS = {"k_grid"}
-_FLOAT_LIST_KEYS = {"l_grid", "tau_grid"}
-_STR_LIST_KEYS = {"predictors"}
 
 
 def parse_config_text(text: str) -> dict[str, object]:
     """Parse the flat `key = value` format; '#' starts a comment."""
-    valid = {f.name for f in fields(ExperimentConfig)}
     out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -118,8 +118,6 @@ def parse_config_text(text: str) -> dict[str, object]:
         if "=" not in line:
             raise ExperimentError(f"config line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in valid:
-            raise ExperimentError(f"config line {lineno}: unknown key {key!r}")
         try:
             out[key] = coerce_config_value(key, value)
         except ExperimentError as exc:
@@ -128,28 +126,30 @@ def parse_config_text(text: str) -> dict[str, object]:
 
 
 def coerce_config_value(key: str, value: str) -> object:
+    """The value of one config key, typed by `ExperimentConfig`'s annotation."""
+    if key not in _KEY_TYPES:
+        raise ExperimentError(f"unknown key {key!r}")
+    kind = _KEY_TYPES[key]
     try:
-        if key in _BOOL_KEYS:
-            if value.lower() not in _BOOL_WORDS:
-                raise ValueError(value)
+        if kind is bool:
             return _BOOL_WORDS[value.lower()]
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_LIST_KEYS:
-            return tuple(int(v) for v in value.split(",") if v.strip())
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(v) for v in value.split(",") if v.strip())
-        if key in _STR_LIST_KEYS:
-            return tuple(v.strip() for v in value.split(",") if v.strip())
-    except ValueError:
+        if kind in (int, float):
+            return kind(value)
+        if get_origin(kind) is tuple:
+            return tuple(get_args(kind)[0](v.strip()) for v in value.split(",") if v.strip())
+    except (KeyError, ValueError):
         raise ExperimentError(f"bad value for {key!r}: {value!r}") from None
     return value
 
 
-def load_config(path: str | Path, overrides: dict[str, object] | None = None) -> ExperimentConfig:
-    values = parse_config_text(Path(path).read_text(encoding="utf-8"))
+def load_config(path: str | Path | None, overrides: dict[str, object] | None = None) -> ExperimentConfig:
+    """The config file at `path` (none: the defaults), with `overrides` on top."""
+    values: dict[str, object] = {}
+    if path is not None:
+        try:
+            values = parse_config_text(Path(path).read_text(encoding="utf-8"))
+        except ExperimentError as exc:
+            raise ExperimentError(f"{path}: {exc}") from None
     values.update(overrides or {})
     return ExperimentConfig(**values)
 
@@ -289,7 +289,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return outputs, rows
 
     run_rows: list[dict] = []
-    accuracy_cache: dict[str, float] = {}
     for policy in config.policy_grid():
         model = SimtModel(lexicon=data.lexicon, policy=policy, vocabulary=data.vocabulary)
         tagged = RunConfig(policy=policy.kind, param=policy.param, corpus=data.corpus_id, seed=config.seed)
@@ -301,8 +300,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             continue
         baseline_outputs, base_rows = baseline
         run_rows.extend(base_rows)
-        al_base = _mean_al(base_rows)
-
         for tau in config.tau_grid:
             engine_config = EngineConfig(tau=tau)
             for kind in config.predictors:
@@ -315,30 +312,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     ),
                     baseline_outputs,
                 )
-                if point is None:
-                    continue
-                rows = point[1]
-                run_rows.extend(rows)
-                if kind not in accuracy_cache:
-                    accuracy_cache[kind] = _speculative_accuracy(kind, trained, data)
-                al_spec = _mean_al(rows)
-                result.summary_rows.append({
-                    "policy": policy.kind,
-                    "param": policy.param,
-                    "tau": tau,
-                    "predictor": kind,
-                    "sentences": len(rows),
-                    "al_baseline": al_base,
-                    "al_speculative": al_spec,
-                    "al_diff": al_base - al_spec,
-                    "awr": sum(row["W"] for row in rows) / sum(row["J"] for row in rows),
-                    "bleu": bleu_from_stats(sum_bleu_stats(row["bleu_stats"] for row in rows)),
-                    "accuracy": accuracy_cache[kind],
-                    "speculations": sum(row["S"] for row in rows),
-                    "hits": sum(row["H"] for row in rows),
-                    "withdrawals": sum(row["W"] for row in rows),
-                })
+                if point is not None:
+                    run_rows.extend(point[1])
 
+    result.summary_rows = summarize(run_rows)
+    kinds = {row["predictor"] for row in result.summary_rows}
+    accuracy = {kind: _speculative_accuracy(kind, trained, data) for kind in kinds}
+    for row in result.summary_rows:
+        row["accuracy"] = accuracy[row["predictor"]]
     _write_csv(out_dir / "runs.csv", RUN_COLUMNS, run_rows)
     _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, result.summary_rows)
     meta = {
@@ -360,10 +341,6 @@ def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, 
     if kind == "always_wrong":
         return AlwaysWrongPredictor(source, vocab)
     return trained[kind]
-
-
-def _mean_al(rows: list[dict]) -> float:
-    return sum(row["AL"] for row in rows) / len(rows)
 
 
 def score_run(trace: EventTrace, snapshots: SnapshotMatrix, reference: Sequence[str] | None = None) -> dict:
@@ -394,6 +371,43 @@ def score_run(trace: EventTrace, snapshots: SnapshotMatrix, reference: Sequence[
     }
 
 
+def summarize(run_rows: Sequence[dict]) -> list[dict]:
+    """The `PAIRED_COLUMNS` row of every speculative grid point
+    `(policy, param, tau, predictor)` among `score_run` rows, in order of
+    first appearance. Each speculative run is paired with the baseline run
+    (predictor "none") of the same policy, param and sentence index; sums
+    run in row order. BLEU is left empty when a run has no reference."""
+    baselines = {(r["policy"], r["param"], r["sentence_index"]): r for r in run_rows if r["predictor"] == "none"}
+    groups: dict[tuple, list[dict]] = {}
+    for row in run_rows:
+        if row["predictor"] != "none":
+            groups.setdefault((row["policy"], row["param"], row["tau"], row["predictor"]), []).append(row)
+    summary = []
+    for (policy, param, tau, predictor), rows in groups.items():
+        missing = [r["sentence_index"] for r in rows if (policy, param, r["sentence_index"]) not in baselines]
+        if missing:
+            raise ExperimentError(f"no baseline trace for {policy} param={param} sentences {missing[:5]}")
+        al_base = sum(baselines[(policy, param, r["sentence_index"])]["AL"] for r in rows) / len(rows)
+        al_spec = sum(r["AL"] for r in rows) / len(rows)
+        stats = [r["bleu_stats"] for r in rows]
+        summary.append({
+            "policy": policy,
+            "param": param,
+            "tau": tau,
+            "predictor": predictor,
+            "sentences": len(rows),
+            "al_baseline": al_base,
+            "al_speculative": al_spec,
+            "al_diff": al_base - al_spec,
+            "awr": sum(r["W"] for r in rows) / sum(r["J"] for r in rows),
+            "bleu": "" if None in stats else bleu_from_stats(sum_bleu_stats(stats)),
+            "speculations": sum(r["S"] for r in rows),
+            "hits": sum(r["H"] for r in rows),
+            "withdrawals": sum(r["W"] for r in rows),
+        })
+    return summary
+
+
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=columns)
@@ -417,56 +431,41 @@ def plot_data(results_dir: str | Path, max_awr: float | None = None) -> list[Pat
     if not rows:
         raise ExperimentError(f"no summary rows in {summary_path}")
 
-    if max_awr is not None:
-        latency_rows = [r for r in rows if float(r["awr"]) <= max_awr]
-    else:
-        latency_rows = rows
-
-    written = []
-
-    fig1 = results / "fig1_latency_improvement.csv"
-    _write_csv(fig1, ["policy", "param", "tau", "predictor", "al_baseline", "al_diff"], latency_rows)
-    written.append(fig1)
-
-    seen = set()
-    quality_rows = []
+    latency_rows = rows if max_awr is None else [r for r in rows if float(r["awr"]) <= max_awr]
+    quality_rows: dict[tuple, dict] = {}  # the first row of each policy and parameter
     for row in rows:
-        key = (row["policy"], row["param"])
-        if key not in seen:
-            seen.add(key)
-            quality_rows.append({
-                "policy": row["policy"], "param": row["param"],
-                "al": row["al_baseline"], "bleu": row["bleu"],
-            })
-    fig2 = results / "fig2_quality_latency.csv"
-    _write_csv(fig2, ["policy", "param", "al", "bleu"], quality_rows)
-    written.append(fig2)
-
-    fig4 = results / "fig4_predictor_comparison.csv"
-    _write_csv(fig4, ["predictor", "policy", "param", "tau", "accuracy", "al_diff"], rows)
-    written.append(fig4)
-
-    ordered = sorted(rows, key=lambda r: (r["policy"], float(r["param"]), r["predictor"], float(r["tau"])))
-    fig6 = results / "fig6_threshold_tradeoff.csv"
-    _write_csv(fig6, ["policy", "param", "predictor", "tau", "awr", "al_diff"], ordered)
-    written.append(fig6)
-    return written
+        quality_rows.setdefault((row["policy"], row["param"]), {
+            "policy": row["policy"], "param": row["param"], "al": row["al_baseline"], "bleu": row["bleu"],
+        })
+    threshold_rows = sorted(rows, key=lambda r: (r["policy"], float(r["param"]), r["predictor"], float(r["tau"])))
+    figures = {
+        "fig1_latency_improvement.csv": (
+            ["policy", "param", "tau", "predictor", "al_baseline", "al_diff"], latency_rows,
+        ),
+        "fig2_quality_latency.csv": (["policy", "param", "al", "bleu"], list(quality_rows.values())),
+        "fig4_predictor_comparison.csv": (["predictor", "policy", "param", "tau", "accuracy", "al_diff"], rows),
+        "fig6_threshold_tradeoff.csv": (["policy", "param", "predictor", "tau", "awr", "al_diff"], threshold_rows),
+    }
+    for name, (columns, figure_rows) in figures.items():
+        _write_csv(results / name, columns, figure_rows)
+    return [results / name for name in figures]
 
 
 def metrics_from_traces(
     trace_paths: Sequence[str | Path],
     reference_lines: Sequence[str] | None = None,
 ) -> tuple[list[dict], list[dict]]:
-    """Recompute per-run metrics from trace files and pair them for AL_diff.
+    """Recompute per-run rows from trace files and `summarize` them.
 
-    Rows with predictor "none" are baselines; every other row is paired with
-    the baseline of the same policy, parameter, and sentence index. BLEU
-    compares trace surfaces against the reference line selected by the
-    trace's sentence index, when references are given.
+    Rows are sorted by policy, parameter, tau, predictor and sentence index,
+    so the paired rows come in that order too. BLEU compares trace surfaces
+    against the reference line selected by the trace's sentence index, when
+    references are given. Two traces of one run are an error.
     """
     if not trace_paths:
         raise ExperimentError("no trace files")
     run_rows: list[dict] = []
+    sources: dict[str, str | Path] = {}  # run_id -> trace file
     for path in trace_paths:
         trace = load_trace(path)
         index = trace.run_config.sentence_index
@@ -478,42 +477,15 @@ def metrics_from_traces(
                 )
             reference = reference_lines[index].split()
         try:
-            run_rows.append(score_run(trace, snapshot_from_trace(trace), reference))
+            row = score_run(trace, snapshot_from_trace(trace), reference)
         except (TraceError, MetricsError) as exc:
             raise ExperimentError(f"{path}: {exc}") from exc
+        if row["run_id"] in sources:
+            raise ExperimentError(f"{path} and {sources[row['run_id']]} both hold run {row['run_id']}")
+        sources[row["run_id"]] = path
+        run_rows.append(row)
     run_rows.sort(key=lambda r: (r["policy"], float(r["param"]), float(r["tau"]), r["predictor"], r["sentence_index"]))
-
-    baselines = {
-        (r["policy"], r["param"], r["sentence_index"]): r["AL"]
-        for r in run_rows
-        if r["predictor"] == "none"
-    }
-    grouped: dict[tuple, list[dict]] = {}
-    for row in run_rows:
-        if row["predictor"] == "none":
-            continue
-        grouped.setdefault((row["policy"], row["param"], row["tau"], row["predictor"]), []).append(row)
-    paired_rows = []
-    for (policy, param, tau, predictor), group in sorted(
-        grouped.items(), key=lambda kv: (kv[0][0], float(kv[0][1]), float(kv[0][2]), kv[0][3])
-    ):
-        missing = [r for r in group if (policy, param, r["sentence_index"]) not in baselines]
-        if missing:
-            raise ExperimentError(f"no baseline trace for {policy} param={param} sentences "
-                                  f"{[r['sentence_index'] for r in missing][:5]}")
-        al_base = sum(baselines[(policy, param, r["sentence_index"])] for r in group) / len(group)
-        al_spec = sum(r["AL"] for r in group) / len(group)
-        paired_rows.append({
-            "policy": policy,
-            "param": param,
-            "tau": tau,
-            "predictor": predictor,
-            "sentences": len(group),
-            "al_baseline": al_base,
-            "al_speculative": al_spec,
-            "al_diff": al_base - al_spec,
-        })
-    return run_rows, paired_rows
+    return run_rows, summarize(run_rows)
 
 
 def write_trace_metrics(
@@ -527,9 +499,5 @@ def write_trace_metrics(
     runs_path = out / "trace_runs.csv"
     paired_path = out / "trace_paired.csv"
     _write_csv(runs_path, RUN_COLUMNS, run_rows)
-    _write_csv(
-        paired_path,
-        ["policy", "param", "tau", "predictor", "sentences", "al_baseline", "al_speculative", "al_diff"],
-        paired_rows,
-    )
+    _write_csv(paired_path, PAIRED_COLUMNS, paired_rows)
     return runs_path, paired_path

@@ -154,3 +154,40 @@ def test_reruns_replace_artifacts_instead_of_truncating(workspace):
     for argv in commands:
         assert run_cli(*argv) == 0
     assert {link.name: link.stat().st_nlink for link in links} == {link.name: 1 for link in links}
+
+
+def test_train_lm_reads_config_with_flag_override(workspace, capsys):
+    cfg = workspace / "lm.cfg"
+    cfg.write_text("ngram_order = 3\n")
+    corpus = workspace / "data" / "corpus.txt"
+    assert run_cli("train-lm", "--config", cfg, "--corpus", corpus, "--out", workspace / "lm3.json") == 0
+    assert "order-3" in capsys.readouterr().out
+    assert run_cli("train-lm", "--config", cfg, "--order", 1, "--corpus", corpus, "--out", workspace / "lm1.json") == 0
+    assert "order-1" in capsys.readouterr().out  # flag wins over the config's 3
+
+
+ERROR_CASES = {
+    "bad config value": (["sweep", "--config", "{tmp}/bad.cfg"],
+                         "{tmp}/bad.cfg: config line 1: bad value for 'record_traces': 'ture'"),
+    "bad --set value": (["sweep", "--set", "seed=x"], "bad value for 'seed': 'x'"),
+    "unknown --set key": (["sweep", "--set", "foo=1"], "unknown key 'foo'"),
+    "missing traces": (["metrics", "--traces", "{tmp}/missing", "--out", "{tmp}/m"], "No such file or directory"),
+    "empty trace directory": (["metrics", "--traces", "{tmp}/empty", "--out", "{tmp}/m"],
+                              "no .jsonl trace files under {tmp}/empty"),
+    "vocabulary too small": (["gen-corpus", "--vocab-size", "3", "--out", "{tmp}/g"], "vocab_size < 4"),
+    "config sweep rejects": (["gen-corpus", "--config", "{tmp}/psychic.cfg", "--out", "{tmp}/g"],
+                             "unknown predictor kind 'psychic'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
+    (tmp_path / "bad.cfg").write_text("record_traces = ture\n")
+    (tmp_path / "psychic.cfg").write_text("predictors = psychic\n")
+    (tmp_path / "empty").mkdir()
+    argv, message = ERROR_CASES[case]
+    assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("specmt: ") and captured.err.count("\n") == 1
+    assert message.format(tmp=tmp_path) in captured.err
+    assert "Traceback" not in captured.err + captured.out

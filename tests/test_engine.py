@@ -30,6 +30,17 @@ def _random_sources(ids, rng, count, max_len=9):
     ]
 
 
+class _Babbler:
+    """A duck-typed translator that writes one token forever."""
+
+    def __init__(self, vocabulary, token):
+        self.vocabulary, self.token, self.calls = vocabulary, token, 0
+
+    def step(self, source_prefix, target_prefix, done):
+        self.calls += 1
+        return self.token
+
+
 class TestBaseline:
     def test_wait1_schedule(self, toy):
         vocab, lexicon, ids = toy
@@ -63,10 +74,20 @@ class TestBaseline:
                 )
 
     def test_runaway_guard(self, toy):
+        # a translator that never emits end-of-sequence is stopped by one
+        # fixed limit in both loops, which no caller can set
         vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
+        source = (ids["a"], ids["b"])
+        babbler = _Babbler(vocab, ids["A"])
         with pytest.raises(EngineError, match="runaway decode"):
-            run_baseline(model, (ids["a"], ids["b"]), max_output=0)
+            run_baseline(babbler, source)
+        baseline_calls, babbler.calls = babbler.calls, 0
+        with pytest.raises(EngineError, match="runaway decode"):
+            run_speculative(babbler, OraclePredictor(source), source)
+        assert baseline_calls == babbler.calls == 2 * len(source) + 9
+        with pytest.raises(TypeError):
+            run_baseline(babbler, source, max_output=0)
+        assert not hasattr(EngineConfig(), "max_output")
 
 
 class TestSpeculative:

@@ -14,6 +14,7 @@ from specmt import (
 )
 from specmt.experiment import (
     ExperimentError,
+    PAIRED_COLUMNS,
     RUN_COLUMNS,
     SUMMARY_COLUMNS,
     parse_config_text,
@@ -91,6 +92,13 @@ class TestConfig:
             ExperimentConfig(k_grid=(), l_grid=())
         with pytest.raises(ExperimentError, match="unknown predictor"):
             ExperimentConfig(predictors=("psychic",))
+
+    def test_duplicate_grid_values_rejected(self):
+        # a repeated grid point would merge into one summary row
+        for key, value in (("k_grid", (1, 1)), ("l_grid", (0.1, 0.1)), ("tau_grid", (0.0, 0.0)),
+                           ("predictors", ("oracle", "oracle"))):
+            with pytest.raises(ExperimentError, match=f"duplicate value in {key}"):
+                ExperimentConfig(**{key: value})
 
 
 class TestPrepareData:
@@ -210,7 +218,7 @@ class TestTraceMetrics:
     def test_traces_agree_with_run_rows(self, tmp_path):
         # `metrics` reproduces every runs.csv row, string for string
         config = _config(
-            tmp_path, record_traces=True, predictors=("indomain", "oracle"),
+            tmp_path, record_traces=True, predictors=("indomain", "outdomain", "oracle", "always_wrong"),
             k_grid=(2,), l_grid=(0.1,), tau_grid=(0.0, 0.5),
         )
         result = run_experiment(config)
@@ -219,7 +227,7 @@ class TestTraceMetrics:
         traces = sorted((out / "traces").rglob("*.jsonl"))
         assert traces
         references = read_corpus_lines(out / "data" / "references.txt")
-        runs_path, _ = write_trace_metrics(traces, tmp_path / "m", references)
+        runs_path, paired_path = write_trace_metrics(traces, tmp_path / "m", references)
         recomputed = _read_csv(runs_path)
         runs_csv = {r["run_id"]: r for r in _read_csv(out / "runs.csv")}
         assert len(recomputed) == len(runs_csv)
@@ -229,8 +237,12 @@ class TestTraceMetrics:
         # summary.csv aggregates rebuilt from the recomputed rows and traces
         summary = {(r["policy"], r["param"], r["tau"], r["predictor"]): r for r in _read_csv(out / "summary.csv")}
         groups: dict[tuple, list[dict]] = {}
+        baseline_al = {}
         for row in recomputed:
-            if row["predictor"] != "none":
+            index = int(row["run_id"].rsplit("-", 1)[1])
+            if row["predictor"] == "none":
+                baseline_al[(row["policy"], row["param"], index)] = float(row["AL"])
+            else:
                 groups.setdefault((row["policy"], row["param"], row["tau"], row["predictor"]), []).append(row)
         hypotheses = {
             path.relative_to(out / "traces").with_suffix("").as_posix(): snapshot_from_trace(load_trace(path)).final
@@ -245,16 +257,57 @@ class TestTraceMetrics:
             assert int(summary[key]["hits"]) == sums["H"]
             assert int(summary[key]["withdrawals"]) == sums["W"]
             indices = [int(r["run_id"].rsplit("-", 1)[1]) for r in rows]
+            al_base = sum(baseline_al[(policy, param, i)] for i in indices) / len(rows)
+            al_spec = sum(float(r["AL"]) for r in rows) / len(rows)
+            assert int(summary[key]["sentences"]) == len(rows)
+            assert float(summary[key]["al_baseline"]) == al_base
+            assert float(summary[key]["al_speculative"]) == al_spec
+            assert float(summary[key]["al_diff"]) == al_base - al_spec
             hyps = [hypotheses[f"{policy}-{param}-tau{tau}-{predictor}/{i:05d}"] for i in indices]
             refs = [tuple(references[i].split()) for i in indices]
             assert float(summary[key]["bleu"]) == pytest.approx(brute_force_bleu(hyps, refs), abs=1e-12)
-        # paired summary reproduces the sweep's AL_diff
-        _, paired = metrics_from_traces(traces)
-        sweep_rows = {(r["policy"], r["param"], r["tau"], r["predictor"]): r for r in result.summary_rows}
-        assert len(paired) == len(sweep_rows) == 8
+        # trace_paired.csv is summary.csv without accuracy, string for string
+        paired = _read_csv(paired_path)
+        assert len(paired) == len(summary) == 16
         for row in paired:
-            sweep_row = sweep_rows[(row["policy"], row["param"], row["tau"], row["predictor"])]
-            assert row["al_diff"] == pytest.approx(sweep_row["al_diff"])
+            assert list(row) == PAIRED_COLUMNS
+            assert row == {col: summary[tuple(row[c] for c in PAIRED_COLUMNS[:4])][col] for col in PAIRED_COLUMNS}
+
+    def test_summary_in_grid_order_and_paired_sorted(self, tmp_path):
+        config = _config(
+            tmp_path, record_traces=True, predictors=("oracle", "indomain"),
+            k_grid=(3, 1), l_grid=(0.5, 0.05), tau_grid=(0.5, 0.0),
+        )
+        assert run_experiment(config).ok
+        out = Path(config.out_dir)
+        summary = [tuple(r[c] for c in ("policy", "param", "tau", "predictor")) for r in _read_csv(out / "summary.csv")]
+        grid = [
+            (policy, param, tau, kind)
+            for policy, param in (("wait_k", "3.0"), ("wait_k", "1.0"), ("adaptive", "0.5"), ("adaptive", "0.05"))
+            for tau in ("0.5", "0.0")
+            for kind in ("oracle", "indomain")
+        ]
+        assert summary == grid
+        _, paired_path = write_trace_metrics(sorted((out / "traces").rglob("*.jsonl")), tmp_path / "m")
+        paired = [tuple(r[c] for c in ("policy", "param", "tau", "predictor")) for r in _read_csv(paired_path)]
+        assert paired == sorted(grid, key=lambda k: (k[0], float(k[1]), float(k[2]), k[3]))
+
+    def test_two_traces_of_one_run_rejected(self, tmp_path):
+        # run ids hold no seed or corpus: the traces of two sweeps must not mix
+        merged = tmp_path / "merged"
+        for seed in (1, 2):
+            config = _config(
+                tmp_path, record_traces=True, n_sentences=60, seed=seed, k_grid=(2,), predictors=("oracle",),
+                out_dir=str(tmp_path / f"seed{seed}"),
+            )
+            assert run_experiment(config).ok
+            shutil.copytree(Path(config.out_dir) / "traces", merged / f"seed{seed}")
+        traces = sorted(merged.rglob("*.jsonl"))
+        first = merged / "seed1" / "wait_k-2.0-baseline" / "00054.jsonl"
+        second = merged / "seed2" / "wait_k-2.0-baseline" / "00054.jsonl"
+        with pytest.raises(ExperimentError) as raised:
+            metrics_from_traces(traces)
+        assert str(raised.value) == f"{second} and {first} both hold run wait_k-2.0-tau0.0-none-00054"
 
     def test_paired_requires_baselines(self, tmp_path):
         config = _config(tmp_path, record_traces=True, predictors=("oracle",), k_grid=(2,))
