@@ -20,15 +20,15 @@ from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .engine import EngineConfig, run_baseline, run_speculative
-from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary, save_lexicon
-from .markov import MarkovSourceSpec, generate, generate_out_of_domain_sources
+from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary
+from .markov import MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated
 from .metrics import MetricsError, average_lagging, awr, bleu_from_stats, bleu_stats, delay_vector, sum_bleu_stats
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, train_ngram
 from .trace import (
     COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, SnapshotMatrix, TraceError, load_trace, snapshot_from_trace,
 )
-from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_artifact, write_corpus_lines
+from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_artifact
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
 OOD_SEED_OFFSET = 1  # out-of-domain chain seed = task seed + 1
@@ -179,11 +179,7 @@ def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> Prepa
         sources, references = generated.sources, generated.references
         corpus_id = config.source_spec().corpus_id()
         if out_dir is not None:
-            data_dir = out_dir / "data"
-            data_dir.mkdir(parents=True, exist_ok=True)
-            write_corpus_lines(data_dir / "corpus.txt", (vocab.decode(s) for s in sources))
-            save_lexicon(data_dir / "lexicon.tsv", lexicon, vocab)
-            write_corpus_lines(data_dir / "references.txt", (vocab.decode(r) for r in references))
+            write_generated(generated, out_dir / "data")
     if len(sources) != len(references):
         raise ExperimentError("corpus and references differ in length")
     split = int(len(sources) * TRAIN_FRACTION)

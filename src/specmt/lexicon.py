@@ -49,47 +49,56 @@ class Lexicon:
 DEFAULT_CONDITION = "*"
 
 
+def _rows(path: str | Path):
+    """(line number, source, condition, target) of each rule line; blank and '#' lines are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise LexiconError(f"{path}: line {lineno}: expected 3 tab-separated columns")
+            yield lineno, *parts
+
+
 def load_lexicon(path: str | Path, vocab: Vocabulary) -> Lexicon:
     """Load a 3-column TSV: source, condition ('*' for default), target.
 
     Duplicate keys are rejected rather than resolved; every regular
-    vocabulary token must end up with a default rule.
+    vocabulary token must end up with a default rule. Errors name the file and line.
     """
     default: dict[int, int] = {}
     conditional: dict[tuple[int, int], int] = {}
     ambiguous: set[int] = set()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise LexiconError(f"line {lineno}: expected 3 tab-separated columns")
-        src_s, cond_s, tgt_s = parts
+    for lineno, src_s, cond_s, tgt_s in _rows(path):
+        where = f"{path}: line {lineno}"
         src = vocab.lookup(src_s)
         if src not in vocab.regular_ids:
-            raise LexiconError(f"line {lineno}: unknown or reserved source token {src_s!r}")
+            raise LexiconError(f"{where}: unknown or reserved source token {src_s!r}")
         tgt = vocab.lookup(tgt_s)
         if tgt == UNK and tgt_s != vocab.surface(UNK):
-            raise LexiconError(f"line {lineno}: target token {tgt_s!r} missing from vocabulary")
+            raise LexiconError(f"{where}: target token {tgt_s!r} missing from vocabulary")
         if cond_s == DEFAULT_CONDITION:
             if src in default:
-                raise LexiconError(f"line {lineno}: duplicate default rule for {src_s!r}")
+                raise LexiconError(f"{where}: duplicate default rule for {src_s!r}")
             default[src] = tgt
         else:
             cond = vocab.lookup(cond_s)
             if cond not in vocab.regular_ids:
-                raise LexiconError(f"line {lineno}: unknown condition token {cond_s!r}")
+                raise LexiconError(f"{where}: unknown condition token {cond_s!r}")
             if (src, cond) in conditional:
-                raise LexiconError(f"line {lineno}: duplicate conditional rule for {src_s!r}")
+                raise LexiconError(f"{where}: duplicate conditional rule for {src_s!r}")
             conditional[(src, cond)] = tgt
             ambiguous.add(src)
     if not default:
-        raise LexiconError("lexicon has no default rules")
+        raise LexiconError(f"{path}: lexicon has no default rules")
     # condition tokens occur in source sentences, so they need rules themselves
     missing = sorted({vocab.surface(c) for (_, c) in conditional if c not in default})
     if missing:
-        raise LexiconError(f"condition tokens without a default rule: {missing}")
+        raise LexiconError(f"{path}: condition tokens without a default rule: {missing}")
     return Lexicon(default=default, conditional=conditional, ambiguous=frozenset(ambiguous))
 
 
@@ -100,21 +109,11 @@ def read_lexicon_vocabulary(path: str | Path) -> Vocabulary:
     token, and every target token, so it fully determines the vocabulary:
     reserved ids first, then surfaces in file order of first occurrence.
     """
-    tokens: list[str] = list(RESERVED_SURFACES)
-    seen = set(RESERVED_SURFACES)
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise LexiconError("expected 3 tab-separated columns")
-        for surface in (parts[0], parts[1], parts[2]):
-            if surface != DEFAULT_CONDITION and surface not in seen:
-                seen.add(surface)
-                tokens.append(surface)
+    tokens = dict.fromkeys(RESERVED_SURFACES)  # an ordered set
+    for _, *surfaces in _rows(path):
+        tokens.update(dict.fromkeys(surface for surface in surfaces if surface != DEFAULT_CONDITION))
     if len(tokens) == len(RESERVED_SURFACES):
-        raise LexiconError("empty lexicon file")
+        raise LexiconError(f"{path}: empty lexicon file")
     return Vocabulary(tuple(tokens))
 
 

@@ -183,18 +183,20 @@ def generate_out_of_domain_sources(
     return _sample_sources(spec, n_sentences, initial, transitions, corpus_ss)
 
 
-def gen_corpus(
-    spec: MarkovSourceSpec, n_sentences: int, out_dir: str | Path
-) -> tuple[Path, Path, Path]:
-    """Write corpus, lexicon, and reference files; returns their paths."""
-    generated = generate(spec, n_sentences)
+def write_generated(generated: GeneratedCorpus, out_dir: str | Path) -> tuple[Path, Path, Path]:
+    """Write corpus.txt, lexicon.tsv and references.txt into `out_dir`; returns their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    corpus_path = out / "corpus.txt"
-    lexicon_path = out / "lexicon.tsv"
-    refs_path = out / "references.txt"
+    corpus_path, lexicon_path, refs_path = out / "corpus.txt", out / "lexicon.tsv", out / "references.txt"
     vocab = generated.vocabulary
     write_corpus_lines(corpus_path, (vocab.decode(s) for s in generated.sources))
     save_lexicon(lexicon_path, generated.lexicon, vocab)
     write_corpus_lines(refs_path, (vocab.decode(r) for r in generated.references))
     return corpus_path, lexicon_path, refs_path
+
+
+def gen_corpus(
+    spec: MarkovSourceSpec, n_sentences: int, out_dir: str | Path
+) -> tuple[Path, Path, Path]:
+    """Write corpus, lexicon, and reference files; returns their paths."""
+    return write_generated(generate(spec, n_sentences), out_dir)

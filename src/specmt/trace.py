@@ -154,15 +154,6 @@ class EventTrace:
         """Number of events of each kind, in one pass."""
         return Counter(map(itemgetter(0), self.events))
 
-    def withdraw_count(self) -> int:
-        return self.kind_counts()[WITHDRAW]
-
-    def speculate_count(self) -> int:
-        return self.kind_counts()[SPECULATE]
-
-    def commit_count(self) -> int:
-        return self.kind_counts()[COMMIT]
-
     def read_count(self) -> int:
         """Number of real source tokens read (the EOS arrival is not counted)."""
         return sum(1 for e in self.events if e.ev == READ and e.tok != EOS_SURFACE)
@@ -346,7 +337,9 @@ def snapshot_from_trace(trace: EventTrace) -> SnapshotMatrix:
     one (when that is visible). A row closes when the next real source token
     arrives; the EOS arrival closes nothing, so the write-only tail lands in
     the last row. Raises TraceError for traces that violate the speculation
-    protocol ("inconsistent trace").
+    protocol ("inconsistent trace"): every SPECULATE must be resolved by
+    exactly one COMMIT or WITHDRAW before END, so a trace that replays has
+    speculations = hits + withdrawals.
     """
     rows: list[tuple[str, ...]] = []
     visible: list[str] = []
@@ -400,6 +393,8 @@ def snapshot_from_trace(trace: EventTrace) -> SnapshotMatrix:
         elif kind == PREDICT:
             pass
         elif kind == END:
+            if pending is not None:
+                raise TraceError(f"inconsistent trace: speculation at slot {pending[0]} unresolved at END")
             ended = True
         else:
             raise TraceError(f"inconsistent trace: unknown event {kind!r}")

@@ -93,7 +93,10 @@ def build_vocabulary(corpus: Iterable[str]) -> Vocabulary:
 
 def read_corpus_lines(path: str | Path) -> list[str]:
     """Read a corpus file: UTF-8, one sentence per line, blank lines dropped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise VocabularyError(f"{path}: not UTF-8 at byte {exc.start}") from None
     return [line.strip() for line in lines if line.strip()]
 
 

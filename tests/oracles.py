@@ -14,9 +14,21 @@ from typing import Sequence
 
 import numpy as np
 
+from specmt.engine import EngineConfig, EngineError
 from specmt.metrics import MetricsError
-from specmt.trace import Event, EventTrace, RunConfig
-from specmt.vocab import EOS_SURFACE, PHI_SURFACE
+from specmt.trace import (
+    COMMIT,
+    END,
+    PREDICT,
+    READ,
+    SPECULATE,
+    WITHDRAW,
+    WRITE,
+    Event,
+    EventTrace,
+    RunConfig,
+)
+from specmt.vocab import BOS, EOS, EOS_SURFACE, PHI, PHI_SURFACE
 
 
 def dumps_event_json(event: Event) -> str:
@@ -179,3 +191,154 @@ def random_snapshot_rows(rng, max_rows: int = 20, max_cols: int = 20, alphabet: 
         rows.append(tuple(row))
     rows.append(tuple(final))
     return tuple(rows)
+
+
+# The engine as it was before the baseline and speculative loops were merged,
+# frozen as the reference for differential tests. Only the return value
+# changed, to (final_output, trace).
+
+
+def _runaway_limit(source):
+    """Output length past which either loop stops a translator that never
+    emits end-of-sequence; the translator is duck-typed, so this is checked."""
+    return 2 * len(source) + 8
+
+
+def _check_source(source):
+    if not source:
+        raise EngineError("empty source")
+    for tok in source:
+        if tok in (BOS, EOS, PHI):
+            raise EngineError("reserved marker in source sentence")
+
+
+def frozen_run_baseline(model, source, run_config=None):
+    """Standard incremental loop: read, then write until the policy asks to read."""
+    _check_source(source)
+    src_len = len(source)
+    limit = _runaway_limit(source)
+    surf = model.vocabulary.surface
+
+    out: list[int] = []
+    events: list[Event] = []
+    slot = 0
+    finished = False
+
+    for i in range(1, src_len + 2):
+        tok = source[i - 1] if i <= src_len else EOS
+        events.append(Event(READ, i=i, tok=surf(tok)))
+        done = tok == EOS
+        prefix = source[:min(i, src_len)]
+        while True:
+            decision = model.step(prefix, tuple(out), done)
+            slot += 1
+            events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
+            if decision == PHI:
+                if done:
+                    raise EngineError("policy requested a read past the end of source")
+                break
+            if decision == EOS:
+                finished = True
+                break
+            out.append(decision)
+            if len(out) > limit:
+                raise EngineError("runaway decode")
+        if finished:
+            break
+    if not finished:
+        raise EngineError("source exhausted before the translation finished")
+    events.append(Event(END))
+
+    trace = EventTrace(events=tuple(events), run_config=run_config or RunConfig())
+    return tuple(out), trace
+
+
+def frozen_run_speculative(model, predictor, source, config=None, run_config=None):
+    """Speculate-resolve loop; final output is token-identical to the baseline.
+
+    Each read step: resolve the pending speculation against the token that
+    actually arrived (commit on a hit, withdraw and recompute on a miss),
+    keep decoding with the real prefix until the policy asks to read, then
+    predict the next token and speculate one decision on it when the
+    prediction clears the probability gate.
+    """
+    config = config or EngineConfig()
+    _check_source(source)
+    pred_vocab = getattr(predictor, "vocabulary", None)
+    if pred_vocab is not None and pred_vocab.tokens != model.vocabulary.tokens:
+        raise EngineError("predictor/vocabulary mismatch")
+
+    src_len = len(source)
+    limit = _runaway_limit(source)
+    surf = model.vocabulary.surface
+
+    out: list[int] = []
+    events: list[Event] = []
+    slot = 0
+    speculations = hits = withdrawals = 0
+    pending: tuple[int, int, int] | None = None  # (slot, decision, predicted token)
+    finished = False
+
+    def speculate(basis: int) -> None:
+        """Predict the token for read basis+1 and decode one decision against it."""
+        nonlocal slot, speculations, pending
+        prefix = source[:basis]
+        prediction = predictor.predict(prefix)
+        events.append(Event(PREDICT, i=basis + 1, pred=surf(prediction.token), p=prediction.probability))
+        if prediction.probability < config.tau:
+            pending = None
+            return
+        hypothesis_done = prediction.token == EOS
+        hypothesis = prefix if hypothesis_done else prefix + (prediction.token,)
+        decision = model.step(hypothesis, tuple(out), hypothesis_done)
+        slot += 1
+        speculations += 1
+        events.append(Event(SPECULATE, j=slot, tok=surf(decision), i=basis))
+        pending = (slot, decision, prediction.token)
+
+    speculate(0)
+    for i in range(1, src_len + 2):
+        tok = source[i - 1] if i <= src_len else EOS
+        events.append(Event(READ, i=i, tok=surf(tok)))
+        done = tok == EOS
+        prefix = source[:min(i, src_len)]
+
+        decision: int | None = None
+        if pending is not None:
+            pending_slot, pending_decision, predicted = pending
+            pending = None
+            if predicted == tok:
+                hits += 1
+                events.append(Event(COMMIT, j=pending_slot))
+                decision = pending_decision
+            else:
+                withdrawals += 1
+                decision = model.step(prefix, tuple(out), done)
+                events.append(
+                    Event(WITHDRAW, j=pending_slot, old=surf(pending_decision), new=surf(decision))
+                )
+            if decision not in (PHI, EOS):
+                out.append(decision)
+
+        while decision not in (PHI, EOS):
+            if decision is not None and len(out) > limit:
+                raise EngineError("runaway decode")
+            decision = model.step(prefix, tuple(out), done)
+            slot += 1
+            events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
+            if decision not in (PHI, EOS):
+                out.append(decision)
+
+        if decision == EOS:
+            finished = True
+            break
+        if done:
+            raise EngineError("policy requested a read past the end of source")
+        speculate(i)
+
+    if not finished:
+        raise EngineError("source exhausted before the translation finished")
+    events.append(Event(END))
+
+    trace = EventTrace(events=tuple(events), run_config=run_config or RunConfig())
+    return tuple(out), trace

@@ -183,7 +183,7 @@ def test_criterion_5_withdrawal_accounting(world):
                         speculated = {e.i + 1 for e in events if e.ev == "SPECULATE"}
                         reads = {e.i: e.tok for e in events if e.ev == "READ"}
                         misses = sum(1 for i in speculated if predictions[i] != reads[i])
-                        assert result.withdrawals == result.trace.withdraw_count() == misses
+                        assert result.withdrawals == sum(1 for e in events if e.ev == "WITHDRAW") == misses
                         assert awr(result.withdrawals, len(result.final_output)) == (
                             result.withdrawals / len(result.final_output)
                         )

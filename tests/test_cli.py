@@ -177,6 +177,18 @@ ERROR_CASES = {
     "vocabulary too small": (["gen-corpus", "--vocab-size", "3", "--out", "{tmp}/g"], "vocab_size < 4"),
     "config sweep rejects": (["gen-corpus", "--config", "{tmp}/psychic.cfg", "--out", "{tmp}/g"],
                              "unknown predictor kind 'psychic'"),
+    "lexicon line with two columns": (
+        ["train-lm", "--corpus", "{tmp}/corpus.txt", "--lexicon", "{tmp}/two_columns.tsv", "--out", "{tmp}/lm.json"],
+        "{tmp}/two_columns.tsv: line 2: expected 3 tab-separated columns"),
+    "lexicon condition without a rule": (
+        ["run", "--set", "corpus={tmp}/corpus.txt", "--set", "lexicon={tmp}/undefined.tsv",
+         "--set", "references={tmp}/corpus.txt", "--out", "{tmp}/r"],
+        "{tmp}/undefined.tsv: condition tokens without a default rule: ['zz']"),
+    "lexicon not UTF-8": (
+        ["train-lm", "--corpus", "{tmp}/corpus.txt", "--lexicon", "{tmp}/binary", "--out", "{tmp}/lm.json"],
+        "{tmp}/binary: not UTF-8 at byte 0"),
+    "corpus not UTF-8": (["train-lm", "--corpus", "{tmp}/binary", "--out", "{tmp}/lm.json"],
+                         "{tmp}/binary: not UTF-8 at byte 0"),
 }
 
 
@@ -185,6 +197,10 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "bad.cfg").write_text("record_traces = ture\n")
     (tmp_path / "psychic.cfg").write_text("predictors = psychic\n")
     (tmp_path / "empty").mkdir()
+    (tmp_path / "corpus.txt").write_text("a b\n")
+    (tmp_path / "two_columns.tsv").write_text("a\t*\tA\nb\tB\n")
+    (tmp_path / "undefined.tsv").write_text("a\t*\tA\nb\t*\tB\na\tzz\tA2\n")
+    (tmp_path / "binary").write_bytes(b"\xff\xfea b\n")
     argv, message = ERROR_CASES[case]
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
     captured = capsys.readouterr()

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from specmt import (
     run_speculative,
     train_ngram,
 )
-from specmt.vocab import PHI_SURFACE
+from specmt.vocab import EOS, PHI, PHI_SURFACE
 from conftest import make_model
 from oracles import speculation_eligible_positions, wait_k_delays
 
@@ -75,7 +73,7 @@ class TestBaseline:
 
     def test_runaway_guard(self, toy):
         # a translator that never emits end-of-sequence is stopped by one
-        # fixed limit in both loops, which no caller can set
+        # fixed limit, with or without a predictor, which no caller can set
         vocab, lexicon, ids = toy
         source = (ids["a"], ids["b"])
         babbler = _Babbler(vocab, ids["A"])
@@ -254,15 +252,21 @@ class TestConfigAndReports:
             EngineConfig(tau=1.5)
 
 
-class TestRunResult:
-    def test_rejects_inconsistent_counts(self, toy):
-        # the engine's own counters must agree with the trace it wrote
+class TestRunErrors:
+    def test_read_past_end_of_source(self, toy):
         vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon, PolicyConfig.wait_k(1))
         source = (ids["a"], ids["b"])
-        result = run_speculative(model, AlwaysWrongPredictor(source, vocab), source)
-        assert result.withdrawals == 3
-        with pytest.raises(EngineError, match="withdrawal count disagrees with trace"):
-            replace(result, withdrawals=2, speculations=2)
-        with pytest.raises(EngineError, match="speculation accounting broken"):
-            replace(result, hits=1)
+        reader = _Babbler(vocab, PHI)  # asks to read, even after the end of source
+        with pytest.raises(EngineError, match="policy requested a read past the end of source"):
+            run_baseline(reader, source)
+        with pytest.raises(EngineError, match="policy requested a read past the end of source"):
+            run_speculative(reader, AlwaysWrongPredictor(source, vocab), source)
+
+    def test_reserved_marker_in_source(self, toy):
+        vocab, lexicon, ids = toy
+        model = make_model(vocab, lexicon)
+        source = (ids["a"], EOS, ids["b"])
+        with pytest.raises(EngineError, match="reserved marker in source sentence"):
+            run_baseline(model, source)
+        with pytest.raises(EngineError, match="reserved marker in source sentence"):
+            run_speculative(model, OraclePredictor(source), source)

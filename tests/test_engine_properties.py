@@ -1,0 +1,160 @@
+"""Property tests of the engine against the frozen two-loop engine in `oracles.py`.
+
+Each case draws a small lexicon (some source tokens ambiguous, with
+conditional rules), a wait-k or adaptive policy, a speculation gate, a
+source sentence and a scripted predictor that hits or misses by a drawn bit
+string. A miss guesses end-of-sequence, a source token absent from the
+sentence, or another source token. For every case:
+
+- the engine's traces are byte-identical to the frozen engine's;
+- the speculative output equals the baseline output;
+- each trace replays to its output, and its delays match the brute-force
+  definition;
+- speculative translator calls equal baseline calls plus withdrawals.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from specmt import (  # noqa: E402
+    EngineConfig,
+    Lexicon,
+    PolicyConfig,
+    RunConfig,
+    SimtModel,
+    Vocabulary,
+    delay_vector,
+    run_baseline,
+    run_speculative,
+    snapshot_from_trace,
+)
+from specmt.ngram import Prediction  # noqa: E402
+from specmt.vocab import EOS, RESERVED_SURFACES  # noqa: E402
+from oracles import brute_force_delays, frozen_run_baseline, frozen_run_speculative  # noqa: E402
+
+
+class ScriptedPredictor:
+    """Hits or misses the true next token by a script, cycled over calls.
+
+    Each script entry is (hit, miss kind, probability). A miss guesses EOS,
+    a source token absent from the sentence, or any other source token, and
+    falls back to the next kind when its own guess would be the truth or
+    does not exist.
+    """
+
+    def __init__(self, vocabulary, sources, source, script):
+        self.vocabulary = vocabulary
+        self._sources = sources  # every source token id, in id order
+        self._source = source
+        self._script = script
+        self.calls = 0
+
+    def predict(self, context):
+        hit, miss, probability = self._script[self.calls % len(self._script)]
+        self.calls += 1
+        truth = self._source[len(context)] if len(context) < len(self._source) else EOS
+        if hit:
+            return Prediction(truth, probability)
+        absent = [t for t in self._sources if t not in self._source]
+        others = [t for t in self._sources if t != truth]
+        guesses = {"eos": [EOS], "absent": absent, "other": others}
+        for kind in (miss, "eos", "absent", "other"):
+            candidates = [t for t in guesses[kind] if t != truth]
+            if candidates:
+                return Prediction(candidates[0], probability)
+        raise AssertionError("a lexicon has at least two source tokens")
+
+
+class CountingModel:
+    """Counts translator calls, like the benchmark's proxy."""
+
+    def __init__(self, model):
+        self._model = model
+        self.vocabulary = model.vocabulary
+        self.calls = 0
+
+    def step(self, source_prefix, target_prefix, done=False):
+        self.calls += 1
+        return self._model.step(source_prefix, target_prefix, done)
+
+
+@st.composite
+def worlds(draw):
+    """A lexicon over 2-8 source tokens, its vocabulary, and the source ids."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    sources = [f"s{k}" for k in range(n)]
+    ambiguous = draw(st.lists(st.sampled_from(range(n)), unique=True, max_size=n))
+    rules = []
+    for src in ambiguous:
+        conditions = draw(st.lists(st.sampled_from(range(n)), unique=True, min_size=1, max_size=3))
+        rules.extend((src, cond, f"T{src}_{cond}") for cond in conditions)
+    vocab = Vocabulary(
+        RESERVED_SURFACES + tuple(sources) + tuple(f"T{k}" for k in range(n)) + tuple(t for _, _, t in rules)
+    )
+    ids = [vocab.lookup(s) for s in sources]
+    lexicon = Lexicon(
+        default={ids[k]: vocab.lookup(f"T{k}") for k in range(n)},
+        conditional={(ids[src], ids[cond]): vocab.lookup(target) for src, cond, target in rules},
+        ambiguous=frozenset(ids[src] for src in ambiguous),
+    )
+    return vocab, lexicon, ids
+
+
+policies = st.one_of(
+    st.integers(min_value=1, max_value=5).map(PolicyConfig.wait_k),
+    st.sampled_from((0.05, 0.1, 0.3, 0.5, 1.0)).map(PolicyConfig.adaptive),
+)
+probabilities = st.sampled_from((0.0, 0.25, 0.5, 0.7, 1.0))
+script_entries = st.tuples(st.booleans(), st.sampled_from(("eos", "absent", "other")), probabilities)
+
+
+@st.composite
+def cases(draw):
+    vocab, lexicon, ids = draw(worlds())
+    model = SimtModel(lexicon=lexicon, policy=draw(policies), vocabulary=vocab)
+    source = tuple(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=20)))
+    script = draw(st.lists(script_entries, min_size=1, max_size=24))
+    tau = draw(st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
+    return model, ids, source, script, tau
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cases())
+def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
+    model, ids, source, script, tau = case
+    vocab = model.vocabulary
+    config = RunConfig(policy=model.policy.kind, param=model.policy.param, tau=tau, predictor="scripted")
+
+    counting = CountingModel(model)
+    baseline = run_baseline(counting, source, config)
+    baseline_calls = counting.calls
+    counting.calls = 0
+    speculative = run_speculative(
+        counting, ScriptedPredictor(vocab, ids, source, script), source, EngineConfig(tau=tau), config
+    )
+
+    frozen_output, frozen_trace = frozen_run_baseline(model, source, config)
+    assert baseline.trace.serialize() == frozen_trace.serialize()
+    assert baseline.final_output == frozen_output
+    frozen_output, frozen_trace = frozen_run_speculative(
+        model, ScriptedPredictor(vocab, ids, source, script), source, EngineConfig(tau=tau), config
+    )
+    assert speculative.trace.serialize() == frozen_trace.serialize()
+    assert speculative.final_output == frozen_output
+
+    assert speculative.final_output == baseline.final_output
+    for result in (baseline, speculative):
+        surfaces = tuple(vocab.surface(t) for t in result.final_output)
+        snapshots = snapshot_from_trace(result.trace)
+        assert snapshots == result.snapshots
+        assert snapshots.final == surfaces
+        assert delay_vector(snapshots).delays == brute_force_delays(snapshots.rows)
+
+    assert counting.calls == baseline_calls + speculative.withdrawals
+    assert speculative.speculations == speculative.hits + speculative.withdrawals
+    assert baseline.speculations == baseline.hits == baseline.withdrawals == 0

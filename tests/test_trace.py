@@ -78,6 +78,16 @@ class TestSnapshotReplay:
         with pytest.raises(TraceError, match="END"):
             snapshot_from_trace(trace)
 
+    def test_unresolved_speculation_is_inconsistent(self):
+        # every SPECULATE needs one COMMIT or WITHDRAW before END, so a trace
+        # that replays has speculations == hits + withdrawals
+        trace = _trace(
+            ev("READ", i=1, tok="a"), ev("WRITE", j=1, tok="A", i=1),
+            ev("SPECULATE", j=2, tok="B", i=1), ev("END"),
+        )
+        with pytest.raises(TraceError, match="slot 2 unresolved at END"):
+            snapshot_from_trace(trace)
+
     def test_events_after_end_are_inconsistent(self):
         trace = _trace(ev("READ", i=1, tok="a"), ev("END"), ev("WRITE", j=1, tok="A", i=1))
         with pytest.raises(TraceError, match="after END"):
@@ -141,9 +151,10 @@ class TestSerialization:
         result = run_speculative(model, OraclePredictor(source), source)
         trace = result.trace
         assert trace.read_count() == 2
-        assert trace.speculate_count() == result.speculations
-        assert trace.commit_count() == result.hits
-        assert trace.withdraw_count() == result.withdrawals
+        kinds = [e.ev for e in trace.events]
+        assert kinds.count("SPECULATE") == result.speculations == 3
+        assert kinds.count("COMMIT") == result.hits == 3
+        assert kinds.count("WITHDRAW") == result.withdrawals == 0
 
 
 HEADER = RunConfig(policy="wait_k", param=1.0, predictor="oracle").to_json()
