@@ -148,6 +148,8 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
     if path is not None:
         try:
             values = parse_config_text(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ExperimentError(f"{path}: not UTF-8 at byte {exc.start}") from None
         except ExperimentError as exc:
             raise ExperimentError(f"{path}: {exc}") from None
     values.update(overrides or {})
@@ -303,7 +305,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     f"{policy.describe()} tau={tau} predictor={kind}",
                     f"{policy.kind}-{policy.param}-tau{tau}-{kind}",
                     lambda source, index: run_speculative(
-                        model, _predictor_for(kind, trained, source, data.vocabulary), source, engine_config,
+                        model, _predictor_for(kind, trained, source, data), source, engine_config,
                         replace(tagged, tau=tau, predictor=kind, sentence_index=index),
                     ),
                     baseline_outputs,
@@ -331,11 +333,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, vocab: Vocabulary):
+def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, data: PreparedData):
     if kind == "oracle":
         return OraclePredictor(source)
     if kind == "always_wrong":
-        return AlwaysWrongPredictor(source, vocab)
+        return AlwaysWrongPredictor(source, data.vocabulary, data.lexicon.default)
     return trained[kind]
 
 

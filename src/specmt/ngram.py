@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .vocab import BOS, EOS, UNK, Sentence, Vocabulary, write_artifact
+from .vocab import BOS, EOS, UNK, UNK_SURFACE, Sentence, Vocabulary, write_artifact
 
 
 class PredictorError(ValueError):
@@ -33,9 +33,18 @@ class NgramModel:
     """Immutable trained model; `predict` is a pure function of its arguments.
 
     `counts` maps contexts of every length 0..order-1 (BOS-padded tuples) to
-    per-token occurrence counts. `support` is the prediction event space:
-    every token id observed in training plus EOS, in ascending id order, so
-    argmax ties resolve to the smallest id.
+    positive per-token occurrence counts. `support` is the prediction event
+    space: every token id observed in training plus EOS, in ascending id
+    order. `predict` returns the argmax over it, ties going to the smallest id.
+
+    That argmax scores few tokens. A token counted after no non-empty suffix
+    of the context gets (1 - beta) times its lower-order probability at every
+    level, down to the unigram, with the same float operations for each such
+    token; rounding is monotone, so its probability never exceeds that of an
+    unseen token with a higher unigram count. So `predict` scores the tokens
+    counted after some suffix, then walks `_ranked` (the support by descending
+    unigram count, then id) over the unseen tokens for as long as their
+    probability equals the first one's.
     """
 
     order: int
@@ -45,11 +54,18 @@ class NgramModel:
     support: tuple[int, ...]
     vocabulary: Vocabulary
     _totals: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _unigram: dict[int, int] = field(init=False, repr=False, compare=False)
+    _denominator: float = field(init=False, repr=False, compare=False)
+    _ranked: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _cache: dict[tuple[int, ...], Prediction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         totals = {ctx: sum(dist.values()) for ctx, dist in self.counts.items()}
+        unigram = self.counts.get((), {})
         object.__setattr__(self, "_totals", totals)
+        object.__setattr__(self, "_unigram", unigram)
+        object.__setattr__(self, "_denominator", totals.get((), 0) + self.alpha * len(self.support))
+        object.__setattr__(self, "_ranked", tuple(sorted(self.support, key=lambda t: (-unigram.get(t, 0), t))))
         object.__setattr__(self, "_cache", {})
 
     def _context(self, prefix: Sequence[int]) -> tuple[int, ...]:
@@ -62,19 +78,24 @@ class NgramModel:
 
     def probability(self, token: int, context: Sequence[int]) -> float:
         """Interpolated conditional probability of `token` after `context`."""
-        return self._prob(token, self._context(context))
+        return self._prob(token, self._chain(self._context(context)))
 
-    def _prob(self, token: int, ctx: tuple[int, ...]) -> float:
-        if not ctx:
-            dist = self.counts.get((), {})
-            total = self._totals.get((), 0)
-            return (dist.get(token, 0) + self.alpha) / (total + self.alpha * len(self.support))
-        backoff = self._prob(token, ctx[1:])
-        total = self._totals.get(ctx, 0)
-        if total == 0:
-            return backoff
-        ml = self.counts[ctx].get(token, 0) / total
-        return self.beta * ml + (1.0 - self.beta) * backoff
+    def _chain(self, ctx: tuple[int, ...]) -> list[tuple[dict[int, int], int]]:
+        """(counts, total) of each suffix of `ctx` with a nonzero total, shortest first."""
+        chain = []
+        for k in range(len(ctx) - 1, -1, -1):
+            total = self._totals.get(ctx[k:], 0)
+            if total:
+                chain.append((self.counts[ctx[k:]], total))
+        return chain
+
+    def _prob(self, token: int, chain: list[tuple[dict[int, int], int]]) -> float:
+        """The add-alpha unigram, mixed at each level of `chain`, bottom up:
+        beta * maximum likelihood + (1 - beta) * the level below."""
+        p = (self._unigram.get(token, 0) + self.alpha) / self._denominator
+        for dist, total in chain:
+            p = self.beta * (dist.get(token, 0) / total) + (1.0 - self.beta) * p
+        return p
 
     def predict(self, context: Sequence[int]) -> Prediction:
         """Most probable next token; ties break toward the smallest id."""
@@ -82,11 +103,23 @@ class NgramModel:
         cached = self._cache.get(ctx)
         if cached is not None:
             return cached
-        best_tok = self.support[0]
-        best_p = -1.0
-        for tok in self.support:
-            p = self._prob(tok, ctx)
-            if p > best_p:
+        chain = self._chain(ctx)
+        seen = set().union(*(dist for dist, _ in chain))
+        best_tok, best_p = -1, -1.0
+        for tok in seen:
+            p = self._prob(tok, chain)
+            if p > best_p or (p == best_p and tok < best_tok):
+                best_tok, best_p = tok, p
+        top = None  # the probability of the unseen tokens with the highest unigram count
+        for tok in self._ranked:
+            if tok in seen:
+                continue
+            p = self._prob(tok, chain)
+            if top is None:
+                top = p
+            elif p < top:
+                break
+            if p > best_p or (p == best_p and tok < best_tok):
                 best_tok, best_p = tok, p
         result = Prediction(best_tok, best_p)
         self._cache[ctx] = result
@@ -141,6 +174,15 @@ class NgramModel:
         write_artifact(path, json.dumps(payload, ensure_ascii=False, indent=0) + "\n")
 
 
+def _check_parameters(order: int, alpha: float, beta: float) -> None:
+    if order < 1:
+        raise PredictorError("invalid order")
+    if not 0.0 < alpha < math.inf:
+        raise PredictorError("alpha must be positive and finite")
+    if not 0.0 < beta < 1.0:
+        raise PredictorError("beta must be in (0, 1)")
+
+
 def train_ngram(
     corpus: Sequence[Sentence],
     order: int,
@@ -149,14 +191,9 @@ def train_ngram(
     vocabulary: Vocabulary | None = None,
 ) -> NgramModel:
     """Count n-grams of every order up to `order` with BOS padding and an EOS terminal."""
-    if order < 1:
-        raise PredictorError("invalid order")
+    _check_parameters(order, alpha, beta)
     if not corpus:
         raise PredictorError("empty corpus")
-    if alpha <= 0:
-        raise PredictorError("alpha must be positive")
-    if not 0.0 < beta < 1.0:
-        raise PredictorError("beta must be in (0, 1)")
     if vocabulary is None:
         raise PredictorError("a vocabulary is required")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
@@ -182,22 +219,61 @@ def train_ngram(
 
 
 def load_ngram(path: str | Path, vocabulary: Vocabulary) -> NgramModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    missing = [s for s in payload["tokens"] if vocabulary.lookup(s) == UNK and s != vocabulary.surface(UNK)]
+    """Read a model written by `NgramModel.save`; any other file raises
+    `PredictorError` naming it."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return _model_from_payload(payload, vocabulary)
+    except UnicodeDecodeError as exc:
+        raise PredictorError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise PredictorError(f"{path}: not JSON: {exc}") from None
+    except PredictorError as exc:
+        raise PredictorError(f"{path}: {exc}") from None
+
+
+def _model_from_payload(payload: object, vocabulary: Vocabulary) -> NgramModel:
+    if not isinstance(payload, dict) or set(payload) != {"order", "alpha", "beta", "tokens", "counts"}:
+        raise PredictorError("expected an object with keys order, alpha, beta, tokens and counts")
+    order, alpha, beta = payload["order"], payload["alpha"], payload["beta"]
+    if type(order) is not int or not all(type(x) in (int, float) for x in (alpha, beta)):
+        raise PredictorError("order must be an integer, alpha and beta numbers")
+    _check_parameters(order, alpha, beta)
+    tokens, entries = payload["tokens"], payload["counts"]
+    if not isinstance(tokens, list) or not all(isinstance(s, str) for s in tokens):
+        raise PredictorError("tokens must be a list of strings")
+    missing = [s for s in tokens if vocabulary.lookup(s) == UNK and s != UNK_SURFACE]
     if missing:
         raise PredictorError(f"model tokens missing from vocabulary: {missing[:5]}")
+    if not isinstance(entries, list):
+        raise PredictorError("counts must be a list")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     observed: set[int] = {EOS}
-    for ctx_surfaces, tok_surface, count in payload["counts"]:
+    for n, entry in enumerate(entries):
+        if not (
+            isinstance(entry, list) and len(entry) == 3
+            and isinstance(entry[0], list) and all(isinstance(s, str) for s in entry[0])
+            and isinstance(entry[1], str) and type(entry[2]) is int and entry[2] > 0
+        ):
+            raise PredictorError(f"counts entry {n}: expected [context strings, token string, positive count]")
+        ctx_surfaces, tok_surface, count = entry
+        unknown = [s for s in (*ctx_surfaces, tok_surface) if vocabulary.lookup(s) == UNK and s != UNK_SURFACE]
+        if unknown:
+            raise PredictorError(f"counts entry {n}: token {unknown[0]!r} missing from vocabulary")
         ctx = tuple(vocabulary.lookup(s) for s in ctx_surfaces)
         tok = vocabulary.lookup(tok_surface)
+        if tok in counts.get(ctx, ()):
+            raise PredictorError(f"counts entry {n}: duplicate entry")
         if tok != EOS:
             observed.add(tok)
         counts.setdefault(ctx, {})[tok] = count
+    # training counts BOS-padded contexts of every width up to order - 1
+    if max(map(len, counts), default=-1) != order - 1:
+        raise PredictorError(f"the longest counted context must have order - 1 = {order - 1} tokens")
     return NgramModel(
-        order=payload["order"],
-        alpha=payload["alpha"],
-        beta=payload["beta"],
+        order=order,
+        alpha=alpha,
+        beta=beta,
         counts=counts,
         support=tuple(sorted(observed)),
         vocabulary=vocabulary,
@@ -221,21 +297,25 @@ class OraclePredictor:
 
 
 class AlwaysWrongPredictor:
-    """Predicts a fixed regular token guaranteed to differ from the truth.
+    """Predicts a fixed source token guaranteed to differ from the truth.
 
     Adversarial lower bound: every speculation is withdrawn. The fixed token
-    is the lowest regular id not equal to the true next token, so the
-    speculative decode always has a lexicon rule to apply.
+    is the lowest of `source_ids` not equal to the true next token, so the
+    speculative decode always has a lexicon rule to apply. Pass the ids the
+    lexicon has rules for (its `default` keys); the default, the
+    vocabulary's regular ids, fits a generated vocabulary, where the source
+    tokens come first.
     """
 
     name = "always_wrong"
     vocabulary = None
 
-    def __init__(self, source: Sentence, vocab: Vocabulary):
-        if len(vocab.regular_ids) < 2:
+    def __init__(self, source: Sentence, vocab: Vocabulary, source_ids: Iterable[int] | None = None):
+        ids = vocab.regular_ids if source_ids is None else sorted(source_ids)
+        if len(ids) < 2:
             raise PredictorError("vocabulary too small for an always-wrong predictor")
         self._source = tuple(source)
-        self._first, self._second = vocab.regular_ids[0], vocab.regular_ids[1]
+        self._first, self._second = ids[0], ids[1]
 
     def predict(self, context: Sequence[int]) -> Prediction:
         i = len(context)

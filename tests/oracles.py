@@ -342,3 +342,33 @@ def frozen_run_speculative(model, predictor, source, config=None, run_config=Non
 
     trace = EventTrace(events=tuple(events), run_config=run_config or RunConfig())
     return tuple(out), trace
+
+
+def _recursive_prob(model, token, ctx):
+    """`NgramModel`'s interpolated probability as it was computed before the
+    backoff chain was built once per context: recursing from the full context
+    down to the add-alpha unigram, skipping contexts never seen in training."""
+    if not ctx:
+        total = sum(model.counts.get((), {}).values())
+        return (model.counts.get((), {}).get(token, 0) + model.alpha) / (total + model.alpha * len(model.support))
+    backoff = _recursive_prob(model, token, ctx[1:])
+    total = sum(model.counts.get(ctx, {}).values())
+    if total == 0:
+        return backoff
+    ml = model.counts[ctx].get(token, 0) / total
+    return model.beta * ml + (1.0 - model.beta) * backoff
+
+
+def full_scan_predict(model, context):
+    """`NgramModel.predict` as it was before it scored only candidate tokens:
+    every support token in ascending id order, the first maximum wins."""
+    need = model.order - 1
+    ctx = (BOS,) * need + tuple(context)
+    ctx = ctx[len(ctx) - need:]
+    best_tok = model.support[0]
+    best_p = -1.0
+    for tok in model.support:
+        p = _recursive_prob(model, tok, ctx)
+        if p > best_p:
+            best_tok, best_p = tok, p
+    return best_tok, best_p

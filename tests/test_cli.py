@@ -96,6 +96,22 @@ def test_sweep_with_config_file_and_plot_data(workspace, capsys):
     assert (out_dir / "fig6_threshold_tradeoff.csv").exists()
 
 
+def test_always_wrong_sweep_over_file_loaded_corpus(workspace, capsys):
+    # A lexicon-read vocabulary interleaves source and target tokens, so its
+    # second regular id is a target token the translator has no rule for;
+    # the predictor must guess from the lexicon's source side.
+    data = workspace / "data"
+    assert run_cli(
+        "sweep", "--set", "corpus=" + str(data / "corpus.txt"), "--set", "lexicon=" + str(data / "lexicon.tsv"),
+        "--set", "references=" + str(data / "references.txt"), "--set", "k_grid=1,3",
+        "--set", "predictors=always_wrong", "--out", workspace / "wrong",
+    ) == 0
+    assert "CHECK FAILED" not in capsys.readouterr().err
+    with open(workspace / "wrong" / "summary.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2 and all(row["hits"] == "0" for row in rows)
+
+
 def test_metrics_from_trace_files(workspace, capsys):
     cfg_overrides = [
         "--set", "vocab_size=14", "--set", "n_sentences=60", "--set", "seed=4",
@@ -189,6 +205,13 @@ ERROR_CASES = {
         "{tmp}/binary: not UTF-8 at byte 0"),
     "corpus not UTF-8": (["train-lm", "--corpus", "{tmp}/binary", "--out", "{tmp}/lm.json"],
                          "{tmp}/binary: not UTF-8 at byte 0"),
+    "config not UTF-8": (["sweep", "--config", "{tmp}/binary", "--out", "{tmp}/s"],
+                         "{tmp}/binary: not UTF-8 at byte 0"),
+    "predictor JSON not UTF-8": (["lm-stats", "--model", "{tmp}/binary", "--corpus", "{tmp}/corpus.txt"],
+                                 "{tmp}/binary: not UTF-8 at byte 0"),
+    "predictor JSON without tokens": (
+        ["lm-stats", "--model", "{tmp}/order_only.json", "--corpus", "{tmp}/corpus.txt"],
+        "{tmp}/order_only.json: expected an object with keys order, alpha, beta, tokens and counts"),
 }
 
 
@@ -201,6 +224,7 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "two_columns.tsv").write_text("a\t*\tA\nb\tB\n")
     (tmp_path / "undefined.tsv").write_text("a\t*\tA\nb\t*\tB\na\tzz\tA2\n")
     (tmp_path / "binary").write_bytes(b"\xff\xfea b\n")
+    (tmp_path / "order_only.json").write_text('{"order": 2}\n')
     argv, message = ERROR_CASES[case]
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
     captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -142,6 +143,46 @@ class TestSerialization:
         with pytest.raises(PredictorError, match="missing from vocabulary"):
             load_ngram(path, other_vocab)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"order": 2}', "expected an object with keys"),
+        ("[1, 2]", "expected an object with keys"),
+        ("{", "not JSON"),
+        ('{"order": true, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": []}', "order must be an integer"),
+        ('{"order": 2, "alpha": "0.1", "beta": 0.9, "tokens": [], "counts": []}', "alpha and beta numbers"),
+        ('{"order": 0, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": []}', "invalid order"),
+        ('{"order": 2, "alpha": NaN, "beta": 0.9, "tokens": [], "counts": []}', "alpha must be positive"),
+        ('{"order": 2, "alpha": 0.1, "beta": 1, "tokens": [], "counts": []}', "beta must be in"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": "a", "counts": []}', "tokens must be a list"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": {}}', "counts must be a list"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a"]]}', "counts entry 0: expected"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[["a", "b"], "a", 1]]}',
+         "the longest counted context must have order - 1 = 1 tokens"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a", 0]]}', "counts entry 0: expected"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a", 1.5]]}',
+         "counts entry 0: expected"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "zz", 1]]}',
+         "counts entry 0: token 'zz' missing from vocabulary"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a", 1], [[], "a", 2]]}',
+         "counts entry 1: duplicate entry"),
+        ('{"order": 3, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[["a"], "b", 1]]}',
+         "the longest counted context must have order - 1 = 2 tokens"),
+        ('{"order": 1000000000, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a", 1]]}',
+         "the longest counted context must have order - 1 = 999999999 tokens"),
+        ('{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": []}',
+         "the longest counted context must have order - 1 = 0 tokens"),
+    ])
+    def test_load_rejects_malformed_files_naming_them(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(PredictorError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_ngram(path, build_vocabulary(["a b"]))
+
+    def test_load_rejects_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"order": 2, \xff}')
+        with pytest.raises(PredictorError, match=f"^{re.escape(str(path))}: not UTF-8 at byte 13$"):
+            load_ngram(path, build_vocabulary(["a b"]))
+
 
 class TestFixedPredictors:
     def test_oracle_predicts_truth_then_eos(self):
@@ -161,3 +202,14 @@ class TestFixedPredictors:
             token, p = wrong.predict(source[:i])
             assert token != truth
             assert p == 1.0
+
+    def test_always_wrong_guesses_only_given_source_ids(self):
+        # a lexicon-read vocabulary: source and target tokens interleave
+        vocab = build_vocabulary(["a A b B c C"])
+        a, b, c = (vocab.lookup(s) for s in "abc")
+        source = (a, c, a, b)
+        wrong = AlwaysWrongPredictor(source, vocab, source_ids=(c, b, a))
+        guesses = [wrong.predict(source[:i]).token for i in range(len(source) + 1)]
+        assert guesses == [b, a, b, a, a]
+        with pytest.raises(PredictorError, match="too small"):
+            AlwaysWrongPredictor(source, vocab, source_ids=(a,))

@@ -1,0 +1,59 @@
+"""Property test of `NgramModel.predict` against the full scan in `oracles.py`.
+
+`predict` scores only the tokens counted after some suffix of the context,
+plus the unseen tokens whose probability ties the best unseen one. Each case
+draws a small vocabulary and a training corpus (half of them built from
+permutations of one word list, so that counts tie), an order of 1-4, and
+an alpha and beta that include the extremes: beta near 0 or 1, and an
+alpha so large that unigram probabilities of different counts round to the
+same float. Every context is checked: the empty one (all BOS), every
+prefix of a training sentence, and drawn ones, which may be unseen or seen
+only in their last tokens. Token and probability must be identical, bit
+for bit.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from specmt import Vocabulary, train_ngram  # noqa: E402
+from specmt.vocab import RESERVED_SURFACES  # noqa: E402
+from oracles import full_scan_predict  # noqa: E402
+
+BETAS = st.one_of(
+    st.sampled_from([1e-12, 1e-6, 0.5, 1 - 1e-6, 1 - 2**-52]),
+    st.floats(min_value=1e-9, max_value=1 - 1e-9),
+)
+ALPHAS = st.sampled_from([1e-9, 0.1, 1.0, 1e16, 1e18])
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(2, 5))
+    vocab = Vocabulary(RESERVED_SURFACES + tuple(f"t{k}" for k in range(n)))
+    ids = list(vocab.regular_ids)
+    if draw(st.booleans()):
+        words = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True))
+        corpus = [tuple(draw(st.permutations(words))) for _ in range(draw(st.integers(1, 4)))]
+    else:
+        corpus = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=6).map(tuple),
+                               min_size=1, max_size=5))
+    order = draw(st.integers(1, 4))
+    model = train_ngram(corpus, order, draw(ALPHAS), draw(BETAS), vocab)
+    drawn = draw(st.lists(st.lists(st.sampled_from(ids), max_size=order + 1).map(tuple), max_size=6))
+    contexts = [()] + [s[:t] for s in corpus for t in range(1, len(s) + 1)] + drawn
+    return model, contexts
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cases())
+def test_predict_matches_full_scan(case):
+    model, contexts = case
+    for context in contexts:
+        got = model.predict(context)
+        want = full_scan_predict(model, context)
+        assert (got.token, got.probability.hex()) == (want[0], want[1].hex()), context
