@@ -16,6 +16,7 @@ import io
 import json
 import shutil
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -44,6 +45,11 @@ PAIRED_COLUMNS = [col for col in SUMMARY_COLUMNS if col != "accuracy"]
 
 PREDICTOR_KINDS = ("indomain", "outdomain", "oracle", "always_wrong")
 OWNED_DIRS = ("traces", "data")  # subdirectories of out_dir that a sweep clears and rewrites
+# what `plot_data` writes beside summary.csv; a sweep removes them, as they describe an earlier summary
+FIGURE_FILES = (
+    "fig1_latency_improvement.csv", "fig2_quality_latency.csv",
+    "fig4_predictor_comparison.csv", "fig6_threshold_tradeoff.csv",
+)
 
 
 class ExperimentError(ValueError):
@@ -238,15 +244,16 @@ def build_predictors(config: ExperimentConfig, data: PreparedData) -> dict[str, 
 
 def _clear_outputs(config: ExperimentConfig, out_dir: Path) -> None:
     """Remove what an earlier run left in `out_dir`'s owned subdirectories,
-    and its meta.json, so that a re-run leaves exactly the files of a fresh
-    run and an interrupted one has no meta.json. A subdirectory that holds
-    this run's own corpus, lexicon or references is kept."""
+    its figures and meta.json, so that a re-run leaves exactly the files of a
+    fresh run and an interrupted one has no meta.json. A subdirectory that
+    holds this run's own corpus, lexicon or references is kept."""
     inputs = [Path(p).resolve() for p in (config.corpus, config.lexicon, config.references) if p is not None]
     for name in OWNED_DIRS:
         owned = out_dir / name
         if owned.is_dir() and not any(p.is_relative_to(owned.resolve()) for p in inputs):
             shutil.rmtree(owned)
-    (out_dir / "meta.json").unlink(missing_ok=True)
+    for name in (*FIGURE_FILES, "meta.json"):
+        (out_dir / name).unlink(missing_ok=True)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -257,7 +264,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     trained = build_predictors(config, data)
     result = ExperimentResult(out_dir=out_dir)
     surface = data.vocabulary.surface
-    references = [tuple(map(surface, ref)) for ref in data.test_references]
+    sentence_bleu_stats = _bleu_stats_memo([tuple(map(surface, ref)) for ref in data.test_references])
 
     def run_point(point: str, trace_name: str, run_one, baseline_outputs=None):
         """Run, save, check and score every test sentence of one grid point.
@@ -283,7 +290,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if tuple(map(surface, run.final_output)) != run.snapshots.final:
                 result.failures.append(f"{where}: snapshot disagrees with output")
             outputs.append(run.final_output)
-            rows.append(score_run(run.trace, run.snapshots, references[i]))
+            rows.append(score_run(run.trace, run.snapshots, sentence_bleu_stats(i, run.snapshots.final)))
         return outputs, rows
 
     run_rows: list[dict] = []
@@ -341,15 +348,20 @@ def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, 
     return trained[kind]
 
 
-def score_run(trace: EventTrace, snapshots: SnapshotMatrix, reference: Sequence[str] | None = None) -> dict:
-    """The `RUN_COLUMNS` row of one run, plus its `sentence_index` and, with
-    a reference (a sequence of surface strings), its `bleu_stats`; BLEU is
-    left empty without one."""
+def _bleu_stats_memo(references: Sequence[Sequence[str]]):
+    """`bleu_stats(final, references[index])`, counted once per `(index, final)`:
+    exact, as the key is all it depends on, and a sweep's outputs repeat."""
+    return cache(lambda index, final: bleu_stats(final, references[index]))
+
+
+def score_run(trace: EventTrace, snapshots: SnapshotMatrix, stats: tuple[int, ...] | None = None) -> dict:
+    """The `RUN_COLUMNS` row of one run, plus its `sentence_index` and its
+    `bleu_stats`, the given `stats` of its final output against its
+    reference; BLEU is left empty without them."""
     cfg = trace.run_config
     counts = trace.kind_counts()
     delays = delay_vector(snapshots)
     target_length = len(snapshots.final)
-    stats = None if reference is None else bleu_stats(snapshots.final, reference)
     return {
         "run_id": f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}",
         "policy": cfg.policy,
@@ -436,17 +448,15 @@ def plot_data(results_dir: str | Path, max_awr: float | None = None) -> list[Pat
             "policy": row["policy"], "param": row["param"], "al": row["al_baseline"], "bleu": row["bleu"],
         })
     threshold_rows = sorted(rows, key=lambda r: (r["policy"], float(r["param"]), r["predictor"], float(r["tau"])))
-    figures = {
-        "fig1_latency_improvement.csv": (
-            ["policy", "param", "tau", "predictor", "al_baseline", "al_diff"], latency_rows,
-        ),
-        "fig2_quality_latency.csv": (["policy", "param", "al", "bleu"], list(quality_rows.values())),
-        "fig4_predictor_comparison.csv": (["predictor", "policy", "param", "tau", "accuracy", "al_diff"], rows),
-        "fig6_threshold_tradeoff.csv": (["policy", "param", "predictor", "tau", "awr", "al_diff"], threshold_rows),
-    }
-    for name, (columns, figure_rows) in figures.items():
+    figures = (  # in the order of FIGURE_FILES
+        (["policy", "param", "tau", "predictor", "al_baseline", "al_diff"], latency_rows),
+        (["policy", "param", "al", "bleu"], list(quality_rows.values())),
+        (["predictor", "policy", "param", "tau", "accuracy", "al_diff"], rows),
+        (["policy", "param", "predictor", "tau", "awr", "al_diff"], threshold_rows),
+    )
+    for name, (columns, figure_rows) in zip(FIGURE_FILES, figures, strict=True):
         _write_csv(results / name, columns, figure_rows)
-    return [results / name for name in figures]
+    return [results / name for name in FIGURE_FILES]
 
 
 def metrics_from_traces(
@@ -464,18 +474,18 @@ def metrics_from_traces(
         raise ExperimentError("no trace files")
     run_rows: list[dict] = []
     sources: dict[str, str | Path] = {}  # run_id -> trace file
+    sentence_bleu_stats = None if reference_lines is None else _bleu_stats_memo([ln.split() for ln in reference_lines])
     for path in trace_paths:
         trace = load_trace(path)
         index = trace.run_config.sentence_index
-        reference = None
-        if reference_lines is not None:
-            if not 0 <= index < len(reference_lines):
-                raise ExperimentError(
-                    f"{path}: sentence_index {index} is outside the {len(reference_lines)} reference lines"
-                )
-            reference = reference_lines[index].split()
+        if reference_lines is not None and not 0 <= index < len(reference_lines):
+            raise ExperimentError(
+                f"{path}: sentence_index {index} is outside the {len(reference_lines)} reference lines"
+            )
         try:
-            row = score_run(trace, snapshot_from_trace(trace), reference)
+            snapshots = snapshot_from_trace(trace)
+            stats = None if sentence_bleu_stats is None else sentence_bleu_stats(index, snapshots.final)
+            row = score_run(trace, snapshots, stats)
         except (TraceError, MetricsError) as exc:
             raise ExperimentError(f"{path}: {exc}") from exc
         if row["run_id"] in sources:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .trace import SnapshotMatrix
@@ -41,25 +42,25 @@ def delay_vector(snapshots: SnapshotMatrix) -> DelayVector:
 
     Position j finalizes at the smallest row index i such that every row from
     i onward agrees with the final output on every position up to j; a row
-    too short to contain a position disagrees at it. Tracking the last
-    disagreeing row of the growing prefix makes this O(rows * columns)
-    instead of evaluating the quantifiers directly.
+    too short to contain a position disagrees at it. So the delay of j is
+    one more than the latest row whose first disagreement d_i is before j:
+    one pass finds each d_i, scanning only rows a C-level prefix comparison
+    rejects, and a running maximum over d gives every delay.
     """
     rows = snapshots.rows
     final = snapshots.final
-    n_rows = len(rows)
-    delays: list[int] = []
-    last_bad = 0  # latest row (1-based) disagreeing anywhere in positions 1..j
-    for j in range(1, len(final) + 1):
-        target = final[j - 1]
-        # scan below the final row, which agrees with itself by definition
-        for i in range(n_rows - 1, last_bad, -1):
-            row = rows[i - 1]
-            if len(row) < j or row[j - 1] != target:
-                last_bad = i
-                break
-        delays.append(last_bad + 1)
-    return DelayVector(delays=tuple(delays), source_length=n_rows)
+    m = len(final)
+    after = [1] * m  # after[d]: one more than the latest row (1-based) with d_i = d
+    for i, row in enumerate(rows[:-1], 1):
+        head = row[:m]
+        if head == final:
+            continue  # agrees with every position of the final output
+        n = len(head)
+        if head == final[:n]:
+            after[n] = i + 1  # a proper prefix: it first disagrees where it ends
+        else:
+            after[next(k for k in range(n) if head[k] != final[k])] = i + 1
+    return DelayVector(delays=tuple(accumulate(after, max)), source_length=len(rows))
 
 
 def average_lagging(delays: DelayVector) -> float:

@@ -91,13 +91,16 @@ def build_vocabulary(corpus: Iterable[str]) -> Vocabulary:
     return Vocabulary(tuple(tokens))
 
 
-def read_corpus_lines(path: str | Path) -> list[str]:
-    """Read a corpus file: UTF-8, one sentence per line, blank lines dropped."""
+def _read_lines(path: str | Path) -> list[str]:
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise VocabularyError(f"{path}: not UTF-8 at byte {exc.start}") from None
-    return [line.strip() for line in lines if line.strip()]
+
+
+def read_corpus_lines(path: str | Path) -> list[str]:
+    """Read a corpus file: UTF-8, one sentence per line, blank lines dropped."""
+    return [line.strip() for line in _read_lines(path) if line.strip()]
 
 
 def write_artifact(path: str | Path, text: str) -> None:
@@ -120,12 +123,26 @@ def write_corpus_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def encode_source(line: str, vocab: Vocabulary) -> Sentence:
-    """Encode a source sentence, rejecting reserved markers in the text."""
+    """Encode a source sentence, rejecting reserved markers in the text and
+    tokens outside the vocabulary (a literal `<unk>` is in it)."""
     ids = vocab.encode(line)
     if BOS in ids or PHI in ids or EOS in ids:
         raise VocabularyError(f"reserved marker in source sentence: {line!r}")
+    if UNK in ids:
+        for tok, token_id in zip(line.split(), ids):
+            if token_id == UNK and tok != UNK_SURFACE:
+                raise VocabularyError(f"unknown token {tok!r}")
     return ids
 
 
 def load_corpus(path: str | Path, vocab: Vocabulary) -> list[Sentence]:
-    return [encode_source(line, vocab) for line in read_corpus_lines(path)]
+    """Encode a source corpus file, one sentence per non-blank line. An
+    error names the file and the 1-based line, blank lines counted."""
+    sentences = []
+    for lineno, line in enumerate(_read_lines(path), 1):
+        if line.strip():
+            try:
+                sentences.append(encode_source(line, vocab))
+            except VocabularyError as exc:
+                raise VocabularyError(f"{path}: line {lineno}: {exc}") from None
+    return sentences

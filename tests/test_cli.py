@@ -209,6 +209,13 @@ ERROR_CASES = {
                          "{tmp}/binary: not UTF-8 at byte 0"),
     "predictor JSON not UTF-8": (["lm-stats", "--model", "{tmp}/binary", "--corpus", "{tmp}/corpus.txt"],
                                  "{tmp}/binary: not UTF-8 at byte 0"),
+    "training corpus token outside the lexicon": (
+        ["train-lm", "--corpus", "{tmp}/oov.txt", "--lexicon", "{tmp}/ab.tsv", "--out", "{tmp}/lm.json"],
+        "{tmp}/oov.txt: line 3: unknown token 'zzz'"),
+    "sweep corpus token outside the lexicon": (
+        ["run", "--set", "corpus={tmp}/oov.txt", "--set", "lexicon={tmp}/ab.tsv",
+         "--set", "references={tmp}/oov.txt", "--out", "{tmp}/r"],
+        "{tmp}/oov.txt: line 3: unknown token 'zzz'"),
     "predictor JSON without tokens": (
         ["lm-stats", "--model", "{tmp}/order_only.json", "--corpus", "{tmp}/corpus.txt"],
         "{tmp}/order_only.json: expected an object with keys order, alpha, beta, tokens and counts"),
@@ -225,6 +232,8 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "undefined.tsv").write_text("a\t*\tA\nb\t*\tB\na\tzz\tA2\n")
     (tmp_path / "binary").write_bytes(b"\xff\xfea b\n")
     (tmp_path / "order_only.json").write_text('{"order": 2}\n')
+    (tmp_path / "ab.tsv").write_text("a\t*\tA\nb\t*\tB\n")
+    (tmp_path / "oov.txt").write_text("a b\n\nb zzz\n")
     argv, message = ERROR_CASES[case]
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
     captured = capsys.readouterr()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from specmt import (
-    ExperimentConfig, gen_corpus, load_config, load_trace, metrics_from_traces, plot_data, run_experiment,
+    ExperimentConfig, experiment, gen_corpus, load_config, load_trace, metrics_from_traces, plot_data, run_experiment,
     snapshot_from_trace,
 )
 from specmt.experiment import (
@@ -21,6 +21,7 @@ from specmt.experiment import (
     prepare_data,
     write_trace_metrics,
 )
+from specmt.metrics import bleu_from_stats, bleu_stats
 from specmt.vocab import read_corpus_lines
 from oracles import brute_force_bleu
 
@@ -152,11 +153,13 @@ class TestRunExperiment:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_dirty_rerun_equals_fresh_run(self, tmp_path):
-        # A smaller grid re-run over a larger one must leave no stale traces.
+        # A smaller grid re-run over a larger one must leave no stale traces
+        # and no figure CSVs of the old summary.
         # Fresh and dirty runs share one path, because meta.json records it.
         out = tmp_path / "results"
         config = _config(tmp_path, n_sentences=60, record_traces=True, k_grid=(1,))
         assert run_experiment(replace(config, k_grid=(1, 3))).ok
+        assert len(plot_data(out)) == 4
         assert run_experiment(config).ok
         dirty = _tree(out)
         shutil.rmtree(out)
@@ -187,12 +190,13 @@ class TestRunExperiment:
         assert _tree(data_dir) == inputs
 
     def test_failure_names_sentence_and_corpus_line(self, tmp_path):
-        # an out-of-vocabulary source token on corpus line 57 (test split)
+        # a target-side token, in the vocabulary but not a source token, on
+        # corpus line 57 (test split): it loads, and the sweep fails there
         spec = _config(tmp_path).source_spec()
         corpus, lexicon, references = gen_corpus(spec, 60, tmp_path / "world")
         lines = corpus.read_text(encoding="utf-8").splitlines()
         first, *rest = lines[56].split()
-        lines[56] = " ".join([first, "zzz_unknown", *rest])
+        lines[56] = " ".join([first, "T00", *rest])
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config = _config(
             tmp_path, corpus=str(corpus), lexicon=str(lexicon), references=str(references),
@@ -212,6 +216,72 @@ class TestRunExperiment:
         assert by_kind["oracle"]["al_diff"] >= by_kind["indomain"]["al_diff"]
         assert by_kind["oracle"]["awr"] == 0.0
         assert by_kind["oracle"]["al_diff"] > 0.0
+
+
+class TestScoreOnce:
+    """BLEU statistics are counted once per (sentence index, final output)."""
+
+    @staticmethod
+    def _count_bleu_stats(monkeypatch):
+        calls = []
+
+        def counted(hyp, ref):
+            calls.append(tuple(hyp))
+            return bleu_stats(hyp, ref)
+
+        monkeypatch.setattr(experiment, "bleu_stats", counted)
+        return calls
+
+    def test_counted_once_per_sentence_and_output(self, tmp_path, monkeypatch):
+        calls = self._count_bleu_stats(monkeypatch)
+        config = _config(tmp_path, record_traces=True, predictors=("indomain", "oracle"), tau_grid=(0.0, 0.5))
+        assert run_experiment(config).ok
+        out = Path(config.out_dir)
+        traces = [load_trace(path) for path in sorted((out / "traces").rglob("*.jsonl"))]
+        outputs = {(t.run_config.sentence_index, snapshot_from_trace(t).final) for t in traces}
+        baselines = [t for t in traces if t.run_config.predictor == "none"]
+        # speculation changes no output, so the baselines hold every pair
+        assert outputs == {(t.run_config.sentence_index, snapshot_from_trace(t).final) for t in baselines}
+        assert len(calls) == len(outputs) <= len(baselines) < len(traces)
+
+        calls.clear()
+        references = read_corpus_lines(out / "data" / "references.txt")
+        run_rows, _ = metrics_from_traces(sorted((out / "traces").rglob("*.jsonl")), references)
+        assert len(calls) == len(outputs)
+        assert len(run_rows) == len(traces)
+
+    def test_differing_output_is_scored_on_its_own(self, tmp_path, monkeypatch):
+        # a speculative run that drops its last source token: its output
+        # differs from the baseline's, and its BLEU must count that output
+        calls = self._count_bleu_stats(monkeypatch)
+        real_run_speculative = experiment.run_speculative
+
+        def truncating(model, predictor, source, engine_config, run_config):
+            if run_config.sentence_index == 108:
+                source = source[:-1]
+            return real_run_speculative(model, predictor, source, engine_config, run_config)
+
+        monkeypatch.setattr(experiment, "run_speculative", truncating)
+        config = _config(tmp_path, record_traces=True, k_grid=(2,))
+        result = run_experiment(config)
+        assert result.failures == ["wait_k(k=2) tau=0.0 predictor=indomain: sentence 108 (corpus line 109): "
+                                   "speculative output differs"]
+        out = Path(config.out_dir)
+        references = read_corpus_lines(out / "data" / "references.txt")
+        own = load_trace(out / "traces" / "wait_k-2.0-tau0.0-indomain" / "00108.jsonl")
+        baseline = load_trace(out / "traces" / "wait_k-2.0-baseline" / "00108.jsonl")
+        own_output, baseline_output = snapshot_from_trace(own).final, snapshot_from_trace(baseline).final
+        assert own_output != baseline_output and own_output in calls
+        row = next(r for r in _read_csv(out / "runs.csv") if r["run_id"] == "wait_k-2.0-tau0.0-indomain-00108")
+        assert row["BLEU"] == str(bleu_from_stats(bleu_stats(own_output, references[108].split())))
+        # the grid point's BLEU counts the differing output, not the baseline's
+        spec_dir = out / "traces" / "wait_k-2.0-tau0.0-indomain"
+        hyps = [snapshot_from_trace(load_trace(path)).final for path in sorted(spec_dir.glob("*.jsonl"))]
+        refs = [tuple(references[i].split()) for i in range(108, 120)]
+        assert hyps[0] == own_output
+        bleu = float(result.summary_rows[0]["bleu"])
+        assert bleu == pytest.approx(brute_force_bleu(hyps, refs), abs=1e-12)
+        assert bleu != pytest.approx(brute_force_bleu([baseline_output, *hyps[1:]], refs), abs=1e-12)
 
 
 class TestTraceMetrics:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmt import (
     AlwaysWrongPredictor,
@@ -55,6 +57,29 @@ class TestDelayVector:
             for j in range(1, len(final) + 1):
                 shorter = sum(1 for row in rows if len(row) < j)
                 assert delays[j - 1] == shorter + 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_agrees_with_brute_force_on_drawn_matrices(self, data):
+        tokens = st.sampled_from(("a", "b", "c"))  # three surfaces repeat within and across rows
+        final = tuple(data.draw(st.lists(tokens, max_size=8), label="final"))
+        rows = []
+        for _ in range(data.draw(st.integers(0, 6), label="earlier rows")):  # 0: a single-row matrix
+            head = final[: data.draw(st.integers(0, len(final)))]
+            tail = tuple(data.draw(st.lists(tokens, max_size=3)))
+            shape = data.draw(st.sampled_from(("prefix", "diverge", "longer", "any")))
+            if shape == "prefix":  # empty rows, proper prefixes and copies of final
+                rows.append(head)
+            elif shape == "diverge":  # matches final, then differs from it
+                cut = len(head)
+                wrong = data.draw(tokens.filter(lambda t: cut == len(final) or t != final[cut]))
+                rows.append(head + (wrong,) + tail)
+            elif shape == "longer":  # agrees with all of final, then goes on
+                rows.append(final + (data.draw(tokens),) + tail)
+            else:
+                rows.append(tuple(data.draw(st.lists(tokens, max_size=10))))
+        rows = (*rows, final)
+        assert delay_vector(SnapshotMatrix(rows=rows)).delays == brute_force_delays(rows)
 
     def test_bounds_validation(self):
         with pytest.raises(MetricsError):

@@ -67,3 +67,22 @@ def test_corpus_file_roundtrip(tmp_path):
     vocab = build_vocabulary(lines)
     sentences = load_corpus(path, vocab)
     assert [vocab.decode(s) for s in sentences] == lines
+
+
+def test_load_corpus_rejects_unknown_token_naming_physical_line(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\n\n  \nb <unk> a\nb zzz a\n", encoding="utf-8")
+    vocab = build_vocabulary(["a b"])
+    with pytest.raises(VocabularyError) as raised:
+        load_corpus(path, vocab)
+    assert str(raised.value) == f"{path}: line 5: unknown token 'zzz'"
+    path.write_text("a b\n\nb <unk> a\n", encoding="utf-8")  # a literal <unk> is in the vocabulary
+    assert load_corpus(path, vocab) == [(4, 5), (5, UNK, 4)]
+
+
+def test_load_corpus_names_line_of_reserved_marker(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a\n\na </s>\n", encoding="utf-8")
+    with pytest.raises(VocabularyError) as raised:
+        load_corpus(path, build_vocabulary(["a"]))
+    assert str(raised.value).startswith(f"{path}: line 3: reserved marker")
