@@ -162,7 +162,7 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "train-lm":
         config = _config_with_flags(args, ("ngram_order", "alpha", "beta"))
         vocab = _vocab_for_lm(args.corpus, args.lexicon)
-        corpus = load_corpus(args.corpus, vocab)
+        corpus = list(load_corpus(args.corpus, vocab).values())
         model = train_ngram(corpus, config.ngram_order, config.alpha, config.beta, vocab)
         model.save(args.out)
         print(f"trained order-{config.ngram_order} model on {len(corpus)} sentences -> {args.out}")
@@ -171,7 +171,7 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "lm-stats":
         vocab = _vocab_for_lm(args.corpus, args.lexicon)
         model = load_ngram(args.model, vocab)
-        corpus = load_corpus(args.corpus, vocab)
+        corpus = list(load_corpus(args.corpus, vocab).values())
         stats = model.evaluate(corpus)
         print(f"sentences       {len(corpus)}")
         print(f"events          {int(stats['events'])}")

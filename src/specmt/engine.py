@@ -14,8 +14,9 @@ Speculation depth is one source token: each read step speculates at most its
 first decision. After the end-of-sequence arrives the remaining output is
 decoded autoregressively with no speculation.
 
-The trace is the only record of what happened; `RunResult`'s speculation,
-hit and withdrawal counts are read from it.
+A run's result is its final output and its trace, the only record of what
+happened: the speculation, hit and withdrawal counts are read from it, and
+the snapshot matrix is its replay, which scoring does, not the engine.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .trace import (
     Event,
     EventTrace,
     RunConfig,
-    SnapshotMatrix,
-    snapshot_from_trace,
 )
 from .vocab import BOS, EOS, PHI, Sentence
 
@@ -66,7 +65,6 @@ class RunResult:
 
     final_output: Sentence
     trace: EventTrace
-    snapshots: SnapshotMatrix
 
     @property
     def speculations(self) -> int:
@@ -138,7 +136,7 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
             return
         hypothesis_done = prediction.token == EOS
         hypothesis = prefix if hypothesis_done else prefix + (prediction.token,)
-        decision = model.step(hypothesis, tuple(out), hypothesis_done)
+        decision = model.step(hypothesis, len(out), hypothesis_done)
         slot += 1
         events.append(Event(SPECULATE, j=slot, tok=surf(decision), i=basis))
         pending = (slot, decision, prediction.token)
@@ -159,7 +157,7 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
                 events.append(Event(COMMIT, j=pending_slot))
                 decision = pending_decision
             else:
-                decision = model.step(prefix, tuple(out), done)
+                decision = model.step(prefix, len(out), done)
                 events.append(
                     Event(WITHDRAW, j=pending_slot, old=surf(pending_decision), new=surf(decision))
                 )
@@ -169,7 +167,7 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
         while decision not in (PHI, EOS):
             if len(out) > limit:
                 raise EngineError("runaway decode")
-            decision = model.step(prefix, tuple(out), done)
+            decision = model.step(prefix, len(out), done)
             slot += 1
             events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
             if decision not in (PHI, EOS):
@@ -183,5 +181,4 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
             speculate(i)
     events.append(Event(END))
 
-    trace = EventTrace(events=tuple(events), run_config=run_config or RunConfig())
-    return RunResult(final_output=tuple(out), trace=trace, snapshots=snapshot_from_trace(trace))
+    return RunResult(tuple(out), EventTrace(events=tuple(events), run_config=run_config or RunConfig()))

@@ -18,7 +18,7 @@ import shutil
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .engine import EngineConfig, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary
@@ -27,7 +27,7 @@ from .metrics import MetricsError, average_lagging, awr, bleu_from_stats, bleu_s
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, train_ngram
 from .trace import (
-    COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, SnapshotMatrix, TraceError, load_trace, snapshot_from_trace,
+    COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, TraceError, load_trace, snapshot_from_trace,
 )
 from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_artifact
 
@@ -170,7 +170,8 @@ class PreparedData:
     test_sources: tuple[Sentence, ...]
     test_references: tuple[Sentence, ...]
     corpus_id: str
-    test_offset: int = 0  # corpus line number of the first test sentence
+    test_offset: int  # sentence index of the first test sentence
+    test_lines: tuple[int, ...]  # physical corpus line of each test sentence
 
 
 def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> PreparedData:
@@ -178,16 +179,17 @@ def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> Prepa
     if config.corpus is not None:
         vocab = read_lexicon_vocabulary(config.lexicon)
         lexicon = load_lexicon(config.lexicon, vocab)
-        sources = tuple(load_corpus(config.corpus, vocab))
+        numbered = load_corpus(config.corpus, vocab)
         references = tuple(vocab.encode(line) for line in read_corpus_lines(config.references))
         corpus_id = Path(config.corpus).name
     else:
         generated = generate(config.source_spec(), config.n_sentences)
         vocab, lexicon = generated.vocabulary, generated.lexicon
-        sources, references = generated.sources, generated.references
+        numbered, references = dict(enumerate(generated.sources, 1)), generated.references
         corpus_id = config.source_spec().corpus_id()
         if out_dir is not None:
             write_generated(generated, out_dir / "data")
+    sources = tuple(numbered.values())
     if len(sources) != len(references):
         raise ExperimentError("corpus and references differ in length")
     split = int(len(sources) * TRAIN_FRACTION)
@@ -201,6 +203,7 @@ def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> Prepa
         test_references=references[split:],
         corpus_id=corpus_id,
         test_offset=split,
+        test_lines=tuple(numbered)[split:],
     )
 
 
@@ -264,12 +267,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     trained = build_predictors(config, data)
     result = ExperimentResult(out_dir=out_dir)
     surface = data.vocabulary.surface
-    sentence_bleu_stats = _bleu_stats_memo([tuple(map(surface, ref)) for ref in data.test_references])
+    sentence_bleu_stats = _bleu_stats_memo(
+        {data.test_offset + i: tuple(map(surface, ref)) for i, ref in enumerate(data.test_references)}
+    )
 
     def run_point(point: str, trace_name: str, run_one, baseline_outputs=None):
-        """Run, save, check and score every test sentence of one grid point.
-        Returns the outputs and the rows, or None after recording an error
-        with the sentence that raised it."""
+        """Run, score, save and check every test sentence of one grid point.
+        Returns the outputs and the rows, or None after recording the error
+        of the sentence whose run or scoring raised one."""
         trace_dir = out_dir / "traces" / trace_name
         if config.record_traces:
             trace_dir.mkdir(parents=True, exist_ok=True)
@@ -277,9 +282,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         rows: list[dict] = []
         for i, source in enumerate(data.test_sources):
             index = data.test_offset + i
-            where = f"{point}: sentence {index} (corpus line {index + 1})"
+            where = f"{point}: sentence {index} (corpus line {data.test_lines[i]})"
             try:
                 run = run_one(source, index)
+                row, final = score_run(run.trace, sentence_bleu_stats)
             except Exception as exc:
                 result.failures.append(f"{where}: {exc}")
                 return None
@@ -287,10 +293,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 run.trace.save(trace_dir / f"{index:05d}.jsonl")
             if baseline_outputs is not None and run.final_output != baseline_outputs[i]:
                 result.failures.append(f"{where}: speculative output differs")
-            if tuple(map(surface, run.final_output)) != run.snapshots.final:
+            if tuple(map(surface, run.final_output)) != final:
                 result.failures.append(f"{where}: snapshot disagrees with output")
             outputs.append(run.final_output)
-            rows.append(score_run(run.trace, run.snapshots, sentence_bleu_stats(i, run.snapshots.final)))
+            rows.append(row)
         return outputs, rows
 
     run_rows: list[dict] = []
@@ -348,20 +354,24 @@ def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, 
     return trained[kind]
 
 
-def _bleu_stats_memo(references: Sequence[Sequence[str]]):
+def _bleu_stats_memo(references: Mapping[int, Sequence[str]] | Sequence[Sequence[str]]):
     """`bleu_stats(final, references[index])`, counted once per `(index, final)`:
     exact, as the key is all it depends on, and a sweep's outputs repeat."""
     return cache(lambda index, final: bleu_stats(final, references[index]))
 
 
-def score_run(trace: EventTrace, snapshots: SnapshotMatrix, stats: tuple[int, ...] | None = None) -> dict:
-    """The `RUN_COLUMNS` row of one run, plus its `sentence_index` and its
-    `bleu_stats`, the given `stats` of its final output against its
-    reference; BLEU is left empty without them."""
+def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[str, ...]]:
+    """Replay one run's trace into its `RUN_COLUMNS` row, plus its
+    `sentence_index` and its `bleu_stats`, and return the row with the final
+    output the trace replays to. The statistics are
+    `sentence_bleu_stats(sentence_index, final)`; BLEU is left empty without
+    that lookup. An inconsistent trace raises `TraceError`."""
     cfg = trace.run_config
     counts = trace.kind_counts()
+    snapshots = snapshot_from_trace(trace)
+    final = snapshots.final
+    stats = None if sentence_bleu_stats is None else sentence_bleu_stats(cfg.sentence_index, final)
     delays = delay_vector(snapshots)
-    target_length = len(snapshots.final)
     return {
         "run_id": f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}",
         "policy": cfg.policy,
@@ -369,16 +379,16 @@ def score_run(trace: EventTrace, snapshots: SnapshotMatrix, stats: tuple[int, ..
         "tau": cfg.tau,
         "predictor": cfg.predictor,
         "I": delays.source_length,
-        "J": target_length,
+        "J": len(final),
         "W": counts[WITHDRAW],
         "S": counts[SPECULATE],
         "H": counts[COMMIT],
         "AL": average_lagging(delays),
-        "AWR": awr(counts[WITHDRAW], target_length),
+        "AWR": awr(counts[WITHDRAW], len(final)),
         "BLEU": "" if stats is None else bleu_from_stats(stats),
         "sentence_index": cfg.sentence_index,
         "bleu_stats": stats,
-    }
+    }, final
 
 
 def summarize(run_rows: Sequence[dict]) -> list[dict]:
@@ -483,9 +493,7 @@ def metrics_from_traces(
                 f"{path}: sentence_index {index} is outside the {len(reference_lines)} reference lines"
             )
         try:
-            snapshots = snapshot_from_trace(trace)
-            stats = None if sentence_bleu_stats is None else sentence_bleu_stats(index, snapshots.final)
-            row = score_run(trace, snapshots, stats)
+            row, _ = score_run(trace, sentence_bleu_stats)
         except (TraceError, MetricsError) as exc:
             raise ExperimentError(f"{path}: {exc}") from exc
         if row["run_id"] in sources:

@@ -29,7 +29,7 @@ class DelayVector:
     source_length: int
 
     def __post_init__(self) -> None:
-        if any(d < 0 or d > self.source_length for d in self.delays):
+        if self.delays and (min(self.delays) < 0 or max(self.delays) > self.source_length):
             raise MetricsError("delays must lie in [0, source_length]")
 
     @property

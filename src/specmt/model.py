@@ -2,8 +2,10 @@
 
 The model translates monotonically: output position p renders source token p
 through the lexicon, with the successor token (when visible) selecting the
-conditional rule for ambiguous entries. A policy decides per call whether to
-emit the next target token or to request more input by returning PHI.
+conditional rule for ambiguous entries. So a decision depends on the source
+prefix and on the number of target tokens written, not on which they are. A
+policy decides per call whether to emit the next target token or to request
+more input by returning PHI.
 Determinism is load-bearing: identical arguments must always produce the
 identical decision, because the speculative engine reuses outputs computed
 from predicted prefixes whenever the prediction turns out to be correct.
@@ -80,13 +82,9 @@ class SimtModel:
     policy: PolicyConfig
     vocabulary: Vocabulary
 
-    def step(
-        self,
-        source_prefix: Sentence,
-        target_prefix: Sentence,
-        source_done: bool = False,
-    ) -> int:
-        """One incremental decision given the visible prefixes.
+    def step(self, source_prefix: Sentence, written: int, source_done: bool = False) -> int:
+        """One incremental decision given the visible source prefix and the
+        number of target tokens written so far.
 
         Returns PHI when the policy wants another source token, EOS when the
         translation is complete, and the next target token id otherwise.
@@ -94,9 +92,6 @@ class SimtModel:
         observed (or is being hypothesized, during speculation on a predicted
         end of sequence); once set, the policy never reads again.
         """
-        if PHI in target_prefix:
-            raise ModelError("target prefix must be PHI-free")
-        written = len(target_prefix)
         pos = written + 1  # 1-based source position to translate next
         if source_done and pos > len(source_prefix):
             return EOS

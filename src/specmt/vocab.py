@@ -135,14 +135,15 @@ def encode_source(line: str, vocab: Vocabulary) -> Sentence:
     return ids
 
 
-def load_corpus(path: str | Path, vocab: Vocabulary) -> list[Sentence]:
-    """Encode a source corpus file, one sentence per non-blank line. An
-    error names the file and the 1-based line, blank lines counted."""
-    sentences = []
+def load_corpus(path: str | Path, vocab: Vocabulary) -> dict[int, Sentence]:
+    """Encode a source corpus file: the sentence of each non-blank line, in
+    file order, keyed by its 1-based line number (blank lines counted). An
+    error names the file and that line."""
+    sentences = {}
     for lineno, line in enumerate(_read_lines(path), 1):
         if line.strip():
             try:
-                sentences.append(encode_source(line, vocab))
+                sentences[lineno] = encode_source(line, vocab)
             except VocabularyError as exc:
                 raise VocabularyError(f"{path}: line {lineno}: {exc}") from None
     return sentences

@@ -230,7 +230,7 @@ def frozen_run_baseline(model, source, run_config=None):
         done = tok == EOS
         prefix = source[:min(i, src_len)]
         while True:
-            decision = model.step(prefix, tuple(out), done)
+            decision = model.step(prefix, len(out), done)
             slot += 1
             events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
             if decision == PHI:
@@ -290,7 +290,7 @@ def frozen_run_speculative(model, predictor, source, config=None, run_config=Non
             return
         hypothesis_done = prediction.token == EOS
         hypothesis = prefix if hypothesis_done else prefix + (prediction.token,)
-        decision = model.step(hypothesis, tuple(out), hypothesis_done)
+        decision = model.step(hypothesis, len(out), hypothesis_done)
         slot += 1
         speculations += 1
         events.append(Event(SPECULATE, j=slot, tok=surf(decision), i=basis))
@@ -313,7 +313,7 @@ def frozen_run_speculative(model, predictor, source, config=None, run_config=Non
                 decision = pending_decision
             else:
                 withdrawals += 1
-                decision = model.step(prefix, tuple(out), done)
+                decision = model.step(prefix, len(out), done)
                 events.append(
                     Event(WITHDRAW, j=pending_slot, old=surf(pending_decision), new=surf(decision))
                 )
@@ -323,7 +323,7 @@ def frozen_run_speculative(model, predictor, source, config=None, run_config=Non
         while decision not in (PHI, EOS):
             if decision is not None and len(out) > limit:
                 raise EngineError("runaway decode")
-            decision = model.step(prefix, tuple(out), done)
+            decision = model.step(prefix, len(out), done)
             slot += 1
             events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
             if decision not in (PHI, EOS):

@@ -29,6 +29,7 @@ from specmt import (
     modified_precision,
     run_baseline,
     run_speculative,
+    snapshot_from_trace,
     train_ngram,
 )
 from specmt.metrics import DelayVector, awr
@@ -135,7 +136,7 @@ def test_criterion_3_average_lagging_closed_form(world):
                     continue
                 model = _model(world, PolicyConfig.wait_k(k))
                 result = run_baseline(model, source)
-                delays = delay_vector(result.snapshots)
+                delays = delay_vector(snapshot_from_trace(result.trace))
                 assert delays.target_length == src_len  # square: one token per token
                 assert average_lagging(delays) == wait_k_closed_form_al(
                     k, src_len, delays.target_length
@@ -158,8 +159,8 @@ def test_criterion_4_oracle_latency_shift(world):
                 )
                 assert result.withdrawals == 0
                 assert awr(result.withdrawals, len(result.final_output)) == 0.0
-                g_base = delay_vector(baseline.snapshots)
-                g_spec = delay_vector(result.snapshots)
+                g_base = delay_vector(snapshot_from_trace(baseline.trace))
+                g_spec = delay_vector(snapshot_from_trace(result.trace))
                 eligible = speculation_eligible_positions(baseline.trace)
                 assert sum(g_base.delays) - sum(g_spec.delays) == eligible
                 al_shift = average_lagging(g_base) - average_lagging(g_spec)
@@ -197,7 +198,7 @@ def test_criterion_6_threshold_tradeoff(world):
         model = _model(world, PolicyConfig.wait_k(1))
         test = world["test"]
         baselines = [run_baseline(model, s) for s in test]
-        base_al = [average_lagging(delay_vector(b.snapshots)) for b in baselines]
+        base_al = [average_lagging(delay_vector(snapshot_from_trace(b.trace))) for b in baselines]
 
         taus = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
         awr_per_sentence: list[list[float]] = []
@@ -210,7 +211,7 @@ def test_criterion_6_threshold_tradeoff(world):
             awr_per_sentence.append(
                 [r.withdrawals / len(r.final_output) for r in runs]
             )
-            spec_al = [average_lagging(delay_vector(r.snapshots)) for r in runs]
+            spec_al = [average_lagging(delay_vector(snapshot_from_trace(r.trace))) for r in runs]
             al_diffs.append(sum(base_al) / len(test) - sum(spec_al) / len(test))
 
         # exact, sentence by sentence: higher gates speculate on subsets
@@ -243,7 +244,7 @@ def test_criterion_7_in_domain_training_direction():
             acc_pairs = {"in": [], "out": []}
             al_pairs = {"in": [], "out": []}
             for source in test:
-                base_al = average_lagging(delay_vector(run_baseline(model, source).snapshots))
+                base_al = average_lagging(delay_vector(snapshot_from_trace(run_baseline(model, source).trace)))
                 for label, predictor in (("in", in_domain), ("out", out_domain)):
                     correct = sum(
                         1
@@ -253,7 +254,7 @@ def test_criterion_7_in_domain_training_direction():
                     acc_pairs[label].append(correct / len(source))
                     run = run_speculative(model, predictor, source, EngineConfig(tau=0.0))
                     al_pairs[label].append(
-                        base_al - average_lagging(delay_vector(run.snapshots))
+                        base_al - average_lagging(delay_vector(snapshot_from_trace(run.trace)))
                     )
 
             mean = lambda xs: sum(xs) / len(xs)
@@ -285,8 +286,8 @@ def test_criterion_8_quality_latency_tradeoff():
             r2 = run_baseline(model_w2, source)
             out_w1.append(r1.final_output)
             out_w2.append(r2.final_output)
-            al_w1.append(average_lagging(delay_vector(r1.snapshots)))
-            al_w2.append(average_lagging(delay_vector(r2.snapshots)))
+            al_w1.append(average_lagging(delay_vector(snapshot_from_trace(r1.trace))))
+            al_w2.append(average_lagging(delay_vector(snapshot_from_trace(r2.trace))))
 
         refs = list(data.references)
         bleu_w1 = corpus_bleu(out_w1, refs)

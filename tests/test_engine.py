@@ -13,6 +13,7 @@ from specmt import (
     delay_vector,
     run_baseline,
     run_speculative,
+    snapshot_from_trace,
     train_ngram,
 )
 from specmt.vocab import EOS, PHI, PHI_SURFACE
@@ -34,7 +35,7 @@ class _Babbler:
     def __init__(self, vocabulary, token):
         self.vocabulary, self.token, self.calls = vocabulary, token, 0
 
-    def step(self, source_prefix, target_prefix, done):
+    def step(self, source_prefix, written, done):
         self.calls += 1
         return self.token
 
@@ -45,13 +46,13 @@ class TestBaseline:
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(1))
         result = run_baseline(model, (ids["a"], ids["b"]))
         assert [vocab.surface(t) for t in result.final_output] == ["A", "B2"]
-        assert delay_vector(result.snapshots).delays == (1, 2)
+        assert delay_vector(snapshot_from_trace(result.trace)).delays == (1, 2)
 
     def test_wait3_on_short_source_writes_after_eos(self, toy):
         vocab, lexicon, ids = toy
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(3))
         result = run_baseline(model, (ids["a"], ids["b"]))
-        assert delay_vector(result.snapshots).delays == (2, 2)
+        assert delay_vector(snapshot_from_trace(result.trace)).delays == (2, 2)
 
     def test_empty_source_rejected(self, toy):
         vocab, lexicon, ids = toy
@@ -67,7 +68,7 @@ class TestBaseline:
                 model = make_model(vocab, lexicon, PolicyConfig.wait_k(k))
                 result = run_baseline(model, source)
                 src_len = len(source)
-                assert delay_vector(result.snapshots).delays == wait_k_delays(
+                assert delay_vector(snapshot_from_trace(result.trace)).delays == wait_k_delays(
                     k, src_len, len(result.final_output)
                 )
 
@@ -95,7 +96,7 @@ class TestSpeculative:
         source = (ids["a"], ids["b"])
         result = run_speculative(model, OraclePredictor(source), source)
         assert [vocab.surface(t) for t in result.final_output] == ["A", "B2"]
-        assert delay_vector(result.snapshots).delays == (1, 1)
+        assert delay_vector(snapshot_from_trace(result.trace)).delays == (1, 1)
         assert result.withdrawals == 0
         assert result.hits == result.speculations
 
@@ -106,7 +107,8 @@ class TestSpeculative:
         baseline = run_baseline(model, source)
         result = run_speculative(model, AlwaysWrongPredictor(source, vocab), source)
         assert result.final_output == baseline.final_output
-        assert delay_vector(result.snapshots).delays == delay_vector(baseline.snapshots).delays
+        spec_delays = delay_vector(snapshot_from_trace(result.trace)).delays
+        assert spec_delays == delay_vector(snapshot_from_trace(baseline.trace)).delays
         assert result.withdrawals == result.speculations == 3  # one per read, one at EOS
         assert result.hits == 0
 
@@ -210,8 +212,8 @@ class TestEquivalence:
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(1))
         baseline = run_baseline(model, source)
         result = run_speculative(model, OraclePredictor(source), source)
-        al_base = average_lagging(delay_vector(baseline.snapshots))
-        al_spec = average_lagging(delay_vector(result.snapshots))
+        al_base = average_lagging(delay_vector(snapshot_from_trace(baseline.trace)))
+        al_spec = average_lagging(delay_vector(snapshot_from_trace(result.trace)))
         assert speculation_eligible_positions(baseline.trace) == 4
         assert al_base - al_spec == pytest.approx(0.8)
 
@@ -223,8 +225,8 @@ class TestEquivalence:
                 model = make_model(vocab, lexicon, policy)
                 baseline = run_baseline(model, source)
                 result = run_speculative(model, OraclePredictor(source), source)
-                g_base = delay_vector(baseline.snapshots).delays
-                g_spec = delay_vector(result.snapshots).delays
+                g_base = delay_vector(snapshot_from_trace(baseline.trace)).delays
+                g_spec = delay_vector(snapshot_from_trace(result.trace)).delays
                 assert result.withdrawals == 0
                 eligible = speculation_eligible_positions(baseline.trace)
                 assert sum(g_base) - sum(g_spec) == eligible

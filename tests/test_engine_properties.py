@@ -78,9 +78,9 @@ class CountingModel:
         self.vocabulary = model.vocabulary
         self.calls = 0
 
-    def step(self, source_prefix, target_prefix, done=False):
+    def step(self, source_prefix, written, done=False):
         self.calls += 1
-        return self._model.step(source_prefix, target_prefix, done)
+        return self._model.step(source_prefix, written, done)
 
 
 @st.composite
@@ -151,7 +151,6 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
     for result in (baseline, speculative):
         surfaces = tuple(vocab.surface(t) for t in result.final_output)
         snapshots = snapshot_from_trace(result.trace)
-        assert snapshots == result.snapshots
         assert snapshots.final == surfaces
         assert delay_vector(snapshots).delays == brute_force_delays(snapshots.rows)
 

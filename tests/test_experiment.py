@@ -3,15 +3,17 @@ from __future__ import annotations
 import csv
 import re
 import shutil
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from specmt import (
-    ExperimentConfig, experiment, gen_corpus, load_config, load_trace, metrics_from_traces, plot_data, run_experiment,
-    snapshot_from_trace,
+    ExperimentConfig, OraclePredictor, PolicyConfig, SimtModel, experiment, gen_corpus, load_config, load_trace,
+    metrics_from_traces, plot_data, run_baseline, run_experiment, run_speculative, snapshot_from_trace,
 )
+from specmt import trace as trace_module
 from specmt.experiment import (
     ExperimentError,
     PAIRED_COLUMNS,
@@ -189,14 +191,19 @@ class TestRunExperiment:
         assert run_experiment(loaded).ok
         assert _tree(data_dir) == inputs
 
-    def test_failure_names_sentence_and_corpus_line(self, tmp_path):
-        # a target-side token, in the vocabulary but not a source token, on
-        # corpus line 57 (test split): it loads, and the sweep fails there
+    @staticmethod
+    def _sweep_with_target_token(tmp_path, blank_line=None):
+        """Sweep a 60-sentence corpus whose sentence 56 (test split) holds a
+        target-side token, in the vocabulary but not a source token: it
+        loads, and the sweep fails there. `blank_line`, when given, is the
+        physical line at which a blank line is inserted."""
         spec = _config(tmp_path).source_spec()
         corpus, lexicon, references = gen_corpus(spec, 60, tmp_path / "world")
         lines = corpus.read_text(encoding="utf-8").splitlines()
         first, *rest = lines[56].split()
         lines[56] = " ".join([first, "T00", *rest])
+        if blank_line is not None:
+            lines.insert(blank_line - 1, "")
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config = _config(
             tmp_path, corpus=str(corpus), lexicon=str(lexicon), references=str(references),
@@ -204,7 +211,16 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         assert len(result.failures) == 1
-        assert result.failures[0].startswith("baseline wait_k(k=2): sentence 56 (corpus line 57): ")
+        return result.failures[0]
+
+    def test_failure_names_sentence_and_corpus_line(self, tmp_path):
+        failure = self._sweep_with_target_token(tmp_path)
+        assert failure.startswith("baseline wait_k(k=2): sentence 56 (corpus line 57): ")
+
+    def test_failure_names_physical_corpus_line(self, tmp_path):
+        # a blank line before it moves sentence 56 to physical line 58
+        failure = self._sweep_with_target_token(tmp_path, blank_line=4)
+        assert failure.startswith("baseline wait_k(k=2): sentence 56 (corpus line 58): ")
 
     def test_oracle_beats_trained_predictor(self, tmp_path):
         config = _config(tmp_path, predictors=("indomain", "oracle"), n_sentences=200)
@@ -282,6 +298,58 @@ class TestScoreOnce:
         bleu = float(result.summary_rows[0]["bleu"])
         assert bleu == pytest.approx(brute_force_bleu(hyps, refs), abs=1e-12)
         assert bleu != pytest.approx(brute_force_bleu([baseline_output, *hyps[1:]], refs), abs=1e-12)
+
+
+class TestSingleReplay:
+    """A run's trace is replayed once, by `score_run`, never by the engine."""
+
+    @staticmethod
+    def _count_replays(monkeypatch):
+        """Count calls of `snapshot_from_trace` through every package module
+        that binds it."""
+        calls = []
+        real = trace_module.snapshot_from_trace
+
+        def counted(trace):
+            calls.append(trace)
+            return real(trace)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "specmt" and getattr(module, "snapshot_from_trace", None) is real:
+                monkeypatch.setattr(module, "snapshot_from_trace", counted)
+        return calls
+
+    def test_engine_does_not_replay(self, tmp_path, monkeypatch):
+        calls = self._count_replays(monkeypatch)
+        data = prepare_data(_config(tmp_path))
+        model = SimtModel(lexicon=data.lexicon, policy=PolicyConfig.wait_k(2), vocabulary=data.vocabulary)
+        for source in data.test_sources:
+            run_baseline(model, source)
+            run_speculative(model, OraclePredictor(source), source)
+        assert calls == []
+
+    def test_sweep_replays_each_run_once(self, tmp_path, monkeypatch):
+        calls = self._count_replays(monkeypatch)
+        config = _config(tmp_path, predictors=("indomain", "oracle"), tau_grid=(0.0, 0.5))
+        assert run_experiment(config).ok
+        assert len(calls) == len(_read_csv(Path(config.out_dir) / "runs.csv")) == 2 * 12 * (1 + 2 * 2)
+
+    def test_replay_error_is_the_sentence_failure(self, tmp_path, monkeypatch):
+        # a speculative run of k=1 whose trace lacks END: its grid point
+        # fails at that sentence, and the other grid points still run
+        real_run_speculative = experiment.run_speculative
+
+        def unended(model, predictor, source, engine_config, run_config):
+            run = real_run_speculative(model, predictor, source, engine_config, run_config)
+            if run_config.param == 1.0 and run_config.sentence_index == 110:
+                return replace(run, trace=replace(run.trace, events=run.trace.events[:-1]))
+            return run
+
+        monkeypatch.setattr(experiment, "run_speculative", unended)
+        result = run_experiment(_config(tmp_path))
+        assert result.failures == ["wait_k(k=1) tau=0.0 predictor=indomain: sentence 110 (corpus line 111): "
+                                   "inconsistent trace: missing END"]
+        assert [(row["policy"], row["param"]) for row in result.summary_rows] == [("wait_k", 3.0)]
 
 
 class TestTraceMetrics:

@@ -59,7 +59,7 @@ class TestGeneratedWorld:
         corpus_path, lexicon_path, refs_path = gen_corpus(spec, 30, tmp_path)
         vocab = read_lexicon_vocabulary(lexicon_path)
         lexicon = load_lexicon(lexicon_path, vocab)
-        sources = load_corpus(corpus_path, vocab)
+        sources = list(load_corpus(corpus_path, vocab).values())
         refs = [tuple(vocab.encode(line)) for line in read_corpus_lines(refs_path)]
         model = SimtModel(lexicon=lexicon, policy=PolicyConfig.wait_k(1), vocabulary=vocab)
         for source, ref in zip(sources, refs):

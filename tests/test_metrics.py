@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,8 +84,10 @@ class TestDelayVector:
         assert delay_vector(SnapshotMatrix(rows=rows)).delays == brute_force_delays(rows)
 
     def test_bounds_validation(self):
-        with pytest.raises(MetricsError):
-            DelayVector(delays=(3,), source_length=2)
+        for delays in ((3,), (1, -1, 2)):
+            with pytest.raises(MetricsError, match=re.escape("delays must lie in [0, source_length]")):
+                DelayVector(delays=delays, source_length=2)
+        assert DelayVector(delays=(), source_length=2).target_length == 0
 
 
 class TestAverageLagging:

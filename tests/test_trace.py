@@ -109,9 +109,9 @@ class TestSnapshotReplay:
             model = make_model(vocab, lexicon, PolicyConfig.wait_k(int(rng.integers(1, 4))))
             result = run_speculative(model, OraclePredictor(source), source)
             assert result.withdrawals == 0
-            final = result.snapshots.final
-            for row in result.snapshots.rows:
-                assert row == final[: len(row)]
+            snapshots = snapshot_from_trace(result.trace)
+            for row in snapshots.rows:
+                assert row == snapshots.final[: len(row)]
 
 
 class TestSerialization:

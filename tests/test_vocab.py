@@ -66,7 +66,7 @@ def test_corpus_file_roundtrip(tmp_path):
     assert read_corpus_lines(path) == lines
     vocab = build_vocabulary(lines)
     sentences = load_corpus(path, vocab)
-    assert [vocab.decode(s) for s in sentences] == lines
+    assert [vocab.decode(s) for s in sentences.values()] == lines
 
 
 def test_load_corpus_rejects_unknown_token_naming_physical_line(tmp_path):
@@ -77,7 +77,7 @@ def test_load_corpus_rejects_unknown_token_naming_physical_line(tmp_path):
         load_corpus(path, vocab)
     assert str(raised.value) == f"{path}: line 5: unknown token 'zzz'"
     path.write_text("a b\n\nb <unk> a\n", encoding="utf-8")  # a literal <unk> is in the vocabulary
-    assert load_corpus(path, vocab) == [(4, 5), (5, UNK, 4)]
+    assert load_corpus(path, vocab) == {1: (4, 5), 3: (5, UNK, 4)}  # keyed by physical line
 
 
 def test_load_corpus_names_line_of_reserved_marker(tmp_path):
