@@ -1,4 +1,6 @@
-"""Command-line harness: corpus generation, predictor training, runs, sweeps."""
+"""Command-line harness: corpus generation, predictor training, sweeps, metrics.
+
+Every setting is an `ExperimentConfig` key, given by `--config` and `--set KEY=VALUE`."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from pathlib import Path
 
 from .engine import EngineError
 from .experiment import (
-    PREDICTOR_KINDS, ExperimentConfig, ExperimentError, coerce_config_value, load_config, plot_data, run_experiment,
+    ExperimentConfig, ExperimentError, coerce_config_value, load_config, plot_data, run_experiment,
     write_trace_metrics,
 )
 from .lexicon import LexiconError, read_lexicon_vocabulary
@@ -26,29 +28,24 @@ ERRORS = (
 )
 
 
+def _add_config_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="override one config key (repeatable); beats the config file")
+
+
 def _add_gen_corpus(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus, lexicon, and references")
-    p.add_argument("--config", type=Path, default=None, help="config file supplying defaults")
-    p.add_argument("--vocab-size", type=int, default=None, help="token count including 4 reserved ids")
-    p.add_argument("--kappa", type=float, default=None,
-                   help="transition concentration; lower is more predictable")
-    p.add_argument("--ambiguity-rate", type=float, default=None)
-    p.add_argument("--min-length", type=int, default=None)
-    p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sentences", dest="n_sentences", type=int, default=None)
+    _add_config_args(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
 
 def _add_train_lm(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("train-lm", help="train an n-gram branch predictor on a corpus")
-    p.add_argument("--config", type=Path, default=None, help="config file supplying defaults")
+    _add_config_args(p)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--lexicon", type=Path, default=None,
                    help="lexicon file fixing the vocabulary; default derives it from the corpus")
-    p.add_argument("--order", dest="ngram_order", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--out", type=Path, required=True, help="model file to write")
 
 
@@ -59,29 +56,10 @@ def _add_lm_stats(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--lexicon", type=Path, default=None)
 
 
-def _grid_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override one config key (repeatable)")
-    p.add_argument("--out", type=Path, default=None, help="results directory (overrides out_dir)")
-
-
-def _add_run(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("run", help="one grid point: a single policy, threshold, and predictor")
-    _grid_overrides(p)
-    p.add_argument("--policy", choices=["wait_k", "adaptive"], default="wait_k")
-    p.add_argument("--k", type=int, default=3, help="wait-k lag")
-    p.add_argument("--latency-weight", type=float, default=0.1,
-                   help="adaptive latency weight L; the policy writes an ambiguous token "
-                        "early only when 0.5 >= min(1.0, 0.4 + L), i.e. L <= 0.1")
-    p.add_argument("--tau", type=float, default=0.0, help="speculate only when prediction prob >= tau")
-    p.add_argument("--predictor", choices=PREDICTOR_KINDS, default="indomain")
-    p.add_argument("--record-traces", action="store_true")
-
-
 def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("sweep", help="full grid over policies, thresholds, and predictors")
-    _grid_overrides(p)
+    _add_config_args(p)
+    p.add_argument("--out", type=Path, default=None, help="results directory (overrides out_dir)")
 
 
 def _add_metrics(sub: argparse._SubParsersAction) -> None:
@@ -108,29 +86,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_corpus(sub)
     _add_train_lm(sub)
     _add_lm_stats(sub)
-    _add_run(sub)
     _add_sweep(sub)
     _add_metrics(sub)
     _add_plot_data(sub)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, extra: dict[str, object]) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """`--set` beats the `--config` file, which beats the built-in default;
+    `sweep --out` beats them all."""
     overrides: dict[str, object] = {}
     for item in args.set:
         if "=" not in item:
             raise ExperimentError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = coerce_config_value(key, value)
-    overrides.update(extra)
-    if args.out is not None:
+    if args.command == "sweep" and args.out is not None:
         overrides["out_dir"] = str(args.out)
     return load_config(args.config, overrides)
-
-
-def _config_with_flags(args: argparse.Namespace, keys: tuple[str, ...]) -> ExperimentConfig:
-    """Flag beats config file beats built-in default; each flag's dest is its config key."""
-    return load_config(args.config, {key: getattr(args, key) for key in keys if getattr(args, key) is not None})
 
 
 def _vocab_for_lm(corpus: Path, lexicon: Path | None) -> Vocabulary:
@@ -150,17 +123,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run_command(args: argparse.Namespace) -> int:
     if args.command == "gen-corpus":
-        config = _config_with_flags(
-            args, ("vocab_size", "kappa", "ambiguity_rate", "min_length", "max_length", "seed", "n_sentences")
-        )
-        corpus_path, lexicon_path, refs_path = gen_corpus(config.source_spec(), config.n_sentences, args.out)
-        print(f"wrote {corpus_path}")
-        print(f"wrote {lexicon_path}")
-        print(f"wrote {refs_path}")
+        config = _config_from_args(args)
+        for path in gen_corpus(config.source_spec(), config.n_sentences, args.out):
+            print(f"wrote {path}")
         return 0
 
     if args.command == "train-lm":
-        config = _config_with_flags(args, ("ngram_order", "alpha", "beta"))
+        config = _config_from_args(args)
         vocab = _vocab_for_lm(args.corpus, args.lexicon)
         corpus = list(load_corpus(args.corpus, vocab).values())
         model = train_ngram(corpus, config.ngram_order, config.alpha, config.beta, vocab)
@@ -179,22 +148,8 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"accuracy        {stats['accuracy']:.4f}")
         return 0
 
-    if args.command == "run":
-        extra: dict[str, object] = {"tau_grid": (args.tau,), "predictors": (args.predictor,)}
-        if args.policy == "wait_k":
-            extra["k_grid"] = (args.k,)
-            extra["l_grid"] = ()
-        else:
-            extra["k_grid"] = ()
-            extra["l_grid"] = (args.latency_weight,)
-        if args.record_traces:
-            extra["record_traces"] = True
-        result = run_experiment(_config_from_args(args, extra))
-        return _report(result)
-
     if args.command == "sweep":
-        result = run_experiment(_config_from_args(args, {}))
-        return _report(result)
+        return _report(run_experiment(_config_from_args(args)))
 
     if args.command == "metrics":
         if args.traces.is_dir():

@@ -20,12 +20,12 @@ from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
-from .engine import EngineConfig, run_baseline, run_speculative
+from .engine import EngineConfig, EngineError, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary
-from .markov import MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated
+from .markov import GenerationError, MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated
 from .metrics import MetricsError, average_lagging, awr, bleu_from_stats, bleu_stats, delay_vector, sum_bleu_stats
-from .model import PolicyConfig, SimtModel
-from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, train_ngram
+from .model import ModelError, PolicyConfig, SimtModel
+from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, PredictorError, _check_parameters, train_ngram
 from .trace import (
     COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, TraceError, load_trace, snapshot_from_trace,
 )
@@ -93,6 +93,21 @@ class ExperimentConfig:
         for name in ("k_grid", "l_grid", "tau_grid", "predictors"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ExperimentError(f"duplicate value in {name}")
+        if "outdomain" in self.predictors and self.corpus is not None:
+            raise ExperimentError("predictors: out-of-domain predictor needs a generated corpus")
+        # Every value is checked here, before a sweep touches its output directory.
+        # The messages of the source spec and the n-gram check name their keys.
+        for key, check in (
+            ("k_grid", lambda: [PolicyConfig.wait_k(k) for k in self.k_grid]),
+            ("l_grid", lambda: [PolicyConfig.adaptive(l) for l in self.l_grid]),
+            ("tau_grid", lambda: [EngineConfig(tau=tau) for tau in self.tau_grid]),
+            ("", self.source_spec),
+            ("", lambda: _check_parameters(self.ngram_order, self.alpha, self.beta)),
+        ):
+            try:
+                check()
+            except (ModelError, EngineError, GenerationError, PredictorError) as exc:
+                raise ExperimentError(f"{key}: {exc}" if key else str(exc)) from None
 
     def policy_grid(self) -> list[PolicyConfig]:
         points = [PolicyConfig.wait_k(k) for k in self.k_grid]
@@ -234,8 +249,6 @@ def build_predictors(config: ExperimentConfig, data: PreparedData) -> dict[str, 
             data.train_sources, config.ngram_order, config.alpha, config.beta, data.vocabulary
         )
     if "outdomain" in config.predictors:
-        if config.corpus is not None:
-            raise ExperimentError("out-of-domain predictor needs a generated corpus")
         ood_sources = generate_out_of_domain_sources(
             config.source_spec(), len(data.train_sources), config.seed + OOD_SEED_OFFSET
         )

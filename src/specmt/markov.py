@@ -14,6 +14,7 @@ sampling) so each part can be regenerated independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,12 +52,14 @@ class MarkovSourceSpec:
             raise GenerationError("vocab_size < 4: reserved ids do not fit")
         if self.vocab_size < 5:
             raise GenerationError("vocab_size leaves no regular source token")
-        if self.transition_concentration <= 0:
-            raise GenerationError("transition concentration must be positive")
+        if not 0.0 < self.transition_concentration < math.inf:
+            raise GenerationError("kappa (transition concentration) must be positive and finite")
         if not 0.0 <= self.ambiguity_rate <= 1.0:
-            raise GenerationError("ambiguity rate must be in [0, 1]")
+            raise GenerationError("ambiguity_rate must be in [0, 1]")
         if not 1 <= self.min_length <= self.max_length:
             raise GenerationError("need 1 <= min_length <= max_length")
+        if self.seed < 0:
+            raise GenerationError("seed must be >= 0")
 
     @property
     def regular_count(self) -> int:

@@ -176,7 +176,7 @@ class NgramModel:
 
 def _check_parameters(order: int, alpha: float, beta: float) -> None:
     if order < 1:
-        raise PredictorError("invalid order")
+        raise PredictorError("invalid order: ngram_order must be >= 1")
     if not 0.0 < alpha < math.inf:
         raise PredictorError("alpha must be positive and finite")
     if not 0.0 < beta < 1.0:
@@ -283,9 +283,6 @@ def _model_from_payload(payload: object, vocabulary: Vocabulary) -> NgramModel:
 class OraclePredictor:
     """Always predicts the true next source token; the speculation upper bound."""
 
-    name = "oracle"
-    vocabulary = None
-
     def __init__(self, source: Sentence):
         self._source = tuple(source)
 
@@ -306,9 +303,6 @@ class AlwaysWrongPredictor:
     vocabulary's regular ids, fits a generated vocabulary, where the source
     tokens come first.
     """
-
-    name = "always_wrong"
-    vocabulary = None
 
     def __init__(self, source: Sentence, vocab: Vocabulary, source_ids: Iterable[int] | None = None):
         ids = vocab.regular_ids if source_ids is None else sorted(source_ids)

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 
 import pytest
 
-from specmt.cli import main
+from specmt.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -15,8 +16,8 @@ def run_cli(*argv):
 @pytest.fixture
 def workspace(tmp_path):
     code = run_cli(
-        "gen-corpus", "--vocab-size", 14, "--kappa", 0.05, "--ambiguity-rate", 0.25,
-        "--min-length", 4, "--max-length", 9, "--seed", 3, "--sentences", 120,
+        "gen-corpus", "--set", "vocab_size=14", "--set", "kappa=0.05", "--set", "ambiguity_rate=0.25",
+        "--set", "min_length=4", "--set", "max_length=9", "--set", "seed=3", "--set", "n_sentences=120",
         "--out", tmp_path / "data",
     )
     assert code == 0
@@ -32,12 +33,12 @@ def test_gen_corpus_writes_three_files(workspace, capsys):
     assert len(lines) == 120
 
 
-def test_gen_corpus_reads_config_with_flag_override(tmp_path, capsys):
+def test_gen_corpus_set_beats_config_file(tmp_path, capsys):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("vocab_size = 12\nn_sentences = 30\nseed = 8\n")
-    assert run_cli("gen-corpus", "--config", cfg, "--sentences", 25, "--out", tmp_path / "g") == 0
+    assert run_cli("gen-corpus", "--config", cfg, "--set", "n_sentences=25", "--out", tmp_path / "g") == 0
     lines = (tmp_path / "g" / "corpus.txt").read_text().splitlines()
-    assert len(lines) == 25  # flag wins over the config's 30
+    assert len(lines) == 25  # --set wins over the config's 30
 
 
 def test_train_lm_without_lexicon(workspace):
@@ -51,7 +52,7 @@ def test_train_and_stats(workspace, capsys):
     data = workspace / "data"
     model_path = workspace / "lm.json"
     assert run_cli("train-lm", "--corpus", data / "corpus.txt",
-                   "--lexicon", data / "lexicon.tsv", "--order", 2,
+                   "--lexicon", data / "lexicon.tsv", "--set", "ngram_order=2",
                    "--out", model_path) == 0
     assert model_path.exists()
     capsys.readouterr()
@@ -61,20 +62,22 @@ def test_train_and_stats(workspace, capsys):
     assert "perplexity" in out and "accuracy" in out
 
 
-def test_run_single_point(workspace, capsys):
+def test_sweep_single_point(workspace, capsys):
     data = workspace / "data"
     code = run_cli(
-        "run",
+        "sweep",
         "--set", "corpus=" + str(data / "corpus.txt"),
         "--set", "lexicon=" + str(data / "lexicon.tsv"),
         "--set", "references=" + str(data / "references.txt"),
-        "--policy", "wait_k", "--k", 2, "--tau", 0.0, "--predictor", "oracle",
+        "--set", "k_grid=2", "--set", "tau_grid=0.5", "--set", "predictors=oracle",
         "--out", workspace / "run_out",
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "AL" in out
-    assert (workspace / "run_out" / "summary.csv").exists()
+    assert out.startswith("wait_k(2.0) tau=0.5 oracle: AL ") and out.count(" AL ") == 1
+    with open(workspace / "run_out" / "summary.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["policy"], r["param"], r["tau"], r["predictor"]) for r in rows] == [("wait_k", "2.0", "0.5", "oracle")]
 
 
 def test_sweep_with_config_file_and_plot_data(workspace, capsys):
@@ -172,14 +175,74 @@ def test_reruns_replace_artifacts_instead_of_truncating(workspace):
     assert {link.name: link.stat().st_nlink for link in links} == {link.name: 1 for link in links}
 
 
-def test_train_lm_reads_config_with_flag_override(workspace, capsys):
+def test_train_lm_set_beats_config_file(workspace, capsys):
     cfg = workspace / "lm.cfg"
     cfg.write_text("ngram_order = 3\n")
     corpus = workspace / "data" / "corpus.txt"
     assert run_cli("train-lm", "--config", cfg, "--corpus", corpus, "--out", workspace / "lm3.json") == 0
     assert "order-3" in capsys.readouterr().out
-    assert run_cli("train-lm", "--config", cfg, "--order", 1, "--corpus", corpus, "--out", workspace / "lm1.json") == 0
-    assert "order-1" in capsys.readouterr().out  # flag wins over the config's 3
+    assert run_cli(
+        "train-lm", "--config", cfg, "--set", "ngram_order=1", "--corpus", corpus, "--out", workspace / "lm1.json"
+    ) == 0
+    assert "order-1" in capsys.readouterr().out  # --set wins over the config's 3
+
+
+def test_every_setting_is_a_config_key():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    options = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert options == {
+        "gen-corpus": {"--config", "--set", "--out"},
+        "train-lm": {"--config", "--set", "--corpus", "--lexicon", "--out"},
+        "lm-stats": {"--model", "--corpus", "--lexicon"},
+        "sweep": {"--config", "--set", "--out"},
+        "metrics": {"--traces", "--references", "--out"},
+        "plot-data": {"--results", "--max-awr"},
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--k", "3", "--predictor", "oracle"])
+    assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def earlier_results(tmp_path_factory):
+    out = tmp_path_factory.mktemp("earlier") / "results"
+    assert run_cli("sweep", "--set", "n_sentences=60", "--set", "k_grid=1,2", "--set", "record_traces=1",
+                   "--set", "predictors=oracle", "--out", out) == 0
+    assert run_cli("plot-data", "--results", out) == 0
+    return out
+
+
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+REJECTED_SWEEPS = {
+    "tau above 1": (["tau_grid=2"], "tau_grid: tau must be in [0, 1]"),
+    "k below 1": (["k_grid=0"], "k_grid: k must be >= 1"),
+    "latency weight above 1": (["l_grid=2"], "l_grid: latency weight must be in (0, 1]"),
+    "min_length above max_length": (["min_length=9", "max_length=8"], "need 1 <= min_length <= max_length"),
+    "ngram order 0": (["ngram_order=0"], "invalid order: ngram_order must be >= 1"),
+    "negative seed": (["seed=-1"], "seed must be >= 0"),
+    "outdomain on a file corpus": (
+        ["corpus={out}/data/corpus.txt", "lexicon={out}/data/lexicon.tsv", "references={out}/data/references.txt",
+         "predictors=outdomain"],
+        "predictors: out-of-domain predictor needs a generated corpus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_SWEEPS))
+def test_rejected_config_leaves_earlier_results_untouched(earlier_results, tmp_path, capsys, case):
+    out = tmp_path / "results"
+    shutil.copytree(earlier_results, out)
+    before = _tree(out)
+    settings, message = REJECTED_SWEEPS[case]
+    argv = [arg for setting in settings for arg in ("--set", setting.format(out=out))]
+    assert run_cli("sweep", *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"specmt: {message}\n"
+    assert _tree(out) == before
 
 
 ERROR_CASES = {
@@ -190,14 +253,18 @@ ERROR_CASES = {
     "missing traces": (["metrics", "--traces", "{tmp}/missing", "--out", "{tmp}/m"], "No such file or directory"),
     "empty trace directory": (["metrics", "--traces", "{tmp}/empty", "--out", "{tmp}/m"],
                               "no .jsonl trace files under {tmp}/empty"),
-    "vocabulary too small": (["gen-corpus", "--vocab-size", "3", "--out", "{tmp}/g"], "vocab_size < 4"),
+    "vocabulary too small": (["gen-corpus", "--set", "vocab_size=3", "--out", "{tmp}/g"], "vocab_size < 4"),
+    "kappa not a number": (["gen-corpus", "--set", "kappa=nan", "--out", "{tmp}/g"],
+                           "kappa (transition concentration) must be positive and finite"),
+    "kappa infinite": (["gen-corpus", "--set", "kappa=inf", "--out", "{tmp}/g"],
+                       "kappa (transition concentration) must be positive and finite"),
     "config sweep rejects": (["gen-corpus", "--config", "{tmp}/psychic.cfg", "--out", "{tmp}/g"],
                              "unknown predictor kind 'psychic'"),
     "lexicon line with two columns": (
         ["train-lm", "--corpus", "{tmp}/corpus.txt", "--lexicon", "{tmp}/two_columns.tsv", "--out", "{tmp}/lm.json"],
         "{tmp}/two_columns.tsv: line 2: expected 3 tab-separated columns"),
     "lexicon condition without a rule": (
-        ["run", "--set", "corpus={tmp}/corpus.txt", "--set", "lexicon={tmp}/undefined.tsv",
+        ["sweep", "--set", "corpus={tmp}/corpus.txt", "--set", "lexicon={tmp}/undefined.tsv",
          "--set", "references={tmp}/corpus.txt", "--out", "{tmp}/r"],
         "{tmp}/undefined.tsv: condition tokens without a default rule: ['zz']"),
     "lexicon not UTF-8": (
@@ -213,7 +280,7 @@ ERROR_CASES = {
         ["train-lm", "--corpus", "{tmp}/oov.txt", "--lexicon", "{tmp}/ab.tsv", "--out", "{tmp}/lm.json"],
         "{tmp}/oov.txt: line 3: unknown token 'zzz'"),
     "sweep corpus token outside the lexicon": (
-        ["run", "--set", "corpus={tmp}/oov.txt", "--set", "lexicon={tmp}/ab.tsv",
+        ["sweep", "--set", "corpus={tmp}/oov.txt", "--set", "lexicon={tmp}/ab.tsv",
          "--set", "references={tmp}/oov.txt", "--out", "{tmp}/r"],
         "{tmp}/oov.txt: line 3: unknown token 'zzz'"),
     "predictor JSON without tokens": (

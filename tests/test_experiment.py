@@ -571,15 +571,6 @@ class TestCouplingInvariants:
         assert rows["indomain"]["al_diff"] > rows["outdomain"]["al_diff"]
 
     def test_outdomain_requires_generated_corpus(self, tmp_path):
-        config = _config(tmp_path)
-        out = Path(config.out_dir)
-        prepare_data(config, out)
-        loaded = _config(
-            tmp_path,
-            corpus=str(out / "data" / "corpus.txt"),
-            lexicon=str(out / "data" / "lexicon.tsv"),
-            references=str(out / "data" / "references.txt"),
-            predictors=("outdomain",),
-        )
-        with pytest.raises(ExperimentError, match="generated corpus"):
-            run_experiment(loaded)
+        # rejected when the config is built, before any file is read
+        with pytest.raises(ExperimentError, match="^predictors: out-of-domain predictor needs a generated corpus$"):
+            _config(tmp_path, corpus="c.txt", lexicon="l.tsv", references="r.txt", predictors=("outdomain",))
