@@ -16,7 +16,7 @@ decoded autoregressively with no speculation.
 
 A run's result is its final output and its trace, the only record of what
 happened: the speculation, hit and withdrawal counts are read from it, and
-the snapshot matrix is its replay, which scoring does, not the engine.
+the delays come from its `replay`, which scoring does, not the engine.
 """
 
 from __future__ import annotations

@@ -22,13 +22,13 @@ from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .engine import EngineConfig, EngineError, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary
-from .markov import GenerationError, MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated
-from .metrics import MetricsError, average_lagging, awr, bleu_from_stats, bleu_stats, delay_vector, sum_bleu_stats
+from .markov import (
+    GeneratedCorpus, GenerationError, MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated,
+)
+from .metrics import MetricsError, average_lagging, awr, bleu_from_stats, bleu_stats, sum_bleu_stats
 from .model import ModelError, PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, PredictorError, _check_parameters, train_ngram
-from .trace import (
-    COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, TraceError, load_trace, snapshot_from_trace,
-)
+from .trace import COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, TraceError, load_trace, replay
 from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_artifact
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
@@ -190,7 +190,17 @@ class PreparedData:
 
 
 def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> PreparedData:
-    """Load or generate the corpus and split it 90/10 by sentence index."""
+    """Load or generate the corpus and split it 90/10 by sentence index; a
+    generated corpus is written to `out_dir`/data once the split succeeds."""
+    data, generated = _split_inputs(config)
+    if generated is not None and out_dir is not None:
+        write_generated(generated, out_dir / "data")
+    return data
+
+
+def _split_inputs(config: ExperimentConfig) -> tuple[PreparedData, GeneratedCorpus | None]:
+    """`prepare_data` without the write, and the corpus when it was generated."""
+    generated = None
     if config.corpus is not None:
         vocab = read_lexicon_vocabulary(config.lexicon)
         lexicon = load_lexicon(config.lexicon, vocab)
@@ -202,8 +212,6 @@ def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> Prepa
         vocab, lexicon = generated.vocabulary, generated.lexicon
         numbered, references = dict(enumerate(generated.sources, 1)), generated.references
         corpus_id = config.source_spec().corpus_id()
-        if out_dir is not None:
-            write_generated(generated, out_dir / "data")
     sources = tuple(numbered.values())
     if len(sources) != len(references):
         raise ExperimentError("corpus and references differ in length")
@@ -219,7 +227,7 @@ def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> Prepa
         corpus_id=corpus_id,
         test_offset=split,
         test_lines=tuple(numbered)[split:],
-    )
+    ), generated
 
 
 @dataclass
@@ -272,12 +280,23 @@ def _clear_outputs(config: ExperimentConfig, out_dir: Path) -> None:
         (out_dir / name).unlink(missing_ok=True)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    out_dir = Path(config.out_dir)
+def _prepare_run(config: ExperimentConfig, out_dir: Path) -> tuple[PreparedData, dict[str, NgramModel]]:
+    """Read or generate the inputs and train the predictors, then clear what
+    an earlier run left in `out_dir` and write a generated corpus there: an
+    input that fails leaves the earlier run untouched, and the generated
+    corpus is not held while the grid runs."""
+    data, generated = _split_inputs(config)
+    trained = build_predictors(config, data)
     _clear_outputs(config, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = prepare_data(config, out_dir)
-    trained = build_predictors(config, data)
+    if generated is not None:
+        write_generated(generated, out_dir / "data")
+    return data, trained
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    out_dir = Path(config.out_dir)
+    data, trained = _prepare_run(config, out_dir)
     result = ExperimentResult(out_dir=out_dir)
     surface = data.vocabulary.surface
     sentence_bleu_stats = _bleu_stats_memo(
@@ -307,7 +326,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if baseline_outputs is not None and run.final_output != baseline_outputs[i]:
                 result.failures.append(f"{where}: speculative output differs")
             if tuple(map(surface, run.final_output)) != final:
-                result.failures.append(f"{where}: snapshot disagrees with output")
+                result.failures.append(f"{where}: trace replays to another output")
             outputs.append(run.final_output)
             rows.append(row)
         return outputs, rows
@@ -380,23 +399,20 @@ def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[
     `sentence_bleu_stats(sentence_index, final)`; BLEU is left empty without
     that lookup. An inconsistent trace raises `TraceError`."""
     cfg = trace.run_config
-    counts = trace.kind_counts()
-    snapshots = snapshot_from_trace(trace)
-    final = snapshots.final
+    final, delays, source_length, counts = replay(trace)
     stats = None if sentence_bleu_stats is None else sentence_bleu_stats(cfg.sentence_index, final)
-    delays = delay_vector(snapshots)
     return {
         "run_id": f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}",
         "policy": cfg.policy,
         "param": cfg.param,
         "tau": cfg.tau,
         "predictor": cfg.predictor,
-        "I": delays.source_length,
+        "I": source_length,
         "J": len(final),
         "W": counts[WITHDRAW],
         "S": counts[SPECULATE],
         "H": counts[COMMIT],
-        "AL": average_lagging(delays),
+        "AL": average_lagging(delays, source_length),
         "AWR": awr(counts[WITHDRAW], len(final)),
         "BLEU": "" if stats is None else bleu_from_stats(stats),
         "sentence_index": cfg.sentence_index,

@@ -1,83 +1,34 @@
-"""Revision-aware latency metrics and corpus BLEU.
+"""Revision-aware latency metrics and BLEU from summed sentence statistics.
 
-Latency is computed from the snapshot matrix, not from write timestamps, so
-revised output is charged correctly: a position only counts as produced once
-the whole prefix through it has stopped changing.
+Latency is computed from the finalization delays a trace replays to, not from
+write timestamps, so revised output is charged correctly: a position only
+counts as produced once the whole prefix through it has stopped changing.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
-
-from .trace import SnapshotMatrix
 
 
 class MetricsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DelayVector:
-    """Per output position, the number of source reads completed before the
-    output prefix through that position reached its final value."""
-
-    delays: tuple[int, ...]
-    source_length: int
-
-    def __post_init__(self) -> None:
-        if self.delays and (min(self.delays) < 0 or max(self.delays) > self.source_length):
-            raise MetricsError("delays must lie in [0, source_length]")
-
-    @property
-    def target_length(self) -> int:
-        return len(self.delays)
-
-
-def delay_vector(snapshots: SnapshotMatrix) -> DelayVector:
-    """Finalization delay of every final-output position.
-
-    Position j finalizes at the smallest row index i such that every row from
-    i onward agrees with the final output on every position up to j; a row
-    too short to contain a position disagrees at it. So the delay of j is
-    one more than the latest row whose first disagreement d_i is before j:
-    one pass finds each d_i, scanning only rows a C-level prefix comparison
-    rejects, and a running maximum over d gives every delay.
-    """
-    rows = snapshots.rows
-    final = snapshots.final
-    m = len(final)
-    after = [1] * m  # after[d]: one more than the latest row (1-based) with d_i = d
-    for i, row in enumerate(rows[:-1], 1):
-        head = row[:m]
-        if head == final:
-            continue  # agrees with every position of the final output
-        n = len(head)
-        if head == final[:n]:
-            after[n] = i + 1  # a proper prefix: it first disagrees where it ends
-        else:
-            after[next(k for k in range(n) if head[k] != final[k])] = i + 1
-    return DelayVector(delays=tuple(accumulate(after, max)), source_length=len(rows))
-
-
-def average_lagging(delays: DelayVector) -> float:
+def average_lagging(delays: Sequence[int], source_length: int) -> float:
     """Mean excess of the delays over the ideal diagonal schedule, over every
     output position.
 
     AL = (1/J) * sum_{j=1..J} ( g_j - (j-1) / (J/I) )
     """
-    g = delays.delays
-    src_len = delays.source_length
-    if not g:
+    if not delays:
         raise MetricsError("empty output")
-    if src_len < 1:
+    if source_length < 1:
         raise MetricsError("empty source")
-    j_count = len(g)
-    rate = j_count / src_len
-    total = sum(g[j - 1] - (j - 1) / rate for j in range(1, j_count + 1))
+    j_count = len(delays)
+    rate = j_count / source_length
+    total = sum(delays[j - 1] - (j - 1) / rate for j in range(1, j_count + 1))
     return total / j_count
 
 
@@ -97,18 +48,6 @@ def _ngrams(tokens: Sequence, n: int) -> Counter:
 def _clipped_matches(hyp: Sequence, ref: Sequence, n: int) -> int:
     ref_counts = _ngrams(ref, n)
     return sum(min(count, ref_counts[gram]) for gram, count in _ngrams(hyp, n).items())
-
-
-def modified_precision(
-    hypotheses: Sequence[Sequence], references: Sequence[Sequence], n: int
-) -> tuple[int, int]:
-    """Corpus-level clipped n-gram matches and total hypothesis n-grams."""
-    matched = 0
-    total = 0
-    for hyp, ref in zip(hypotheses, references):
-        matched += _clipped_matches(hyp, ref, n)
-        total += max(len(hyp) - n + 1, 0)
-    return matched, total
 
 
 def bleu_stats(hyp: Sequence, ref: Sequence) -> tuple[int, ...]:
@@ -145,11 +84,3 @@ def bleu_from_stats(stats: Sequence[int]) -> float:
     brevity = min(0.0, 1.0 - ref_len / hyp_len)
     return math.exp(brevity + log_sum)
 
-
-def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> float:
-    """Corpus BLEU-4 on a [0, 1] scale, one reference per hypothesis."""
-    if len(hypotheses) != len(references):
-        raise MetricsError("hypothesis/reference count mismatch")
-    if not hypotheses:
-        raise MetricsError("empty corpus")
-    return bleu_from_stats(sum_bleu_stats(map(bleu_stats, hypotheses, references)))

@@ -1,10 +1,10 @@
-"""Event traces of engine runs and the output snapshot matrix derived from them.
+"""Event traces of engine runs, and their replay into final output and delays.
 
 A trace is the complete, ordered record of one translation run: source reads,
 predictions, speculative writes, commits, withdrawals, and plain writes.
-Every metric in this package is computed from traces (directly or through the
-snapshot matrix), never from engine internals, so a trace file is sufficient
-to reproduce any reported number.
+Every metric in this package is computed from a trace's `replay`, never from
+engine internals, so a trace file is sufficient to reproduce any reported
+number.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -153,10 +154,6 @@ class EventTrace:
     def kind_counts(self) -> Counter[str]:
         """Number of events of each kind, in one pass."""
         return Counter(map(itemgetter(0), self.events))
-
-    def read_count(self) -> int:
-        """Number of real source tokens read (the EOS arrival is not counted)."""
-        return sum(1 for e in self.events if e.ev == READ and e.tok != EOS_SURFACE)
 
     def serialize(self) -> str:
         """The JSON Lines file: the header, then one line per event, with
@@ -304,32 +301,44 @@ def load_trace(path: str | Path) -> EventTrace:
         raise TraceError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
-@dataclass(frozen=True)
-class SnapshotMatrix:
-    """Committed output prefixes, one row per source read.
+class Replay(NamedTuple):
+    """What a trace replays to."""
 
-    Row i (1-based) is the visible, PHI-free output in force after source
-    token i was fully processed, including speculative writes issued before
-    token i+1 arrived. The last row is the final output.
-    """
-
-    rows: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise TraceError("snapshot matrix needs at least one row")
-
-    @property
-    def source_length(self) -> int:
-        return len(self.rows)
-
-    @property
-    def final(self) -> tuple[str, ...]:
-        return self.rows[-1]
+    final: tuple[str, ...]  # the visible output at the end
+    delays: tuple[int, ...]  # the finalization delay of each position of `final`
+    source_length: int  # real source tokens read (the EOS arrival is not counted)
+    counts: Counter[str]  # events of each kind, as `EventTrace.kind_counts`
 
 
-def snapshot_from_trace(trace: EventTrace) -> SnapshotMatrix:
-    """Replay a trace into its snapshot matrix.
+def _close_row(visible: list[str], held: list[str], since: list[int], low: int, row: int) -> None:
+    """Bring `held` up to `visible` at the close of `row`, setting `since` to
+    `row` at each position whose token changed. Positions below `low` are
+    unchanged since the last close."""
+    del held[len(visible):], since[len(visible):]
+    for p in range(low, len(visible)):
+        tok = visible[p]
+        if p == len(held):
+            held.append(tok)
+            since.append(row)
+        elif held[p] != tok:
+            held[p] = tok
+            since[p] = row
+
+
+def replay(trace: EventTrace) -> Replay:
+    """Replay a trace, in one pass over its events, into its final output,
+    the finalization delays of that output, its source length and its counts.
+
+    The delays are defined by the snapshot matrix: row i is the visible output
+    in force after real source token i was processed, speculative writes
+    issued before token i+1 arrived included, and the last row is the final
+    output. The delay of position j is the smallest row i such that every row
+    from i onward agrees with the final output on every position up to j (a
+    row too short to hold a position disagrees at it). Replay builds no rows:
+    for each position it keeps the row since which the position has held its
+    token, comparing only when a row closes and only from the lowest position
+    popped since the last close, so a token withdrawn and written again inside
+    one row is no change. The delays are the running maximum of those rows.
 
     Replay rules: WRITE and SPECULATE of a real token append it to the visible
     output; PHI and EOS decisions are invisible. A WITHDRAW removes the
@@ -341,54 +350,57 @@ def snapshot_from_trace(trace: EventTrace) -> SnapshotMatrix:
     exactly one COMMIT or WITHDRAW before END, so a trace that replays has
     speculations = hits + withdrawals.
     """
-    rows: list[tuple[str, ...]] = []
     visible: list[str] = []
+    held: list[str] = []  # the visible output when the last row closed
+    since: list[int] = []  # since[p]: the row since which position p has held held[p]
+    low = 0  # lowest position popped since the last row close
     pending: tuple[int, str] | None = None  # (slot, decision) awaiting resolution
     committed_slots: set[int] = set()
     last_read = 0
     reads = 0
     ended = False
 
-    for event in trace.events:
-        kind = event.ev
+    for kind, i, j, tok, _, _, old, new in trace.events:
         if ended:
             raise TraceError("inconsistent trace: events after END")
         if kind == READ:
-            if event.i is None or event.i <= last_read:
+            if i is None or i <= last_read:
                 raise TraceError("inconsistent trace: READ indices not increasing")
-            last_read = event.i
-            if event.tok != EOS_SURFACE:
+            last_read = i
+            if tok != EOS_SURFACE:
                 if reads > 0:
-                    rows.append(tuple(visible))
+                    _close_row(visible, held, since, low, reads)
+                    low = len(visible)
                 reads += 1
         elif kind in (WRITE, SPECULATE):
-            if event.tok is None:
+            if tok is None:
                 raise TraceError(f"inconsistent trace: {kind} without token")
             if kind == SPECULATE:
                 if pending is not None:
                     raise TraceError("inconsistent trace: nested speculation")
-                pending = (event.j or 0, event.tok)
-            if event.tok not in (PHI_SURFACE, EOS_SURFACE):
-                visible.append(event.tok)
+                pending = (j or 0, tok)
+            if tok not in (PHI_SURFACE, EOS_SURFACE):
+                visible.append(tok)
         elif kind == COMMIT:
-            if pending is None or pending[0] != event.j:
+            if pending is None or pending[0] != j:
                 raise TraceError("inconsistent trace: COMMIT without speculation")
             committed_slots.add(pending[0])
             pending = None
         elif kind == WITHDRAW:
-            if event.j in committed_slots:
+            if j in committed_slots:
                 raise TraceError("inconsistent trace: WITHDRAW after COMMIT")
-            if pending is None or pending[0] != event.j:
+            if pending is None or pending[0] != j:
                 raise TraceError("inconsistent trace: WITHDRAW without speculation")
-            slot, old = pending
-            if old != event.old:
+            if pending[1] != old:
                 raise TraceError("inconsistent trace: withdrawn token mismatch")
             if old not in (PHI_SURFACE, EOS_SURFACE):
                 if not visible or visible[-1] != old:
                     raise TraceError("inconsistent trace: withdrawn token not trailing")
                 visible.pop()
-            if event.new is not None and event.new not in (PHI_SURFACE, EOS_SURFACE):
-                visible.append(event.new)
+                if len(visible) < low:
+                    low = len(visible)
+            if new is not None and new not in (PHI_SURFACE, EOS_SURFACE):
+                visible.append(new)
             pending = None
         elif kind == PREDICT:
             pass
@@ -403,5 +415,5 @@ def snapshot_from_trace(trace: EventTrace) -> SnapshotMatrix:
         raise TraceError("inconsistent trace: missing END")
     if reads == 0:
         raise TraceError("inconsistent trace: no source reads")
-    rows.append(tuple(visible))
-    return SnapshotMatrix(rows=tuple(rows))
+    _close_row(visible, held, since, low, reads)
+    return Replay(tuple(visible), tuple(accumulate(since, max)), reads, trace.kind_counts())

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from specmt.engine import EngineConfig, EngineError
-from specmt.metrics import MetricsError
+from specmt.metrics import MetricsError, bleu_from_stats, bleu_stats, sum_bleu_stats
 from specmt.trace import (
     COMMIT,
     END,
@@ -27,6 +27,7 @@ from specmt.trace import (
     Event,
     EventTrace,
     RunConfig,
+    TraceError,
 )
 from specmt.vocab import BOS, EOS, EOS_SURFACE, PHI, PHI_SURFACE
 
@@ -61,6 +62,82 @@ def dumps_serialize(trace: EventTrace) -> str:
     lines = [dumps_run_config_json(trace.run_config)]
     lines.extend(dumps_event_json(e) for e in trace.events)
     return "".join(line + "\n" for line in lines)
+
+
+def snapshot_from_trace(trace: EventTrace) -> tuple[tuple[str, ...], ...]:
+    """The snapshot matrix of a trace, one row per real source read: row i
+    (1-based) is the visible, PHI-free output in force after source token i
+    was processed, including speculative writes issued before token i+1
+    arrived; the last row is the final output.
+
+    This is the package's row-building replay as it was before `replay`
+    computed delays without rows, frozen as the definition `replay` is
+    checked against, protocol checks and error messages included.
+    """
+    rows: list[tuple[str, ...]] = []
+    visible: list[str] = []
+    pending: tuple[int, str] | None = None  # (slot, decision) awaiting resolution
+    committed_slots: set[int] = set()
+    last_read = 0
+    reads = 0
+    ended = False
+
+    for event in trace.events:
+        kind = event.ev
+        if ended:
+            raise TraceError("inconsistent trace: events after END")
+        if kind == READ:
+            if event.i is None or event.i <= last_read:
+                raise TraceError("inconsistent trace: READ indices not increasing")
+            last_read = event.i
+            if event.tok != EOS_SURFACE:
+                if reads > 0:
+                    rows.append(tuple(visible))
+                reads += 1
+        elif kind in (WRITE, SPECULATE):
+            if event.tok is None:
+                raise TraceError(f"inconsistent trace: {kind} without token")
+            if kind == SPECULATE:
+                if pending is not None:
+                    raise TraceError("inconsistent trace: nested speculation")
+                pending = (event.j or 0, event.tok)
+            if event.tok not in (PHI_SURFACE, EOS_SURFACE):
+                visible.append(event.tok)
+        elif kind == COMMIT:
+            if pending is None or pending[0] != event.j:
+                raise TraceError("inconsistent trace: COMMIT without speculation")
+            committed_slots.add(pending[0])
+            pending = None
+        elif kind == WITHDRAW:
+            if event.j in committed_slots:
+                raise TraceError("inconsistent trace: WITHDRAW after COMMIT")
+            if pending is None or pending[0] != event.j:
+                raise TraceError("inconsistent trace: WITHDRAW without speculation")
+            slot, old = pending
+            if old != event.old:
+                raise TraceError("inconsistent trace: withdrawn token mismatch")
+            if old not in (PHI_SURFACE, EOS_SURFACE):
+                if not visible or visible[-1] != old:
+                    raise TraceError("inconsistent trace: withdrawn token not trailing")
+                visible.pop()
+            if event.new is not None and event.new not in (PHI_SURFACE, EOS_SURFACE):
+                visible.append(event.new)
+            pending = None
+        elif kind == PREDICT:
+            pass
+        elif kind == END:
+            if pending is not None:
+                raise TraceError(f"inconsistent trace: speculation at slot {pending[0]} unresolved at END")
+            ended = True
+        else:
+            raise TraceError(f"inconsistent trace: unknown event {kind!r}")
+
+    if not ended:
+        raise TraceError("inconsistent trace: missing END")
+    if reads == 0:
+        raise TraceError("inconsistent trace: no source reads")
+    rows.append(tuple(visible))
+    return tuple(rows)
 
 
 def brute_force_delays(rows: tuple[tuple, ...]) -> tuple[int, ...]:
@@ -116,6 +193,27 @@ def brute_force_bleu(hypotheses, references) -> float:
 
 
 
+# Corpus-level helpers over the package's sentence statistics, for tests
+# that score whole corpora; they are compositions, not independent oracles.
+
+
+def modified_precision(
+    hypotheses: Sequence[Sequence], references: Sequence[Sequence], n: int
+) -> tuple[int, int]:
+    """Corpus-level clipped n-gram matches and total hypothesis n-grams, n in 1..4."""
+    stats = sum_bleu_stats(map(bleu_stats, hypotheses, references))
+    return stats[2 * n - 2], stats[2 * n - 1]
+
+
+def corpus_bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> float:
+    """Corpus BLEU-4 on a [0, 1] scale, one reference per hypothesis."""
+    if len(hypotheses) != len(references):
+        raise MetricsError("hypothesis/reference count mismatch")
+    if not hypotheses:
+        raise MetricsError("empty corpus")
+    return bleu_from_stats(sum_bleu_stats(map(bleu_stats, hypotheses, references)))
+
+
 def paired_bootstrap_pvalue(
     treatment: Sequence[float],
     control: Sequence[float],
@@ -154,7 +252,7 @@ def speculation_eligible_positions(baseline_trace: EventTrace) -> int:
     step, for read steps 2..I: the first step's speculation cannot land
     before row 1, and decisions after the end-of-source read gain nothing.
     """
-    src_len = baseline_trace.read_count()
+    src_len = sum(1 for e in baseline_trace.events if e.ev == READ and e.tok != EOS_SURFACE)
     eligible = 0
     step_decided = False
     for event in baseline_trace.events:
@@ -171,26 +269,6 @@ def speculation_eligible_positions(baseline_trace: EventTrace) -> int:
             ):
                 eligible += 1
     return eligible
-
-
-def random_snapshot_rows(rng, max_rows: int = 20, max_cols: int = 20, alphabet: int = 6):
-    """Random revision-laden snapshot matrices for differential testing."""
-    n_rows = int(rng.integers(1, max_rows + 1))
-    n_cols = int(rng.integers(1, max_cols + 1))
-    final = [f"t{rng.integers(alphabet)}" for _ in range(n_cols)]
-    rows = []
-    for i in range(n_rows - 1):
-        # earlier rows: corrupted, truncated, or overlong variants of the final row
-        length = int(rng.integers(0, n_cols + 3))
-        row = []
-        for j in range(length):
-            if j < n_cols and rng.random() < 0.7:
-                row.append(final[j])
-            else:
-                row.append(f"t{rng.integers(alphabet)}")
-        rows.append(tuple(row))
-    rows.append(tuple(final))
-    return tuple(rows)
 
 
 # The engine as it was before the baseline and speculative loops were merged,

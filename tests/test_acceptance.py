@@ -20,24 +20,22 @@ from specmt import (
     OraclePredictor,
     PolicyConfig,
     SimtModel,
-    SnapshotMatrix,
     average_lagging,
-    corpus_bleu,
-    delay_vector,
     generate,
     generate_out_of_domain_sources,
-    modified_precision,
+    replay,
     run_baseline,
     run_speculative,
-    snapshot_from_trace,
     train_ngram,
 )
-from specmt.metrics import DelayVector, awr
+from specmt.metrics import awr
 from oracles import (
     brute_force_bleu,
     brute_force_delays,
+    corpus_bleu,
+    modified_precision,
     paired_bootstrap_pvalue,
-    random_snapshot_rows,
+    snapshot_from_trace,
     speculation_eligible_positions,
     wait_k_closed_form_al,
 )
@@ -81,6 +79,11 @@ def _model(world, policy):
     return SimtModel(lexicon=data.lexicon, policy=policy, vocabulary=data.vocabulary)
 
 
+def _al(trace):
+    replayed = replay(trace)
+    return average_lagging(replayed.delays, replayed.source_length)
+
+
 def _predictors(world, source):
     return {
         "oracle": OraclePredictor(source),
@@ -112,21 +115,34 @@ def test_criterion_1_equivalence_under_withdrawal(world):
         print(f"  ({cases} cases in {elapsed:.1f}s)", end="")
 
 
-def test_criterion_2_delay_vector_matches_brute_force():
+def test_criterion_2_replay_delays_match_brute_force(world):
     """Shipped delay computation == direct quantifier evaluation, exactly."""
-    with criterion(2, "delay vector equals brute-force evaluation on 1000 matrices"):
-        rng = np.random.default_rng(202)
-        for _ in range(1000):
-            rows = random_snapshot_rows(rng, max_rows=20, max_cols=20)
-            shipped = delay_vector(SnapshotMatrix(rows=rows)).delays
-            assert shipped == brute_force_delays(rows)
+    with criterion(2, "replay delays equal brute force over the snapshot matrix on 1000+ traces"):
+        checked = revised = 0
+        policies = [PolicyConfig.wait_k(k) for k in (1, 2, 4)] + [PolicyConfig.adaptive(0.1)]
+        for policy in policies:
+            model = _model(world, policy)
+            for source in world["test"][:70]:
+                runs = [run_baseline(model, source)]
+                for predictor in _predictors(world, source).values():
+                    runs.append(run_speculative(model, predictor, source, EngineConfig(tau=0.0)))
+                for result in runs:
+                    rows = snapshot_from_trace(result.trace)
+                    replayed = replay(result.trace)
+                    assert replayed.final == rows[-1]
+                    assert replayed.delays == brute_force_delays(rows)
+                    assert replayed.source_length == len(rows)
+                    checked += 1
+                    revised += any(row != rows[-1][: len(row)] for row in rows)
+        assert checked >= 1000 and revised >= 100, (checked, revised)
+        print(f"  ({checked} traces, {revised} with a revised row)", end="")
 
 
 def test_criterion_3_average_lagging_closed_form(world):
     """Wait-k lagging equals the closed form for square baseline runs."""
     with criterion(3, "average lagging matches the wait-k closed form exactly"):
         # the derived worked example: delays (3,4,5,5,5) over a 5-token source
-        assert average_lagging(DelayVector((3, 4, 5, 5, 5), 5)) == 2.4
+        assert average_lagging((3, 4, 5, 5, 5), 5) == 2.4
 
         checked = 0
         for source in world["test"]:
@@ -136,10 +152,10 @@ def test_criterion_3_average_lagging_closed_form(world):
                     continue
                 model = _model(world, PolicyConfig.wait_k(k))
                 result = run_baseline(model, source)
-                delays = delay_vector(snapshot_from_trace(result.trace))
-                assert delays.target_length == src_len  # square: one token per token
-                assert average_lagging(delays) == wait_k_closed_form_al(
-                    k, src_len, delays.target_length
+                replayed = replay(result.trace)
+                assert len(replayed.delays) == src_len  # square: one token per token
+                assert average_lagging(replayed.delays, replayed.source_length) == wait_k_closed_form_al(
+                    k, src_len, len(replayed.delays)
                 )
                 checked += 1
         assert checked > 500
@@ -159,12 +175,12 @@ def test_criterion_4_oracle_latency_shift(world):
                 )
                 assert result.withdrawals == 0
                 assert awr(result.withdrawals, len(result.final_output)) == 0.0
-                g_base = delay_vector(snapshot_from_trace(baseline.trace))
-                g_spec = delay_vector(snapshot_from_trace(result.trace))
+                g_base = replay(baseline.trace).delays
+                g_spec = replay(result.trace).delays
                 eligible = speculation_eligible_positions(baseline.trace)
-                assert sum(g_base.delays) - sum(g_spec.delays) == eligible
-                al_shift = average_lagging(g_base) - average_lagging(g_spec)
-                assert al_shift == pytest.approx(eligible / g_base.target_length, abs=1e-12)
+                assert sum(g_base) - sum(g_spec) == eligible
+                al_shift = _al(baseline.trace) - _al(result.trace)
+                assert al_shift == pytest.approx(eligible / len(g_base), abs=1e-12)
 
 
 def test_criterion_5_withdrawal_accounting(world):
@@ -198,7 +214,7 @@ def test_criterion_6_threshold_tradeoff(world):
         model = _model(world, PolicyConfig.wait_k(1))
         test = world["test"]
         baselines = [run_baseline(model, s) for s in test]
-        base_al = [average_lagging(delay_vector(snapshot_from_trace(b.trace))) for b in baselines]
+        base_al = [_al(b.trace) for b in baselines]
 
         taus = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
         awr_per_sentence: list[list[float]] = []
@@ -211,7 +227,7 @@ def test_criterion_6_threshold_tradeoff(world):
             awr_per_sentence.append(
                 [r.withdrawals / len(r.final_output) for r in runs]
             )
-            spec_al = [average_lagging(delay_vector(snapshot_from_trace(r.trace))) for r in runs]
+            spec_al = [_al(r.trace) for r in runs]
             al_diffs.append(sum(base_al) / len(test) - sum(spec_al) / len(test))
 
         # exact, sentence by sentence: higher gates speculate on subsets
@@ -244,7 +260,7 @@ def test_criterion_7_in_domain_training_direction():
             acc_pairs = {"in": [], "out": []}
             al_pairs = {"in": [], "out": []}
             for source in test:
-                base_al = average_lagging(delay_vector(snapshot_from_trace(run_baseline(model, source).trace)))
+                base_al = _al(run_baseline(model, source).trace)
                 for label, predictor in (("in", in_domain), ("out", out_domain)):
                     correct = sum(
                         1
@@ -254,7 +270,7 @@ def test_criterion_7_in_domain_training_direction():
                     acc_pairs[label].append(correct / len(source))
                     run = run_speculative(model, predictor, source, EngineConfig(tau=0.0))
                     al_pairs[label].append(
-                        base_al - average_lagging(delay_vector(snapshot_from_trace(run.trace)))
+                        base_al - _al(run.trace)
                     )
 
             mean = lambda xs: sum(xs) / len(xs)
@@ -286,8 +302,8 @@ def test_criterion_8_quality_latency_tradeoff():
             r2 = run_baseline(model_w2, source)
             out_w1.append(r1.final_output)
             out_w2.append(r2.final_output)
-            al_w1.append(average_lagging(delay_vector(snapshot_from_trace(r1.trace))))
-            al_w2.append(average_lagging(delay_vector(snapshot_from_trace(r2.trace))))
+            al_w1.append(_al(r1.trace))
+            al_w2.append(_al(r2.trace))
 
         refs = list(data.references)
         bleu_w1 = corpus_bleu(out_w1, refs)

@@ -230,6 +230,18 @@ REJECTED_SWEEPS = {
         ["corpus={out}/data/corpus.txt", "lexicon={out}/data/lexicon.tsv", "references={out}/data/references.txt",
          "predictors=outdomain"],
         "predictors: out-of-domain predictor needs a generated corpus"),
+    # inputs that fail only when read or generated
+    "one sentence": (["n_sentences=1"], "corpus too small for a train/test split"),
+    "no sentences": (["n_sentences=0"], "need at least one sentence"),
+    "missing corpus": (
+        ["corpus={out}/data/missing.txt", "lexicon={out}/data/lexicon.tsv", "references={out}/data/references.txt"],
+        "[Errno 2] No such file or directory: '{out}/data/missing.txt'"),
+    "missing lexicon": (
+        ["corpus={out}/data/corpus.txt", "lexicon={out}/data/missing.tsv", "references={out}/data/references.txt"],
+        "[Errno 2] No such file or directory: '{out}/data/missing.tsv'"),
+    "missing references": (
+        ["corpus={out}/data/corpus.txt", "lexicon={out}/data/lexicon.tsv", "references={out}/data/missing.txt"],
+        "[Errno 2] No such file or directory: '{out}/data/missing.txt'"),
 }
 
 
@@ -241,7 +253,7 @@ def test_rejected_config_leaves_earlier_results_untouched(earlier_results, tmp_p
     settings, message = REJECTED_SWEEPS[case]
     argv = [arg for setting in settings for arg in ("--set", setting.format(out=out))]
     assert run_cli("sweep", *argv, "--out", out) == 2
-    assert capsys.readouterr().err == f"specmt: {message}\n"
+    assert capsys.readouterr().err == f"specmt: {message.format(out=out)}\n"
     assert _tree(out) == before
 
 

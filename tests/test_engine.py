@@ -10,10 +10,9 @@ from specmt import (
     OraclePredictor,
     PolicyConfig,
     average_lagging,
-    delay_vector,
+    replay,
     run_baseline,
     run_speculative,
-    snapshot_from_trace,
     train_ngram,
 )
 from specmt.vocab import EOS, PHI, PHI_SURFACE
@@ -46,13 +45,13 @@ class TestBaseline:
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(1))
         result = run_baseline(model, (ids["a"], ids["b"]))
         assert [vocab.surface(t) for t in result.final_output] == ["A", "B2"]
-        assert delay_vector(snapshot_from_trace(result.trace)).delays == (1, 2)
+        assert replay(result.trace).delays == (1, 2)
 
     def test_wait3_on_short_source_writes_after_eos(self, toy):
         vocab, lexicon, ids = toy
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(3))
         result = run_baseline(model, (ids["a"], ids["b"]))
-        assert delay_vector(snapshot_from_trace(result.trace)).delays == (2, 2)
+        assert replay(result.trace).delays == (2, 2)
 
     def test_empty_source_rejected(self, toy):
         vocab, lexicon, ids = toy
@@ -68,7 +67,7 @@ class TestBaseline:
                 model = make_model(vocab, lexicon, PolicyConfig.wait_k(k))
                 result = run_baseline(model, source)
                 src_len = len(source)
-                assert delay_vector(snapshot_from_trace(result.trace)).delays == wait_k_delays(
+                assert replay(result.trace).delays == wait_k_delays(
                     k, src_len, len(result.final_output)
                 )
 
@@ -96,7 +95,7 @@ class TestSpeculative:
         source = (ids["a"], ids["b"])
         result = run_speculative(model, OraclePredictor(source), source)
         assert [vocab.surface(t) for t in result.final_output] == ["A", "B2"]
-        assert delay_vector(snapshot_from_trace(result.trace)).delays == (1, 1)
+        assert replay(result.trace).delays == (1, 1)
         assert result.withdrawals == 0
         assert result.hits == result.speculations
 
@@ -107,8 +106,8 @@ class TestSpeculative:
         baseline = run_baseline(model, source)
         result = run_speculative(model, AlwaysWrongPredictor(source, vocab), source)
         assert result.final_output == baseline.final_output
-        spec_delays = delay_vector(snapshot_from_trace(result.trace)).delays
-        assert spec_delays == delay_vector(snapshot_from_trace(baseline.trace)).delays
+        spec_delays = replay(result.trace).delays
+        assert spec_delays == replay(baseline.trace).delays
         assert result.withdrawals == result.speculations == 3  # one per read, one at EOS
         assert result.hits == 0
 
@@ -212,8 +211,9 @@ class TestEquivalence:
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(1))
         baseline = run_baseline(model, source)
         result = run_speculative(model, OraclePredictor(source), source)
-        al_base = average_lagging(delay_vector(snapshot_from_trace(baseline.trace)))
-        al_spec = average_lagging(delay_vector(snapshot_from_trace(result.trace)))
+        base, spec = replay(baseline.trace), replay(result.trace)
+        al_base = average_lagging(base.delays, base.source_length)
+        al_spec = average_lagging(spec.delays, spec.source_length)
         assert speculation_eligible_positions(baseline.trace) == 4
         assert al_base - al_spec == pytest.approx(0.8)
 
@@ -225,8 +225,8 @@ class TestEquivalence:
                 model = make_model(vocab, lexicon, policy)
                 baseline = run_baseline(model, source)
                 result = run_speculative(model, OraclePredictor(source), source)
-                g_base = delay_vector(snapshot_from_trace(baseline.trace)).delays
-                g_spec = delay_vector(snapshot_from_trace(result.trace)).delays
+                g_base = replay(baseline.trace).delays
+                g_spec = replay(result.trace).delays
                 assert result.withdrawals == 0
                 eligible = speculation_eligible_positions(baseline.trace)
                 assert sum(g_base) - sum(g_spec) == eligible

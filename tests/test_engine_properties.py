@@ -9,7 +9,7 @@ sentence, or another source token. For every case:
 - the engine's traces are byte-identical to the frozen engine's;
 - the speculative output equals the baseline output;
 - each trace replays to its output, and its delays match the brute-force
-  definition;
+  definition over the frozen snapshot matrix;
 - speculative translator calls equal baseline calls plus withdrawals.
 """
 
@@ -28,14 +28,15 @@ from specmt import (  # noqa: E402
     RunConfig,
     SimtModel,
     Vocabulary,
-    delay_vector,
+    replay,
     run_baseline,
     run_speculative,
-    snapshot_from_trace,
 )
 from specmt.ngram import Prediction  # noqa: E402
 from specmt.vocab import EOS, RESERVED_SURFACES  # noqa: E402
-from oracles import brute_force_delays, frozen_run_baseline, frozen_run_speculative  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_delays, frozen_run_baseline, frozen_run_speculative, snapshot_from_trace,
+)
 
 
 class ScriptedPredictor:
@@ -150,9 +151,11 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
     assert speculative.final_output == baseline.final_output
     for result in (baseline, speculative):
         surfaces = tuple(vocab.surface(t) for t in result.final_output)
-        snapshots = snapshot_from_trace(result.trace)
-        assert snapshots.final == surfaces
-        assert delay_vector(snapshots).delays == brute_force_delays(snapshots.rows)
+        rows = snapshot_from_trace(result.trace)
+        replayed = replay(result.trace)
+        assert replayed.final == rows[-1] == surfaces
+        assert replayed.delays == brute_force_delays(rows)
+        assert replayed.source_length == len(rows) == len(source)
 
     assert counting.calls == baseline_calls + speculative.withdrawals
     assert speculative.speculations == speculative.hits + speculative.withdrawals

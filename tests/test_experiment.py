@@ -11,7 +11,7 @@ import pytest
 
 from specmt import (
     ExperimentConfig, OraclePredictor, PolicyConfig, SimtModel, experiment, gen_corpus, load_config, load_trace,
-    metrics_from_traces, plot_data, run_baseline, run_experiment, run_speculative, snapshot_from_trace,
+    metrics_from_traces, plot_data, replay, run_baseline, run_experiment, run_speculative,
 )
 from specmt import trace as trace_module
 from specmt.experiment import (
@@ -254,10 +254,10 @@ class TestScoreOnce:
         assert run_experiment(config).ok
         out = Path(config.out_dir)
         traces = [load_trace(path) for path in sorted((out / "traces").rglob("*.jsonl"))]
-        outputs = {(t.run_config.sentence_index, snapshot_from_trace(t).final) for t in traces}
+        outputs = {(t.run_config.sentence_index, replay(t).final) for t in traces}
         baselines = [t for t in traces if t.run_config.predictor == "none"]
         # speculation changes no output, so the baselines hold every pair
-        assert outputs == {(t.run_config.sentence_index, snapshot_from_trace(t).final) for t in baselines}
+        assert outputs == {(t.run_config.sentence_index, replay(t).final) for t in baselines}
         assert len(calls) == len(outputs) <= len(baselines) < len(traces)
 
         calls.clear()
@@ -286,13 +286,13 @@ class TestScoreOnce:
         references = read_corpus_lines(out / "data" / "references.txt")
         own = load_trace(out / "traces" / "wait_k-2.0-tau0.0-indomain" / "00108.jsonl")
         baseline = load_trace(out / "traces" / "wait_k-2.0-baseline" / "00108.jsonl")
-        own_output, baseline_output = snapshot_from_trace(own).final, snapshot_from_trace(baseline).final
+        own_output, baseline_output = replay(own).final, replay(baseline).final
         assert own_output != baseline_output and own_output in calls
         row = next(r for r in _read_csv(out / "runs.csv") if r["run_id"] == "wait_k-2.0-tau0.0-indomain-00108")
         assert row["BLEU"] == str(bleu_from_stats(bleu_stats(own_output, references[108].split())))
         # the grid point's BLEU counts the differing output, not the baseline's
         spec_dir = out / "traces" / "wait_k-2.0-tau0.0-indomain"
-        hyps = [snapshot_from_trace(load_trace(path)).final for path in sorted(spec_dir.glob("*.jsonl"))]
+        hyps = [replay(load_trace(path)).final for path in sorted(spec_dir.glob("*.jsonl"))]
         refs = [tuple(references[i].split()) for i in range(108, 120)]
         assert hyps[0] == own_output
         bleu = float(result.summary_rows[0]["bleu"])
@@ -305,18 +305,17 @@ class TestSingleReplay:
 
     @staticmethod
     def _count_replays(monkeypatch):
-        """Count calls of `snapshot_from_trace` through every package module
-        that binds it."""
+        """Count calls of `replay` through every package module that binds it."""
         calls = []
-        real = trace_module.snapshot_from_trace
+        real = trace_module.replay
 
         def counted(trace):
             calls.append(trace)
             return real(trace)
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "specmt" and getattr(module, "snapshot_from_trace", None) is real:
-                monkeypatch.setattr(module, "snapshot_from_trace", counted)
+            if name.split(".")[0] == "specmt" and getattr(module, "replay", None) is real:
+                monkeypatch.setattr(module, "replay", counted)
         return calls
 
     def test_engine_does_not_replay(self, tmp_path, monkeypatch):
@@ -383,7 +382,7 @@ class TestTraceMetrics:
             else:
                 groups.setdefault((row["policy"], row["param"], row["tau"], row["predictor"]), []).append(row)
         hypotheses = {
-            path.relative_to(out / "traces").with_suffix("").as_posix(): snapshot_from_trace(load_trace(path)).final
+            path.relative_to(out / "traces").with_suffix("").as_posix(): replay(load_trace(path)).final
             for path in traces
         }
         assert sorted(groups) == sorted(summary)

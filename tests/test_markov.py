@@ -6,7 +6,6 @@ from specmt import (
     MarkovSourceSpec,
     PolicyConfig,
     SimtModel,
-    corpus_bleu,
     gen_corpus,
     generate,
     generate_out_of_domain_sources,
@@ -17,6 +16,7 @@ from specmt import (
 )
 from specmt.markov import GenerationError
 from specmt.vocab import load_corpus, read_corpus_lines
+from oracles import corpus_bleu
 
 
 def _spec(**kw):

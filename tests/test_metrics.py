@@ -1,52 +1,57 @@
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from specmt import (
     AlwaysWrongPredictor,
-    DelayVector,
+    Event,
+    EventTrace,
     MetricsError,
     PolicyConfig,
-    SnapshotMatrix,
     average_lagging,
     awr,
-    corpus_bleu,
-    delay_vector,
-    modified_precision,
+    replay,
     run_speculative,
 )
 from specmt.metrics import bleu_from_stats, bleu_stats, sum_bleu_stats
 from conftest import make_model
-from oracles import brute_force_bleu, brute_force_delays, paired_bootstrap_pvalue, random_snapshot_rows
+from oracles import brute_force_bleu, corpus_bleu, modified_precision, paired_bootstrap_pvalue
 
 
-def dv(*delays, src_len):
-    return DelayVector(delays=tuple(delays), source_length=src_len)
+def trace_of_rows(*rows):
+    """A trace of plain writes whose snapshot matrix is `rows`; each row must
+    extend the one before it."""
+    events = []
+    for i, row in enumerate(rows, 1):
+        events.append(Event("READ", i=i, tok=f"s{i}"))
+        done = len(rows[i - 2]) if i > 1 else 0
+        events += (Event("WRITE", j=j, tok=tok, i=i) for j, tok in enumerate(row[done:], done + 1))
+    return EventTrace(events=(*events, Event("END")))
 
 
-class TestDelayVector:
+class TestDelays:
     def test_monotone_growth(self):
-        snaps = SnapshotMatrix(rows=(("A",), ("A", "B")))
-        assert delay_vector(snaps).delays == (1, 2)
+        assert replay(trace_of_rows(("A",), ("A", "B"))).delays == (1, 2)
 
     def test_revision_delays_finalization(self):
-        snaps = SnapshotMatrix(rows=(("A",), ("B", "C"), ("B", "C", "D")))
-        assert delay_vector(snaps).delays == (2, 2, 3)
+        # rows (A), (B C), (B C D): A is speculated in row 1 and withdrawn in row 2
+        trace = EventTrace(events=(
+            Event("READ", i=1, tok="a"), Event("SPECULATE", j=1, tok="A", i=1),
+            Event("READ", i=2, tok="b"), Event("WITHDRAW", j=1, old="A", new="B"),
+            Event("WRITE", j=2, tok="C", i=2),
+            Event("READ", i=3, tok="c"), Event("WRITE", j=3, tok="D", i=3), Event("END"),
+        ))
+        assert replay(trace).delays == (2, 2, 3)
 
     def test_speculative_early_write(self):
-        snaps = SnapshotMatrix(rows=(("A", "B"), ("A", "B")))
-        assert delay_vector(snaps).delays == (1, 1)
-
-    def test_agrees_with_brute_force_on_random_matrices(self):
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            rows = random_snapshot_rows(rng, max_rows=12, max_cols=12)
-            assert delay_vector(SnapshotMatrix(rows=rows)).delays == brute_force_delays(rows)
+        # rows (A B), (A B): B is speculated before the second read and committed
+        trace = EventTrace(events=(
+            Event("READ", i=1, tok="a"), Event("WRITE", j=1, tok="A", i=1),
+            Event("SPECULATE", j=2, tok="B", i=1), Event("READ", i=2, tok="b"),
+            Event("COMMIT", j=2), Event("END"),
+        ))
+        assert replay(trace).delays == (1, 1)
 
     def test_revision_free_closed_form(self):
         # with no revisions, delay = (#rows shorter than the position) + 1
@@ -55,54 +60,25 @@ class TestDelayVector:
             final = tuple(f"t{k}" for k in range(rng.integers(1, 10)))
             lengths = sorted(int(rng.integers(0, len(final) + 1)) for _ in range(rng.integers(1, 8)))
             rows = tuple(final[:n] for n in lengths) + (final,)
-            delays = delay_vector(SnapshotMatrix(rows=rows)).delays
+            delays = replay(trace_of_rows(*rows)).delays
             for j in range(1, len(final) + 1):
                 shorter = sum(1 for row in rows if len(row) < j)
                 assert delays[j - 1] == shorter + 1
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_agrees_with_brute_force_on_drawn_matrices(self, data):
-        tokens = st.sampled_from(("a", "b", "c"))  # three surfaces repeat within and across rows
-        final = tuple(data.draw(st.lists(tokens, max_size=8), label="final"))
-        rows = []
-        for _ in range(data.draw(st.integers(0, 6), label="earlier rows")):  # 0: a single-row matrix
-            head = final[: data.draw(st.integers(0, len(final)))]
-            tail = tuple(data.draw(st.lists(tokens, max_size=3)))
-            shape = data.draw(st.sampled_from(("prefix", "diverge", "longer", "any")))
-            if shape == "prefix":  # empty rows, proper prefixes and copies of final
-                rows.append(head)
-            elif shape == "diverge":  # matches final, then differs from it
-                cut = len(head)
-                wrong = data.draw(tokens.filter(lambda t: cut == len(final) or t != final[cut]))
-                rows.append(head + (wrong,) + tail)
-            elif shape == "longer":  # agrees with all of final, then goes on
-                rows.append(final + (data.draw(tokens),) + tail)
-            else:
-                rows.append(tuple(data.draw(st.lists(tokens, max_size=10))))
-        rows = (*rows, final)
-        assert delay_vector(SnapshotMatrix(rows=rows)).delays == brute_force_delays(rows)
-
-    def test_bounds_validation(self):
-        for delays in ((3,), (1, -1, 2)):
-            with pytest.raises(MetricsError, match=re.escape("delays must lie in [0, source_length]")):
-                DelayVector(delays=delays, source_length=2)
-        assert DelayVector(delays=(), source_length=2).target_length == 0
-
 
 class TestAverageLagging:
     def test_ideal_diagonal(self):
-        assert average_lagging(dv(1, 2, 3, src_len=3)) == pytest.approx(1.0)
+        assert average_lagging((1, 2, 3), 3) == pytest.approx(1.0)
 
     def test_wait3_example(self):
-        assert average_lagging(dv(3, 4, 5, 5, 5, src_len=5)) == pytest.approx(2.4)
+        assert average_lagging((3, 4, 5, 5, 5), 5) == pytest.approx(2.4)
 
     def test_short_source(self):
-        assert average_lagging(dv(2, 2, src_len=2)) == pytest.approx(1.5)
+        assert average_lagging((2, 2), 2) == pytest.approx(1.5)
 
     def test_empty_output_rejected(self):
         with pytest.raises(MetricsError, match="empty output"):
-            average_lagging(dv(src_len=3))
+            average_lagging((), 3)
 
 
 class TestWithdrawalRate:

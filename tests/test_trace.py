@@ -13,11 +13,11 @@ from specmt import (
     load_trace,
     parse_trace,
     run_baseline,
+    replay,
     run_speculative,
-    snapshot_from_trace,
 )
 from conftest import make_model
-from oracles import dumps_event_json
+from oracles import dumps_event_json, snapshot_from_trace
 
 
 def _trace(*events, config=None):
@@ -28,14 +28,14 @@ def ev(kind, **kw):
     return Event(kind, **kw)
 
 
-class TestSnapshotReplay:
+class TestReplay:
     def test_plain_writes(self):
         trace = _trace(
             ev("READ", i=1, tok="a"), ev("WRITE", j=1, tok="A", i=1),
             ev("READ", i=2, tok="b"), ev("WRITE", j=2, tok="B", i=2),
             ev("END"),
         )
-        assert snapshot_from_trace(trace).rows == (("A",), ("A", "B"))
+        assert replay(trace)[:3] == (("A", "B"), (1, 2), 2)  # rows (A), (A B)
 
     def test_withdrawal_replaces_trailing_token(self):
         trace = _trace(
@@ -43,7 +43,16 @@ class TestSnapshotReplay:
             ev("READ", i=2, tok="b"), ev("WITHDRAW", j=1, old="A", new="B"),
             ev("END"),
         )
-        assert snapshot_from_trace(trace).rows == (("A",), ("B",))
+        assert replay(trace)[:3] == (("B",), (2,), 2)  # rows (A), (B)
+
+    def test_withdrawal_of_the_same_token_inside_one_row_is_no_change(self):
+        # rows (A), (A): the withdrawn A is written again before row 2 closes
+        trace = _trace(
+            ev("READ", i=1, tok="a"), ev("SPECULATE", j=1, tok="A", i=1),
+            ev("READ", i=2, tok="b"), ev("WITHDRAW", j=1, old="A", new="A"),
+            ev("END"),
+        )
+        assert replay(trace)[:3] == (("A",), (1,), 2)
 
     def test_withdraw_after_commit_is_inconsistent(self):
         trace = _trace(
@@ -52,12 +61,12 @@ class TestSnapshotReplay:
             ev("END"),
         )
         with pytest.raises(TraceError, match="inconsistent trace"):
-            snapshot_from_trace(trace)
+            replay(trace)
 
     def test_withdraw_without_speculation_is_inconsistent(self):
         trace = _trace(ev("READ", i=1, tok="a"), ev("WITHDRAW", j=1, old="A", new="B"), ev("END"))
         with pytest.raises(TraceError, match="inconsistent trace"):
-            snapshot_from_trace(trace)
+            replay(trace)
 
     def test_phi_never_appears_in_rows(self):
         trace = _trace(
@@ -66,17 +75,17 @@ class TestSnapshotReplay:
             ev("WRITE", j=3, tok="</s>", i=2),
             ev("END"),
         )
-        assert snapshot_from_trace(trace).rows == ((), ("B",))
+        assert replay(trace)[:3] == (("B",), (2,), 2)  # rows (), (B)
 
     def test_read_indices_must_increase(self):
         trace = _trace(ev("READ", i=1, tok="a"), ev("READ", i=1, tok="b"), ev("END"))
         with pytest.raises(TraceError, match="READ indices"):
-            snapshot_from_trace(trace)
+            replay(trace)
 
     def test_missing_end_is_inconsistent(self):
         trace = _trace(ev("READ", i=1, tok="a"))
         with pytest.raises(TraceError, match="END"):
-            snapshot_from_trace(trace)
+            replay(trace)
 
     def test_unresolved_speculation_is_inconsistent(self):
         # every SPECULATE needs one COMMIT or WITHDRAW before END, so a trace
@@ -86,19 +95,19 @@ class TestSnapshotReplay:
             ev("SPECULATE", j=2, tok="B", i=1), ev("END"),
         )
         with pytest.raises(TraceError, match="slot 2 unresolved at END"):
-            snapshot_from_trace(trace)
+            replay(trace)
 
     def test_events_after_end_are_inconsistent(self):
         trace = _trace(ev("READ", i=1, tok="a"), ev("END"), ev("WRITE", j=1, tok="A", i=1))
         with pytest.raises(TraceError, match="after END"):
-            snapshot_from_trace(trace)
+            replay(trace)
 
     def test_replay_is_pure(self, toy):
         vocab, lexicon, ids = toy
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(2))
         source = (ids["b"], ids["c"], ids["a"])
         result = run_speculative(model, OraclePredictor(source), source)
-        assert snapshot_from_trace(result.trace) == snapshot_from_trace(result.trace)
+        assert replay(result.trace) == replay(result.trace)
 
     def test_rows_are_prefixes_when_nothing_was_withdrawn(self, toy):
         vocab, lexicon, ids = toy
@@ -109,9 +118,11 @@ class TestSnapshotReplay:
             model = make_model(vocab, lexicon, PolicyConfig.wait_k(int(rng.integers(1, 4))))
             result = run_speculative(model, OraclePredictor(source), source)
             assert result.withdrawals == 0
-            snapshots = snapshot_from_trace(result.trace)
-            for row in snapshots.rows:
-                assert row == snapshots.final[: len(row)]
+            rows = snapshot_from_trace(result.trace)
+            final = replay(result.trace).final
+            assert rows[-1] == final
+            for row in rows:
+                assert row == final[: len(row)]
 
 
 class TestSerialization:
@@ -150,11 +161,12 @@ class TestSerialization:
         source = (ids["a"], ids["b"])
         result = run_speculative(model, OraclePredictor(source), source)
         trace = result.trace
-        assert trace.read_count() == 2
+        replayed = replay(trace)
+        assert replayed.source_length == 2
         kinds = [e.ev for e in trace.events]
-        assert kinds.count("SPECULATE") == result.speculations == 3
-        assert kinds.count("COMMIT") == result.hits == 3
-        assert kinds.count("WITHDRAW") == result.withdrawals == 0
+        assert kinds.count("SPECULATE") == replayed.counts["SPECULATE"] == result.speculations == 3
+        assert kinds.count("COMMIT") == replayed.counts["COMMIT"] == result.hits == 3
+        assert kinds.count("WITHDRAW") == replayed.counts["WITHDRAW"] == result.withdrawals == 0
 
 
 HEADER = RunConfig(policy="wait_k", param=1.0, predictor="oracle").to_json()

@@ -1,9 +1,10 @@
-"""Property tests of the trace writer and reader.
+"""Property tests of the trace writer, reader and replay.
 
 The writer must reproduce the `json.dumps` writer (frozen in `oracles.py`)
 byte for byte; the reader must map any text to an EventTrace or a
 TraceError naming a line, and its one-parse path must agree with the
-line-by-line parse on every input.
+line-by-line parse on every input. `replay` must agree with the frozen
+row-building replay and the brute-force delays on any event list.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from specmt import Event, EventTrace, RunConfig, TraceError, parse_trace  # noqa: E402
+from specmt import Event, EventTrace, RunConfig, TraceError, parse_trace, replay  # noqa: E402
 from specmt.trace import EVENT_KINDS, _parse_lines  # noqa: E402
-from oracles import dumps_event_json, dumps_serialize  # noqa: E402
+from specmt.vocab import EOS_SURFACE, PHI_SURFACE  # noqa: E402
+from oracles import brute_force_delays, dumps_event_json, dumps_serialize, snapshot_from_trace  # noqa: E402
 
 SPECIAL = [
     "</s>", "<phi>", "<s>", "<unk>", '"', "\\", '\\"', "\n", "\r\n", "\t", "\x00", "\x1f", "\x7f",
@@ -121,3 +123,87 @@ _near_lines = st.one_of(
 def test_one_parse_reader_agrees_with_line_by_line_parse(config, lines, newline, final_newline):
     text = newline.join([config.to_json(), *lines]) + (newline if final_newline else "")
     assert _outcome(parse_trace, text) == _outcome(_parse_lines, text)
+
+
+def _replay_or_error(replay_trace, trace):
+    try:
+        return replay_trace(trace)
+    except TraceError as exc:
+        return str(exc)
+
+
+def _assert_replay_matches_rows(trace):
+    """`replay` raises the frozen replay's error, or gives its final row, the
+    brute-force delays of its rows, its row count and the kind counts."""
+    rows = _replay_or_error(snapshot_from_trace, trace)
+    replayed = _replay_or_error(replay, trace)
+    if isinstance(rows, str):
+        assert replayed == rows
+        return
+    assert replayed == (rows[-1], brute_force_delays(rows), len(rows), trace.kind_counts())
+    assert all(1 <= delay <= len(rows) for delay in replayed.delays)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(events, max_size=12).map(tuple))
+def test_replay_agrees_with_the_frozen_replay_on_any_events(trace_events):
+    _assert_replay_matches_rows(EventTrace(events=trace_events))
+
+
+DECISIONS = ("A", "B", PHI_SURFACE, EOS_SURFACE)
+
+
+@st.composite
+def protocol_traces(draw):
+    """Traces that keep the speculation protocol, over two visible tokens.
+
+    Each read step resolves the speculation left pending before it, writes a
+    few decisions and may speculate one more. A speculation is resolved after
+    the next read, so its withdrawal re-pushes across a row close, or with no
+    read in between, inside one row (also before the first read and around
+    the end-of-source read, which closes no row). A withdrawal often
+    re-pushes the token it withdraws.
+    """
+    events = []
+    slot = 0
+    pending = None  # the pending speculation's (slot, decision)
+
+    def resolve():
+        nonlocal pending
+        if pending is not None:
+            if draw(st.booleans()):
+                events.append(Event("COMMIT", j=pending[0]))
+            else:
+                new = draw(st.sampled_from((pending[1], *DECISIONS)))
+                events.append(Event("WITHDRAW", j=pending[0], old=pending[1], new=new))
+            pending = None
+
+    def decide(basis):
+        nonlocal slot, pending
+        for _ in range(draw(st.integers(0, 2))):
+            slot += 1
+            events.append(Event("WRITE", j=slot, tok=draw(st.sampled_from(DECISIONS)), i=basis))
+        if draw(st.booleans()):
+            slot += 1
+            pending = (slot, draw(st.sampled_from(DECISIONS)))
+            events.append(Event("PREDICT", i=basis + 1, pred="x", p=0.5))
+            events.append(Event("SPECULATE", j=slot, tok=pending[1], i=basis))
+            if draw(st.booleans()):
+                resolve()
+
+    decide(0)
+    reads = draw(st.integers(1, 6))
+    for i in range(1, reads + 2):
+        if i > reads and draw(st.booleans()):
+            break  # no end-of-source read
+        events.append(Event("READ", i=i, tok=f"s{i}" if i <= reads else EOS_SURFACE))
+        resolve()
+        decide(i)
+    resolve()
+    return EventTrace(events=(*events, Event("END")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(protocol_traces())
+def test_replay_agrees_with_the_frozen_replay_on_protocol_traces(trace):
+    _assert_replay_matches_rows(trace)
