@@ -8,24 +8,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import EngineError
 from .experiment import (
     ExperimentConfig, ExperimentError, coerce_config_value, load_config, plot_data, run_experiment,
     write_trace_metrics,
 )
-from .lexicon import LexiconError, read_lexicon_vocabulary
-from .markov import GenerationError, gen_corpus
-from .metrics import MetricsError
-from .model import ModelError
-from .ngram import PredictorError, load_ngram, train_ngram
-from .trace import TraceError
-from .vocab import Vocabulary, VocabularyError, build_vocabulary, load_corpus, read_corpus_lines
+from .lexicon import load_lexicon
+from .markov import gen_corpus
+from .ngram import load_ngram, train_ngram
+from .vocab import SpecmtError, Vocabulary, build_vocabulary, load_corpus, read_corpus_lines
 
 # reported as `specmt: <message>` with exit status 2, without a traceback
-ERRORS = (
-    EngineError, ExperimentError, GenerationError, LexiconError, MetricsError, ModelError, PredictorError,
-    TraceError, VocabularyError, OSError,
-)
+ERRORS = (SpecmtError, OSError)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -108,7 +101,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _vocab_for_lm(corpus: Path, lexicon: Path | None) -> Vocabulary:
     if lexicon is not None:
-        return read_lexicon_vocabulary(lexicon)
+        return load_lexicon(lexicon)[0]
     return build_vocabulary(read_corpus_lines(corpus))
 
 

@@ -36,10 +36,10 @@ from .trace import (
     EventTrace,
     RunConfig,
 )
-from .vocab import BOS, EOS, PHI, Sentence
+from .vocab import BOS, EOS, PHI, Sentence, SpecmtError
 
 
-class EngineError(RuntimeError):
+class EngineError(SpecmtError, RuntimeError):
     pass
 
 

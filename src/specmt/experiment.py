@@ -18,18 +18,18 @@ import shutil
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
-from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
-from .engine import EngineConfig, EngineError, run_baseline, run_speculative
-from .lexicon import Lexicon, load_lexicon, read_lexicon_vocabulary
+from .engine import EngineConfig, run_baseline, run_speculative
+from .lexicon import Lexicon, load_lexicon
 from .markov import (
-    GeneratedCorpus, GenerationError, MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated,
+    GeneratedCorpus, MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated,
 )
-from .metrics import MetricsError, average_lagging, awr, bleu_from_stats, bleu_stats, sum_bleu_stats
-from .model import ModelError, PolicyConfig, SimtModel
-from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, PredictorError, _check_parameters, train_ngram
-from .trace import COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, TraceError, load_trace, replay
-from .vocab import Sentence, Vocabulary, load_corpus, read_corpus_lines, write_artifact
+from .metrics import average_lagging, awr, bleu_from_stats, bleu_stats, sum_bleu_stats
+from .model import PolicyConfig, SimtModel
+from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, _check_parameters, train_ngram
+from .trace import COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, load_trace, replay
+from .vocab import Sentence, SpecmtError, Vocabulary, load_corpus, read_corpus_lines, read_text, write_artifact
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
 OOD_SEED_OFFSET = 1  # out-of-domain chain seed = task seed + 1
@@ -52,7 +52,7 @@ FIGURE_FILES = (
 )
 
 
-class ExperimentError(ValueError):
+class ExperimentError(SpecmtError, ValueError):
     pass
 
 
@@ -106,7 +106,7 @@ class ExperimentConfig:
         ):
             try:
                 check()
-            except (ModelError, EngineError, GenerationError, PredictorError) as exc:
+            except SpecmtError as exc:
                 raise ExperimentError(f"{key}: {exc}" if key else str(exc)) from None
 
     def policy_grid(self) -> list[PolicyConfig]:
@@ -167,10 +167,9 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
     """The config file at `path` (none: the defaults), with `overrides` on top."""
     values: dict[str, object] = {}
     if path is not None:
+        text = read_text(path, ExperimentError)
         try:
-            values = parse_config_text(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ExperimentError(f"{path}: not UTF-8 at byte {exc.start}") from None
+            values = parse_config_text(text)
         except ExperimentError as exc:
             raise ExperimentError(f"{path}: {exc}") from None
     values.update(overrides or {})
@@ -183,7 +182,7 @@ class PreparedData:
     lexicon: Lexicon
     train_sources: tuple[Sentence, ...]
     test_sources: tuple[Sentence, ...]
-    test_references: tuple[Sentence, ...]
+    reference_lines: tuple[str, ...]  # the reference of every sentence, by sentence index
     corpus_id: str
     test_offset: int  # sentence index of the first test sentence
     test_lines: tuple[int, ...]  # physical corpus line of each test sentence
@@ -202,15 +201,15 @@ def _split_inputs(config: ExperimentConfig) -> tuple[PreparedData, GeneratedCorp
     """`prepare_data` without the write, and the corpus when it was generated."""
     generated = None
     if config.corpus is not None:
-        vocab = read_lexicon_vocabulary(config.lexicon)
-        lexicon = load_lexicon(config.lexicon, vocab)
+        vocab, lexicon = load_lexicon(config.lexicon)
         numbered = load_corpus(config.corpus, vocab)
-        references = tuple(vocab.encode(line) for line in read_corpus_lines(config.references))
+        references = tuple(read_corpus_lines(config.references))
         corpus_id = Path(config.corpus).name
     else:
         generated = generate(config.source_spec(), config.n_sentences)
         vocab, lexicon = generated.vocabulary, generated.lexicon
-        numbered, references = dict(enumerate(generated.sources, 1)), generated.references
+        numbered = dict(enumerate(generated.sources, 1))
+        references = tuple(map(vocab.decode, generated.references))  # the lines of its references.txt
         corpus_id = config.source_spec().corpus_id()
     sources = tuple(numbered.values())
     if len(sources) != len(references):
@@ -223,7 +222,7 @@ def _split_inputs(config: ExperimentConfig) -> tuple[PreparedData, GeneratedCorp
         lexicon=lexicon,
         train_sources=sources[:split],
         test_sources=sources[split:],
-        test_references=references[split:],
+        reference_lines=references,
         corpus_id=corpus_id,
         test_offset=split,
         test_lines=tuple(numbered)[split:],
@@ -299,9 +298,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     data, trained = _prepare_run(config, out_dir)
     result = ExperimentResult(out_dir=out_dir)
     surface = data.vocabulary.surface
-    sentence_bleu_stats = _bleu_stats_memo(
-        {data.test_offset + i: tuple(map(surface, ref)) for i, ref in enumerate(data.test_references)}
-    )
+    sentence_bleu_stats = _bleu_stats_memo(data.reference_lines)
 
     def run_point(point: str, trace_name: str, run_one, baseline_outputs=None):
         """Run, score, save and check every test sentence of one grid point.
@@ -386,10 +383,11 @@ def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, 
     return trained[kind]
 
 
-def _bleu_stats_memo(references: Mapping[int, Sequence[str]] | Sequence[Sequence[str]]):
-    """`bleu_stats(final, references[index])`, counted once per `(index, final)`:
+def _bleu_stats_memo(reference_lines: Sequence[str]):
+    """`bleu_stats(final, reference)`, with the reference the line of the run's
+    sentence index split on whitespace, counted once per `(index, final)`:
     exact, as the key is all it depends on, and a sweep's outputs repeat."""
-    return cache(lambda index, final: bleu_stats(final, references[index]))
+    return cache(lambda index, final: bleu_stats(final, reference_lines[index].split()))
 
 
 def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[str, ...]]:
@@ -513,7 +511,7 @@ def metrics_from_traces(
         raise ExperimentError("no trace files")
     run_rows: list[dict] = []
     sources: dict[str, str | Path] = {}  # run_id -> trace file
-    sentence_bleu_stats = None if reference_lines is None else _bleu_stats_memo([ln.split() for ln in reference_lines])
+    sentence_bleu_stats = None if reference_lines is None else _bleu_stats_memo(reference_lines)
     for path in trace_paths:
         trace = load_trace(path)
         index = trace.run_config.sentence_index
@@ -523,7 +521,7 @@ def metrics_from_traces(
             )
         try:
             row, _ = score_run(trace, sentence_bleu_stats)
-        except (TraceError, MetricsError) as exc:
+        except SpecmtError as exc:
             raise ExperimentError(f"{path}: {exc}") from exc
         if row["run_id"] in sources:
             raise ExperimentError(f"{path} and {sources[row['run_id']]} both hold run {row['run_id']}")

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .vocab import RESERVED_SURFACES, UNK, Vocabulary, write_artifact
+from .vocab import (
+    BOS_SURFACE, EOS_SURFACE, PHI_SURFACE, RESERVED_SURFACES, SpecmtError, Vocabulary, read_text, write_artifact,
+)
 
 
-class LexiconError(ValueError):
+class LexiconError(SpecmtError, ValueError):
     pass
 
 
@@ -17,22 +19,22 @@ class Lexicon:
     """Monotone token-to-token rules with optional successor conditions.
 
     `default` maps every regular source id to a target id. `conditional`
-    maps (source id, next source id) pairs to an alternative target and may
-    exist only for sources in `ambiguous`. At most one rule matches any
-    (token, successor) pair, so translation is deterministic.
+    maps (source id, next source id) pairs to an alternative target; its
+    sources are the `ambiguous` ones, and each needs a default rule too. At
+    most one rule matches any (token, successor) pair, so translation is
+    deterministic.
     """
 
     default: dict[int, int]
     conditional: dict[tuple[int, int], int]
-    ambiguous: frozenset[int]
+    ambiguous: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        for (src, _), _tgt in self.conditional.items():
-            if src not in self.ambiguous:
-                raise LexiconError(f"conditional rule for non-ambiguous token id {src}")
-        for src in self.ambiguous:
+        ambiguous = frozenset(src for src, _ in self.conditional)
+        for src in ambiguous:
             if src not in self.default:
                 raise LexiconError(f"ambiguous token id {src} lacks a default rule")
+        object.__setattr__(self, "ambiguous", ambiguous)
 
     def translate(self, token: int, next_token: int | None = None) -> int:
         """Apply the conditional rule when its successor matches, else the default."""
@@ -47,74 +49,62 @@ class Lexicon:
 
 
 DEFAULT_CONDITION = "*"
+# markers a decision may not be: <unk> is a legal target, '*' marks a default rule
+RESERVED_TARGETS = (BOS_SURFACE, EOS_SURFACE, PHI_SURFACE, DEFAULT_CONDITION)
 
 
-def _rows(path: str | Path):
-    """(line number, source, condition, target) of each rule line; blank and '#' lines are skipped."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: not UTF-8 at byte {exc.start}") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise LexiconError(f"{path}: line {lineno}: expected 3 tab-separated columns")
-            yield lineno, *parts
-
-
-def load_lexicon(path: str | Path, vocab: Vocabulary) -> Lexicon:
+def load_lexicon(path: str | Path) -> tuple[Vocabulary, Lexicon]:
     """Load a 3-column TSV: source, condition ('*' for default), target.
 
-    Duplicate keys are rejected rather than resolved; every regular
-    vocabulary token must end up with a default rule. Errors name the file and line.
+    The file fixes the vocabulary: reserved ids first, then every source,
+    condition and target surface in file order of first occurrence. Blank
+    and '#' lines are skipped. Duplicate keys are rejected rather than
+    resolved, a reserved marker may not be a source, a condition, or a
+    target other than `<unk>`, and every condition token needs a default
+    rule. Errors name the file and, for a bad row, its line.
     """
+    index = {surface: token_id for token_id, surface in enumerate(RESERVED_SURFACES)}
     default: dict[int, int] = {}
     conditional: dict[tuple[int, int], int] = {}
-    ambiguous: set[int] = set()
-    for lineno, src_s, cond_s, tgt_s in _rows(path):
+    for lineno, raw in enumerate(read_text(path, LexiconError).splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
         where = f"{path}: line {lineno}"
-        src = vocab.lookup(src_s)
-        if src not in vocab.regular_ids:
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise LexiconError(f"{where}: expected 3 tab-separated columns")
+        src_s, cond_s, tgt_s = parts
+        if src_s in RESERVED_SURFACES or src_s == DEFAULT_CONDITION:
             raise LexiconError(f"{where}: unknown or reserved source token {src_s!r}")
-        tgt = vocab.lookup(tgt_s)
-        if tgt == UNK and tgt_s != vocab.surface(UNK):
-            raise LexiconError(f"{where}: target token {tgt_s!r} missing from vocabulary")
-        if cond_s == DEFAULT_CONDITION:
+        if tgt_s in RESERVED_TARGETS:
+            raise LexiconError(f"{where}: reserved target token {tgt_s!r}")
+        if cond_s in RESERVED_SURFACES:
+            raise LexiconError(f"{where}: unknown condition token {cond_s!r}")
+        src = index.setdefault(src_s, len(index))  # ids in file order of first occurrence
+        cond = None if cond_s == DEFAULT_CONDITION else index.setdefault(cond_s, len(index))
+        tgt = index.setdefault(tgt_s, len(index))
+        if cond is None:
             if src in default:
                 raise LexiconError(f"{where}: duplicate default rule for {src_s!r}")
             default[src] = tgt
+        elif (src, cond) in conditional:
+            raise LexiconError(f"{where}: duplicate conditional rule for {src_s!r}")
         else:
-            cond = vocab.lookup(cond_s)
-            if cond not in vocab.regular_ids:
-                raise LexiconError(f"{where}: unknown condition token {cond_s!r}")
-            if (src, cond) in conditional:
-                raise LexiconError(f"{where}: duplicate conditional rule for {src_s!r}")
             conditional[(src, cond)] = tgt
-            ambiguous.add(src)
+    if len(index) == len(RESERVED_SURFACES):
+        raise LexiconError(f"{path}: empty lexicon file")  # no rule rows
     if not default:
         raise LexiconError(f"{path}: lexicon has no default rules")
+    vocab = Vocabulary(tuple(index))
     # condition tokens occur in source sentences, so they need rules themselves
     missing = sorted({vocab.surface(c) for (_, c) in conditional if c not in default})
     if missing:
         raise LexiconError(f"{path}: condition tokens without a default rule: {missing}")
-    return Lexicon(default=default, conditional=conditional, ambiguous=frozenset(ambiguous))
-
-
-def read_lexicon_vocabulary(path: str | Path) -> Vocabulary:
-    """Build the shared vocabulary from a lexicon file.
-
-    The lexicon names every source token (default rules), every condition
-    token, and every target token, so it fully determines the vocabulary:
-    reserved ids first, then surfaces in file order of first occurrence.
-    """
-    tokens = dict.fromkeys(RESERVED_SURFACES)  # an ordered set
-    for _, *surfaces in _rows(path):
-        tokens.update(dict.fromkeys(surface for surface in surfaces if surface != DEFAULT_CONDITION))
-    if len(tokens) == len(RESERVED_SURFACES):
-        raise LexiconError(f"{path}: empty lexicon file")
-    return Vocabulary(tuple(tokens))
+    try:
+        return vocab, Lexicon(default=default, conditional=conditional)
+    except LexiconError as exc:
+        raise LexiconError(f"{path}: {exc}") from None
 
 
 def save_lexicon(path: str | Path, lexicon: Lexicon, vocab: Vocabulary) -> None:

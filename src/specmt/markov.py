@@ -22,10 +22,10 @@ import numpy as np
 
 from .lexicon import Lexicon, save_lexicon
 from .model import PolicyConfig, SimtModel
-from .vocab import RESERVED_SURFACES, Sentence, Vocabulary, write_corpus_lines
+from .vocab import RESERVED_SURFACES, Sentence, SpecmtError, Vocabulary, write_corpus_lines
 
 
-class GenerationError(ValueError):
+class GenerationError(SpecmtError, ValueError):
     pass
 
 
@@ -122,12 +122,7 @@ def _build_vocab_and_lexicon(
         # fires; the end-of-sentence column is not a valid conditioner
         successor = int(np.argmax(transitions[r][:count]))
         conditional[(sid(r), sid(successor))] = vocab.lookup(alt_surfaces[r])
-    lexicon = Lexicon(
-        default=default,
-        conditional=conditional,
-        ambiguous=frozenset(sid(r) for r in ambiguous_local),
-    )
-    return vocab, lexicon
+    return vocab, Lexicon(default=default, conditional=conditional)
 
 
 def _sample_sources(

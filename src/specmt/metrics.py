@@ -11,8 +11,10 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
+from .vocab import SpecmtError
 
-class MetricsError(ValueError):
+
+class MetricsError(SpecmtError, ValueError):
     pass
 
 

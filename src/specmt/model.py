@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lexicon import Lexicon
-from .vocab import EOS, PHI, Sentence, Vocabulary
+from .vocab import EOS, PHI, Sentence, SpecmtError, Vocabulary
 
 WAIT_K = "wait_k"
 ADAPTIVE = "adaptive"
 
 
-class ModelError(ValueError):
+class ModelError(SpecmtError, ValueError):
     pass
 
 

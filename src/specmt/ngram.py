@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .vocab import BOS, EOS, UNK, UNK_SURFACE, Sentence, Vocabulary, write_artifact
+from .vocab import BOS, EOS, UNK, UNK_SURFACE, Sentence, SpecmtError, Vocabulary, read_text, write_artifact
 
 
-class PredictorError(ValueError):
+class PredictorError(SpecmtError, ValueError):
     pass
 
 
@@ -221,13 +221,13 @@ def train_ngram(
 def load_ngram(path: str | Path, vocabulary: Vocabulary) -> NgramModel:
     """Read a model written by `NgramModel.save`; any other file raises
     `PredictorError` naming it."""
+    text = read_text(path, PredictorError)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return _model_from_payload(payload, vocabulary)
-    except UnicodeDecodeError as exc:
-        raise PredictorError(f"{path}: not UTF-8 at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
         raise PredictorError(f"{path}: not JSON: {exc}") from None
+    try:
+        return _model_from_payload(payload, vocabulary)
     except PredictorError as exc:
         raise PredictorError(f"{path}: {exc}") from None
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .vocab import EOS_SURFACE, PHI_SURFACE, write_artifact
+from .vocab import EOS_SURFACE, PHI_SURFACE, SpecmtError, read_text, write_artifact
 
 READ = "READ"
 PREDICT = "PREDICT"
@@ -30,7 +30,7 @@ END = "END"
 EVENT_KINDS = frozenset((READ, PREDICT, SPECULATE, COMMIT, WITHDRAW, WRITE, END))
 
 
-class TraceError(ValueError):
+class TraceError(SpecmtError, ValueError):
     pass
 
 
@@ -42,16 +42,6 @@ def _string(value: object) -> str:
     """`json.dumps` of a string field; `encode_basestring` is the encoder it
     uses for strings when `ensure_ascii=False`."""
     return encode_basestring(value) if type(value) is str else _dumps(value)
-
-
-class _Literals(dict):
-    """`_string` of each distinct surface, computed once."""
-
-    def __missing__(self, value: object) -> str:
-        literal = _string(value)
-        if type(value) is str:  # 1, 1.0 and True are equal keys with different spellings
-            self[value] = literal
-        return literal
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps spellings
@@ -67,25 +57,25 @@ def _number(value: object) -> str:
     return _dumps(value)
 
 
-def _event_parts(parts: list[str], event: Event, end: str, literal: _Literals) -> None:
+def _event_parts(parts: list[str], event: Event, end: str) -> None:
     """Append one event's JSON object, keys in field order and None fields
     left out, then `end`."""
     ev, i, j, tok, pred, p, old, new = event
-    parts += ('{"ev": ', literal[ev])
+    parts += ('{"ev": ', _string(ev))
     if i is not None:
         parts += (', "i": ', _number(i))
     if j is not None:
         parts += (', "j": ', _number(j))
     if tok is not None:
-        parts += (', "tok": ', literal[tok])
+        parts += (', "tok": ', _string(tok))
     if pred is not None:
-        parts += (', "pred": ', literal[pred])
+        parts += (', "pred": ', _string(pred))
     if p is not None:
         parts += (', "p": ', _number(p))
     if old is not None:
-        parts += (', "old": ', literal[old])
+        parts += (', "old": ', _string(old))
     if new is not None:
-        parts += (', "new": ', literal[new])
+        parts += (', "new": ', _string(new))
     parts.append(end)
 
 
@@ -117,7 +107,7 @@ class Event(NamedTuple):
 
     def to_json(self) -> str:
         parts: list[str] = []
-        _event_parts(parts, self, "}", _Literals())
+        _event_parts(parts, self, "}")
         return "".join(parts)
 
 
@@ -159,9 +149,8 @@ class EventTrace:
         """The JSON Lines file: the header, then one line per event, with
         keys in a fixed order; byte-identical to `json.dumps` of each line."""
         parts = [self.run_config.to_json(), "\n"]
-        literals = _Literals()
         for event in self.events:
-            _event_parts(parts, event, "}\n", literals)
+            _event_parts(parts, event, "}\n")
         return "".join(parts)
 
     def save(self, path: str | Path) -> None:
@@ -293,12 +282,11 @@ def parse_trace(text: str) -> EventTrace:
 
 
 def load_trace(path: str | Path) -> EventTrace:
+    text = read_text(path, TraceError)
     try:
-        return parse_trace(Path(path).read_text(encoding="utf-8"))
+        return parse_trace(text)
     except TraceError as exc:
         raise TraceError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise TraceError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
 class Replay(NamedTuple):

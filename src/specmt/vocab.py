@@ -24,8 +24,22 @@ RESERVED_SURFACES = (BOS_SURFACE, EOS_SURFACE, PHI_SURFACE, UNK_SURFACE)
 Sentence = tuple[int, ...]
 
 
-class VocabularyError(ValueError):
+class SpecmtError(Exception):
+    """Base of every error the package raises for bad input or settings; each
+    subclass also keeps a builtin base (`ValueError`, or `RuntimeError`)."""
+
+
+class VocabularyError(SpecmtError, ValueError):
     pass
+
+
+def read_text(path: str | Path, error: type[SpecmtError]) -> str:
+    """The UTF-8 text of the file at `path`; a file that is not UTF-8 raises
+    `error` naming the path and the offset of the first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
 @dataclass(frozen=True)
@@ -91,16 +105,9 @@ def build_vocabulary(corpus: Iterable[str]) -> Vocabulary:
     return Vocabulary(tuple(tokens))
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise VocabularyError(f"{path}: not UTF-8 at byte {exc.start}") from None
-
-
 def read_corpus_lines(path: str | Path) -> list[str]:
     """Read a corpus file: UTF-8, one sentence per line, blank lines dropped."""
-    return [line.strip() for line in _read_lines(path) if line.strip()]
+    return [line.strip() for line in read_text(path, VocabularyError).splitlines() if line.strip()]
 
 
 def write_artifact(path: str | Path, text: str) -> None:
@@ -140,7 +147,7 @@ def load_corpus(path: str | Path, vocab: Vocabulary) -> dict[int, Sentence]:
     file order, keyed by its 1-based line number (blank lines counted). An
     error names the file and that line."""
     sentences = {}
-    for lineno, line in enumerate(_read_lines(path), 1):
+    for lineno, line in enumerate(read_text(path, VocabularyError).splitlines(), 1):
         if line.strip():
             try:
                 sentences[lineno] = encode_source(line, vocab)

@@ -15,7 +15,6 @@ def toy():
     lexicon = Lexicon(
         default={ids["a"]: ids["A"], ids["b"]: ids["B2"], ids["c"]: ids["C"], ids["d"]: ids["D"]},
         conditional={(ids["b"], ids["c"]): ids["B1"]},
-        ambiguous=frozenset({ids["b"]}),
     )
     return vocab, lexicon, ids
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import os
+import pkgutil
 import shutil
 
 import pytest
 
+import specmt
 from specmt.cli import build_parser, main
 
 
@@ -139,6 +142,36 @@ def test_metrics_from_trace_files(workspace, capsys):
         run_rows = list(csv.DictReader(handle))
     assert run_rows
     assert all(float(r["BLEU"]) == pytest.approx(1.0) for r in run_rows)
+
+
+def test_sweep_and_metrics_compare_references_as_text(tmp_path, capsys):
+    # `b` translates to the literal `<unk>` while the references spell it
+    # `foo`: both commands must split the reference lines and compare them
+    # with the outputs as strings, so they give the same BLEU.
+    (tmp_path / "lexicon.tsv").write_text("a\t*\tA\nb\t*\t<unk>\nc\t*\tC\n")
+    sentences = [" ".join("abc"[(i + k) % 3] for k in range(3 + i % 4)) for i in range(40)]
+    (tmp_path / "corpus.txt").write_text("".join(line + "\n" for line in sentences))
+    translate = {"a": "A", "b": "foo", "c": "C"}
+    (tmp_path / "references.txt").write_text(
+        "".join(" ".join(translate[tok] for tok in line.split()) + "\n" for line in sentences)
+    )
+    assert run_cli(
+        "sweep", "--set", f"corpus={tmp_path / 'corpus.txt'}", "--set", f"lexicon={tmp_path / 'lexicon.tsv'}",
+        "--set", f"references={tmp_path / 'references.txt'}", "--set", "k_grid=1", "--set", "predictors=oracle",
+        "--set", "record_traces=1", "--out", tmp_path / "results",
+    ) == 0
+    assert run_cli(
+        "metrics", "--traces", tmp_path / "results" / "traces", "--references", tmp_path / "references.txt",
+        "--out", tmp_path / "metrics",
+    ) == 0
+
+    def rows(path):
+        with open(path, newline="") as handle:
+            return {row["run_id"]: row for row in csv.DictReader(handle)}
+
+    swept, recomputed = rows(tmp_path / "results" / "runs.csv"), rows(tmp_path / "metrics" / "trace_runs.csv")
+    assert len(swept) == 8
+    assert recomputed == swept
 
 
 def test_reruns_replace_artifacts_instead_of_truncating(workspace):
@@ -279,6 +312,10 @@ ERROR_CASES = {
         ["sweep", "--set", "corpus={tmp}/corpus.txt", "--set", "lexicon={tmp}/undefined.tsv",
          "--set", "references={tmp}/corpus.txt", "--out", "{tmp}/r"],
         "{tmp}/undefined.tsv: condition tokens without a default rule: ['zz']"),
+    "lexicon reserved target": (
+        ["sweep", "--set", "corpus={tmp}/ab.txt", "--set", "lexicon={tmp}/reserved_target.tsv",
+         "--set", "references={tmp}/ab.txt", "--out", "{tmp}/r"],
+        "{tmp}/reserved_target.tsv: line 2: reserved target token '</s>'"),
     "lexicon not UTF-8": (
         ["train-lm", "--corpus", "{tmp}/corpus.txt", "--lexicon", "{tmp}/binary", "--out", "{tmp}/lm.json"],
         "{tmp}/binary: not UTF-8 at byte 0"),
@@ -312,6 +349,8 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "binary").write_bytes(b"\xff\xfea b\n")
     (tmp_path / "order_only.json").write_text('{"order": 2}\n')
     (tmp_path / "ab.tsv").write_text("a\t*\tA\nb\t*\tB\n")
+    (tmp_path / "reserved_target.tsv").write_text("a\t*\tA\nb\t*\t</s>\n")
+    (tmp_path / "ab.txt").write_text("a b a\nb a\n" * 20)
     (tmp_path / "oov.txt").write_text("a b\n\nb zzz\n")
     argv, message = ERROR_CASES[case]
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
@@ -319,3 +358,23 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     assert captured.err.startswith("specmt: ") and captured.err.count("\n") == 1
     assert message.format(tmp=tmp_path) in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_every_package_error_is_a_specmt_error():
+    # `main` reports a SpecmtError as one line, so an error class that is not
+    # one would reach the user as a traceback
+    errors = {}
+    for info in pkgutil.iter_modules(specmt.__path__, "specmt."):
+        module = importlib.import_module(info.name)
+        errors.update(
+            (name, obj) for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == info.name
+        )
+    assert errors.pop("SpecmtError") is specmt.SpecmtError
+    assert set(errors) >= {
+        "EngineError", "ExperimentError", "GenerationError", "LexiconError", "MetricsError", "ModelError",
+        "PredictorError", "TraceError", "VocabularyError",
+    }
+    for name, error in errors.items():
+        assert issubclass(error, specmt.SpecmtError), name
+        assert issubclass(error, RuntimeError if name == "EngineError" else ValueError), name

@@ -101,7 +101,6 @@ def worlds(draw):
     lexicon = Lexicon(
         default={ids[k]: vocab.lookup(f"T{k}") for k in range(n)},
         conditional={(ids[src], ids[cond]): vocab.lookup(target) for src, cond, target in rules},
-        ambiguous=frozenset(ids[src] for src in ambiguous),
     )
     return vocab, lexicon, ids
 

@@ -10,7 +10,6 @@ from specmt import (
     generate,
     generate_out_of_domain_sources,
     load_lexicon,
-    read_lexicon_vocabulary,
     run_baseline,
     train_ngram,
 )
@@ -57,8 +56,7 @@ class TestGeneratedWorld:
     def test_files_reconstruct_the_in_memory_world(self, tmp_path):
         spec = _spec()
         corpus_path, lexicon_path, refs_path = gen_corpus(spec, 30, tmp_path)
-        vocab = read_lexicon_vocabulary(lexicon_path)
-        lexicon = load_lexicon(lexicon_path, vocab)
+        vocab, lexicon = load_lexicon(lexicon_path)
         sources = list(load_corpus(corpus_path, vocab).values())
         refs = [tuple(vocab.encode(line)) for line in read_corpus_lines(refs_path)]
         model = SimtModel(lexicon=lexicon, policy=PolicyConfig.wait_k(1), vocabulary=vocab)

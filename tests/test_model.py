@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from specmt import Lexicon, LexiconError, ModelError, PolicyConfig, load_lexicon, save_lexicon
+from specmt import LexiconError, ModelError, PolicyConfig, load_lexicon, save_lexicon
 from specmt.model import adaptive_threshold
 from specmt.vocab import EOS, PHI
 from conftest import make_model
@@ -131,32 +131,38 @@ class TestFullSentence:
 
 
 class TestLexiconFiles:
+    @staticmethod
+    def rules(vocab, lexicon):
+        """The lexicon in surfaces: ids are only meaningful within one vocabulary."""
+        surface = vocab.surface
+        return (
+            {surface(src): surface(tgt) for src, tgt in lexicon.default.items()},
+            {(surface(src), surface(cond)): surface(tgt) for (src, cond), tgt in lexicon.conditional.items()},
+            {surface(src) for src in lexicon.ambiguous},
+        )
+
     def test_roundtrip(self, toy, tmp_path):
         vocab, lexicon, ids = toy
         path = tmp_path / "lexicon.tsv"
         save_lexicon(path, lexicon, vocab)
-        loaded = load_lexicon(path, vocab)
-        assert loaded == lexicon
+        loaded_vocab, loaded = load_lexicon(path)
+        assert self.rules(loaded_vocab, loaded) == self.rules(vocab, lexicon)
 
-    def test_duplicate_rules_rejected(self, toy, tmp_path):
-        vocab, _, _ = toy
+    def test_vocabulary_in_file_order(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("# comment\nb\t*\tB\n\nb\ta\tB1\na\t*\t<unk>\n")
+        vocab, lexicon = load_lexicon(path)
+        assert vocab.tokens == ("<s>", "</s>", "<phi>", "<unk>", "b", "B", "a", "B1")
+        assert lexicon.ambiguous == {vocab.lookup("b")}
+
+    def test_duplicate_rules_rejected(self, tmp_path):
         path = tmp_path / "lexicon.tsv"
         path.write_text("a\t*\tA\na\t*\tB1\nb\t*\tB2\nc\t*\tC\nd\t*\tD\n")
         with pytest.raises(LexiconError, match="duplicate"):
-            load_lexicon(path, vocab)
+            load_lexicon(path)
 
-    def test_condition_without_default_rejected(self, toy, tmp_path):
-        vocab, _, _ = toy
+    def test_condition_without_default_rejected(self, tmp_path):
         path = tmp_path / "lexicon.tsv"
         path.write_text("b\t*\tB2\nb\tc\tB1\n")  # condition token c has no rule
         with pytest.raises(LexiconError, match="without a default"):
-            load_lexicon(path, vocab)
-
-    def test_conditional_only_for_ambiguous(self, toy):
-        vocab, _, ids = toy
-        with pytest.raises(LexiconError, match="non-ambiguous"):
-            Lexicon(
-                default={ids["a"]: ids["A"]},
-                conditional={(ids["a"], ids["b"]): ids["B1"]},
-                ambiguous=frozenset(),
-            )
+            load_lexicon(path)
