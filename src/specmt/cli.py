@@ -15,7 +15,7 @@ from .experiment import (
 from .lexicon import load_lexicon
 from .markov import gen_corpus
 from .ngram import load_ngram, train_ngram
-from .vocab import SpecmtError, Vocabulary, build_vocabulary, load_corpus, read_corpus_lines
+from .vocab import SpecmtError, build_vocabulary, load_corpus, read_corpus_lines
 
 # reported as `specmt: <message>` with exit status 2, without a traceback
 ERRORS = (SpecmtError, OSError)
@@ -45,8 +45,7 @@ def _add_train_lm(sub: argparse._SubParsersAction) -> None:
 def _add_lm_stats(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("lm-stats", help="perplexity and next-token accuracy on held-out text")
     p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--corpus", type=Path, required=True, help="held-out corpus file")
-    p.add_argument("--lexicon", type=Path, default=None)
+    p.add_argument("--corpus", type=Path, required=True, help="held-out corpus file, in the model's vocabulary")
 
 
 def _add_sweep(sub: argparse._SubParsersAction) -> None:
@@ -99,12 +98,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
-def _vocab_for_lm(corpus: Path, lexicon: Path | None) -> Vocabulary:
-    if lexicon is not None:
-        return load_lexicon(lexicon)[0]
-    return build_vocabulary(read_corpus_lines(corpus))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -123,17 +116,19 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if args.command == "train-lm":
         config = _config_from_args(args)
-        vocab = _vocab_for_lm(args.corpus, args.lexicon)
+        if args.lexicon is not None:
+            vocab = load_lexicon(args.lexicon)[0]
+        else:
+            vocab = build_vocabulary(read_corpus_lines(args.corpus))
         corpus = list(load_corpus(args.corpus, vocab).values())
-        model = train_ngram(corpus, config.ngram_order, config.alpha, config.beta, vocab)
+        model = train_ngram(corpus, config.ngram_order, config.alpha, config.beta, vocabulary=vocab)
         model.save(args.out)
         print(f"trained order-{config.ngram_order} model on {len(corpus)} sentences -> {args.out}")
         return 0
 
     if args.command == "lm-stats":
-        vocab = _vocab_for_lm(args.corpus, args.lexicon)
-        model = load_ngram(args.model, vocab)
-        corpus = list(load_corpus(args.corpus, vocab).values())
+        model = load_ngram(args.model)
+        corpus = list(load_corpus(args.corpus, model.vocabulary).values())
         stats = model.evaluate(corpus)
         print(f"sentences       {len(corpus)}")
         print(f"events          {int(stats['events'])}")

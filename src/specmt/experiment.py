@@ -88,8 +88,9 @@ class ExperimentConfig:
             raise ExperimentError("empty policy grid")
         if not self.tau_grid:
             raise ExperimentError("empty tau grid")
-        if self.corpus is not None and (self.lexicon is None or self.references is None):
-            raise ExperimentError("a corpus path needs lexicon and references paths")
+        unset = [key for key in ("corpus", "lexicon", "references") if getattr(self, key) is None]
+        if 0 < len(unset) < 3:
+            raise ExperimentError(f"corpus, lexicon and references are set together; not set: {', '.join(unset)}")
         for name in ("k_grid", "l_grid", "tau_grid", "predictors"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ExperimentError(f"duplicate value in {name}")
@@ -240,29 +241,18 @@ class ExperimentResult:
         return not self.failures
 
 
-def _speculative_accuracy(kind: str, trained: dict[str, NgramModel], data: PreparedData) -> float:
-    if kind == "oracle":
-        return 1.0
-    if kind == "always_wrong":
-        return 0.0
-    return trained[kind].evaluate(data.test_sources)["accuracy"]
-
-
 def build_predictors(config: ExperimentConfig, data: PreparedData) -> dict[str, NgramModel]:
-    """Train the n-gram predictors the grid asks for."""
-    trained: dict[str, NgramModel] = {}
-    if "indomain" in config.predictors:
-        trained["indomain"] = train_ngram(
-            data.train_sources, config.ngram_order, config.alpha, config.beta, data.vocabulary
-        )
-    if "outdomain" in config.predictors:
-        ood_sources = generate_out_of_domain_sources(
+    """Train the n-gram predictors the grid asks for, each on its kind's sources."""
+    sources = {
+        "indomain": lambda: data.train_sources,
+        "outdomain": lambda: generate_out_of_domain_sources(
             config.source_spec(), len(data.train_sources), config.seed + OOD_SEED_OFFSET
-        )
-        trained["outdomain"] = train_ngram(
-            ood_sources, config.ngram_order, config.alpha, config.beta, data.vocabulary
-        )
-    return trained
+        ),
+    }
+    return {
+        kind: train_ngram(sources[kind](), config.ngram_order, config.alpha, config.beta, vocabulary=data.vocabulary)
+        for kind in sources if kind in config.predictors
+    }
 
 
 def _clear_outputs(config: ExperimentConfig, out_dir: Path) -> None:
@@ -356,8 +346,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     run_rows.extend(point[1])
 
     result.summary_rows = summarize(run_rows)
-    kinds = {row["predictor"] for row in result.summary_rows}
-    accuracy = {kind: _speculative_accuracy(kind, trained, data) for kind in kinds}
+    accuracy = {"oracle": 1.0, "always_wrong": 0.0}
+    accuracy.update((kind, model.evaluate(data.test_sources)["accuracy"]) for kind, model in trained.items())
     for row in result.summary_rows:
         row["accuracy"] = accuracy[row["predictor"]]
     _write_csv(out_dir / "runs.csv", RUN_COLUMNS, run_rows)

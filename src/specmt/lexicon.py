@@ -60,8 +60,9 @@ def load_lexicon(path: str | Path) -> tuple[Vocabulary, Lexicon]:
     condition and target surface in file order of first occurrence. Blank
     and '#' lines are skipped. Duplicate keys are rejected rather than
     resolved, a reserved marker may not be a source, a condition, or a
-    target other than `<unk>`, and every condition token needs a default
-    rule. Errors name the file and, for a bad row, its line.
+    target other than `<unk>`, and every condition token and every
+    ambiguous source needs a default rule. Errors name the file and, for a
+    bad row, its line.
     """
     index = {surface: token_id for token_id, surface in enumerate(RESERVED_SURFACES)}
     default: dict[int, int] = {}
@@ -101,10 +102,10 @@ def load_lexicon(path: str | Path) -> tuple[Vocabulary, Lexicon]:
     missing = sorted({vocab.surface(c) for (_, c) in conditional if c not in default})
     if missing:
         raise LexiconError(f"{path}: condition tokens without a default rule: {missing}")
-    try:
-        return vocab, Lexicon(default=default, conditional=conditional)
-    except LexiconError as exc:
-        raise LexiconError(f"{path}: {exc}") from None
+    missing = sorted({vocab.surface(src) for (src, _) in conditional if src not in default})
+    if missing:
+        raise LexiconError(f"{path}: ambiguous tokens without a default rule: {missing}")
+    return vocab, Lexicon(default=default, conditional=conditional)
 
 
 def save_lexicon(path: str | Path, lexicon: Lexicon, vocab: Vocabulary) -> None:

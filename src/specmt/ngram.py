@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .vocab import BOS, EOS, UNK, UNK_SURFACE, Sentence, SpecmtError, Vocabulary, read_text, write_artifact
+from .vocab import (
+    BOS, EOS, RESERVED_SURFACES, UNK, UNK_SURFACE, Sentence, SpecmtError, Vocabulary, read_text, write_artifact,
+)
 
 
 class PredictorError(SpecmtError, ValueError):
@@ -33,8 +35,8 @@ class NgramModel:
     """Immutable trained model; `predict` is a pure function of its arguments.
 
     `counts` maps contexts of every length 0..order-1 (BOS-padded tuples) to
-    positive per-token occurrence counts. `support` is the prediction event
-    space: every token id observed in training plus EOS, in ascending id
+    positive per-token occurrence counts. `support`, derived from them, is the
+    prediction event space: EOS and every counted token, in ascending id
     order. `predict` returns the argmax over it, ties going to the smallest id.
 
     That argmax scores few tokens. A token counted after no non-empty suffix
@@ -51,8 +53,8 @@ class NgramModel:
     alpha: float
     beta: float
     counts: dict[tuple[int, ...], dict[int, int]]
-    support: tuple[int, ...]
     vocabulary: Vocabulary
+    support: tuple[int, ...] = field(init=False)
     _totals: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     _unigram: dict[int, int] = field(init=False, repr=False, compare=False)
     _denominator: float = field(init=False, repr=False, compare=False)
@@ -62,6 +64,7 @@ class NgramModel:
     def __post_init__(self) -> None:
         totals = {ctx: sum(dist.values()) for ctx, dist in self.counts.items()}
         unigram = self.counts.get((), {})
+        object.__setattr__(self, "support", tuple(sorted({EOS}.union(*self.counts.values()))))
         object.__setattr__(self, "_totals", totals)
         object.__setattr__(self, "_unigram", unigram)
         object.__setattr__(self, "_denominator", totals.get((), 0) + self.alpha * len(self.support))
@@ -184,55 +187,39 @@ def _check_parameters(order: int, alpha: float, beta: float) -> None:
 
 
 def train_ngram(
-    corpus: Sequence[Sentence],
-    order: int,
-    alpha: float = 0.1,
-    beta: float = 0.9,
-    vocabulary: Vocabulary | None = None,
+    corpus: Sequence[Sentence], order: int, alpha: float = 0.1, beta: float = 0.9, *, vocabulary: Vocabulary
 ) -> NgramModel:
     """Count n-grams of every order up to `order` with BOS padding and an EOS terminal."""
     _check_parameters(order, alpha, beta)
     if not corpus:
         raise PredictorError("empty corpus")
-    if vocabulary is None:
-        raise PredictorError("a vocabulary is required")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    observed: set[int] = {EOS}
     for sentence in corpus:
         stream = (BOS,) * (order - 1) + tuple(sentence) + (EOS,)
         for t in range(order - 1, len(stream)):
             token = stream[t]
-            if token != EOS:
-                observed.add(token)
             for width in range(order):
                 ctx = stream[t - width : t]
                 counts.setdefault(ctx, {}).setdefault(token, 0)
                 counts[ctx][token] += 1
-    return NgramModel(
-        order=order,
-        alpha=alpha,
-        beta=beta,
-        counts=counts,
-        support=tuple(sorted(observed)),
-        vocabulary=vocabulary,
-    )
+    return NgramModel(order=order, alpha=alpha, beta=beta, counts=counts, vocabulary=vocabulary)
 
 
-def load_ngram(path: str | Path, vocabulary: Vocabulary) -> NgramModel:
-    """Read a model written by `NgramModel.save`; any other file raises
-    `PredictorError` naming it."""
+def load_ngram(path: str | Path) -> NgramModel:
+    """Read a model written by `NgramModel.save`, with the vocabulary its
+    `tokens` list gives; any other file raises `PredictorError` naming it."""
     text = read_text(path, PredictorError)
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
         raise PredictorError(f"{path}: not JSON: {exc}") from None
     try:
-        return _model_from_payload(payload, vocabulary)
+        return _model_from_payload(payload)
     except PredictorError as exc:
         raise PredictorError(f"{path}: {exc}") from None
 
 
-def _model_from_payload(payload: object, vocabulary: Vocabulary) -> NgramModel:
+def _model_from_payload(payload: object) -> NgramModel:
     if not isinstance(payload, dict) or set(payload) != {"order", "alpha", "beta", "tokens", "counts"}:
         raise PredictorError("expected an object with keys order, alpha, beta, tokens and counts")
     order, alpha, beta = payload["order"], payload["alpha"], payload["beta"]
@@ -242,13 +229,12 @@ def _model_from_payload(payload: object, vocabulary: Vocabulary) -> NgramModel:
     tokens, entries = payload["tokens"], payload["counts"]
     if not isinstance(tokens, list) or not all(isinstance(s, str) for s in tokens):
         raise PredictorError("tokens must be a list of strings")
-    missing = [s for s in tokens if vocabulary.lookup(s) == UNK and s != UNK_SURFACE]
-    if missing:
-        raise PredictorError(f"model tokens missing from vocabulary: {missing[:5]}")
+    if len(set(tokens)) != len(tokens) or set(tokens) & set(RESERVED_SURFACES):
+        raise PredictorError("tokens must be distinct and not reserved surfaces")
+    vocabulary = Vocabulary(RESERVED_SURFACES + tuple(tokens))
     if not isinstance(entries, list):
         raise PredictorError("counts must be a list")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    observed: set[int] = {EOS}
     for n, entry in enumerate(entries):
         if not (
             isinstance(entry, list) and len(entry) == 3
@@ -264,20 +250,11 @@ def _model_from_payload(payload: object, vocabulary: Vocabulary) -> NgramModel:
         tok = vocabulary.lookup(tok_surface)
         if tok in counts.get(ctx, ()):
             raise PredictorError(f"counts entry {n}: duplicate entry")
-        if tok != EOS:
-            observed.add(tok)
         counts.setdefault(ctx, {})[tok] = count
     # training counts BOS-padded contexts of every width up to order - 1
     if max(map(len, counts), default=-1) != order - 1:
         raise PredictorError(f"the longest counted context must have order - 1 = {order - 1} tokens")
-    return NgramModel(
-        order=order,
-        alpha=alpha,
-        beta=beta,
-        counts=counts,
-        support=tuple(sorted(observed)),
-        vocabulary=vocabulary,
-    )
+    return NgramModel(order=order, alpha=alpha, beta=beta, counts=counts, vocabulary=vocabulary)
 
 
 class OraclePredictor:

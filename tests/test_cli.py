@@ -10,6 +10,7 @@ import pytest
 
 import specmt
 from specmt.cli import build_parser, main
+from specmt.vocab import load_corpus, read_corpus_lines
 
 
 def run_cli(*argv):
@@ -51,18 +52,42 @@ def test_train_lm_without_lexicon(workspace):
     assert model_path.exists()
 
 
-def test_train_and_stats(workspace, capsys):
+def _stats_text(model, corpus):
+    """What `lm-stats` prints for `model` on the encoded `corpus`."""
+    stats = model.evaluate(corpus)
+    return (f"sentences       {len(corpus)}\nevents          {int(stats['events'])}\n"
+            f"perplexity      {stats['perplexity']:.4f}\naccuracy        {stats['accuracy']:.4f}\n")
+
+
+@pytest.mark.parametrize("with_lexicon", [True, False], ids=["lexicon", "corpus_vocabulary"])
+def test_train_and_stats(workspace, capsys, with_lexicon):
     data = workspace / "data"
     model_path = workspace / "lm.json"
-    assert run_cli("train-lm", "--corpus", data / "corpus.txt",
-                   "--lexicon", data / "lexicon.tsv", "--set", "ngram_order=2",
-                   "--out", model_path) == 0
-    assert model_path.exists()
+    lexicon = ["--lexicon", data / "lexicon.tsv"] if with_lexicon else []
+    assert run_cli("train-lm", "--corpus", data / "corpus.txt", *lexicon, "--out", model_path) == 0
+    if with_lexicon:
+        vocab = specmt.load_lexicon(data / "lexicon.tsv")[0]
+    else:
+        vocab = specmt.build_vocabulary(read_corpus_lines(data / "corpus.txt"))
+    corpus = list(load_corpus(data / "corpus.txt", vocab).values())
+    trained = specmt.train_ngram(corpus, 2, vocabulary=vocab)
+    # lm-stats reads the vocabulary from the model file alone
     capsys.readouterr()
-    assert run_cli("lm-stats", "--model", model_path, "--corpus", data / "corpus.txt",
-                   "--lexicon", data / "lexicon.tsv") == 0
-    out = capsys.readouterr().out
-    assert "perplexity" in out and "accuracy" in out
+    assert run_cli("lm-stats", "--model", model_path, "--corpus", data / "corpus.txt") == 0
+    assert capsys.readouterr().out == _stats_text(trained, corpus)
+    loaded = specmt.load_ngram(model_path)
+    assert (loaded.vocabulary, loaded.counts, loaded.support) == (trained.vocabulary, trained.counts, trained.support)
+
+
+def test_lm_stats_on_held_out_text_without_some_training_token(tmp_path, capsys):
+    (tmp_path / "train.txt").write_text("a b c\nb a\nc a b\n")
+    (tmp_path / "held_out.txt").write_text("a b\n\nb a b a\n")  # no c
+    assert run_cli("train-lm", "--corpus", tmp_path / "train.txt", "--out", tmp_path / "lm.json") == 0
+    capsys.readouterr()
+    assert run_cli("lm-stats", "--model", tmp_path / "lm.json", "--corpus", tmp_path / "held_out.txt") == 0
+    model = specmt.load_ngram(tmp_path / "lm.json")
+    held_out = list(load_corpus(tmp_path / "held_out.txt", model.vocabulary).values())
+    assert capsys.readouterr().out == _stats_text(model, held_out)
 
 
 def test_sweep_single_point(workspace, capsys):
@@ -229,7 +254,7 @@ def test_every_setting_is_a_config_key():
     assert options == {
         "gen-corpus": {"--config", "--set", "--out"},
         "train-lm": {"--config", "--set", "--corpus", "--lexicon", "--out"},
-        "lm-stats": {"--model", "--corpus", "--lexicon"},
+        "lm-stats": {"--model", "--corpus"},
         "sweep": {"--config", "--set", "--out"},
         "metrics": {"--traces", "--references", "--out"},
         "plot-data": {"--results", "--max-awr"},
@@ -272,6 +297,9 @@ REJECTED_SWEEPS = {
     "missing lexicon": (
         ["corpus={out}/data/corpus.txt", "lexicon={out}/data/missing.tsv", "references={out}/data/references.txt"],
         "[Errno 2] No such file or directory: '{out}/data/missing.tsv'"),
+    "lexicon and references without a corpus": (
+        ["lexicon={out}/data/lexicon.tsv", "references={out}/data/missing.txt"],
+        "corpus, lexicon and references are set together; not set: corpus"),
     "missing references": (
         ["corpus={out}/data/corpus.txt", "lexicon={out}/data/lexicon.tsv", "references={out}/data/missing.txt"],
         "[Errno 2] No such file or directory: '{out}/data/missing.txt'"),
@@ -312,6 +340,9 @@ ERROR_CASES = {
         ["sweep", "--set", "corpus={tmp}/corpus.txt", "--set", "lexicon={tmp}/undefined.tsv",
          "--set", "references={tmp}/corpus.txt", "--out", "{tmp}/r"],
         "{tmp}/undefined.tsv: condition tokens without a default rule: ['zz']"),
+    "lexicon ambiguous token without a default rule": (
+        ["train-lm", "--corpus", "{tmp}/corpus.txt", "--lexicon", "{tmp}/ambiguous.tsv", "--out", "{tmp}/lm.json"],
+        "{tmp}/ambiguous.tsv: ambiguous tokens without a default rule: ['b']"),
     "lexicon reserved target": (
         ["sweep", "--set", "corpus={tmp}/ab.txt", "--set", "lexicon={tmp}/reserved_target.tsv",
          "--set", "references={tmp}/ab.txt", "--out", "{tmp}/r"],
@@ -332,6 +363,9 @@ ERROR_CASES = {
         ["sweep", "--set", "corpus={tmp}/oov.txt", "--set", "lexicon={tmp}/ab.tsv",
          "--set", "references={tmp}/oov.txt", "--out", "{tmp}/r"],
         "{tmp}/oov.txt: line 3: unknown token 'zzz'"),
+    "held-out token outside the model's vocabulary": (
+        ["lm-stats", "--model", "{tmp}/ab.json", "--corpus", "{tmp}/oov.txt"],
+        "{tmp}/oov.txt: line 3: unknown token 'zzz'"),
     "predictor JSON without tokens": (
         ["lm-stats", "--model", "{tmp}/order_only.json", "--corpus", "{tmp}/corpus.txt"],
         "{tmp}/order_only.json: expected an object with keys order, alpha, beta, tokens and counts"),
@@ -349,6 +383,10 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "binary").write_bytes(b"\xff\xfea b\n")
     (tmp_path / "order_only.json").write_text('{"order": 2}\n')
     (tmp_path / "ab.tsv").write_text("a\t*\tA\nb\t*\tB\n")
+    (tmp_path / "ambiguous.tsv").write_text("b\tc\tB\nc\t*\tC\n")
+    (tmp_path / "ab.json").write_text(
+        '{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[[], "a", 1]]}'
+    )
     (tmp_path / "reserved_target.tsv").write_text("a\t*\tA\nb\t*\t</s>\n")
     (tmp_path / "ab.txt").write_text("a b a\nb a\n" * 20)
     (tmp_path / "oov.txt").write_text("a b\n\nb zzz\n")

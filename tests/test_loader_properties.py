@@ -23,7 +23,7 @@ VOCAB = Vocabulary(RESERVED_SURFACES + ("a", "b", "A", "B"))
 # errors about a lexicon file as a whole; every other one is about a row
 LEXICON_FILE_ERRORS = (
     "not UTF-8 at byte", "empty lexicon file", "lexicon has no default rules",
-    "condition tokens without a default rule", "ambiguous token id",
+    "condition tokens without a default rule", "ambiguous tokens without a default rule",
 )
 ROW = re.compile(r"line \d+: ")
 
@@ -118,5 +118,5 @@ def test_corpus_loads_or_names_the_file_and_line(path, data):
 @example(b"1" * 5000)  # longer than Python's integer-conversion limit
 @example(b"[" * 100_000)  # deeper than the JSON decoder recurses
 def test_ngram_loads_or_names_the_file(path, data):
-    model = load_or_error(lambda p: load_ngram(p, VOCAB), path, data)
+    model = load_or_error(load_ngram, path, data)
     assert model is None or isinstance(model, NgramModel) and EOS in model.support

@@ -22,7 +22,7 @@ from specmt.vocab import BOS, EOS
 def _train(lines, order, alpha=0.1, beta=0.9):
     vocab = build_vocabulary(lines)
     corpus = [vocab.encode(line) for line in lines]
-    return train_ngram(corpus, order, alpha, beta, vocab), vocab
+    return train_ngram(corpus, order, alpha, beta, vocabulary=vocab), vocab
 
 
 class TestTraining:
@@ -131,17 +131,9 @@ class TestSerialization:
         model, vocab = _train(["a b c", "c b a", "a c b"], order=2)
         path = tmp_path / "model.json"
         model.save(path)
-        loaded = load_ngram(path, vocab)
+        loaded = load_ngram(path)
         for ctx in [(), (vocab.lookup("a"),), (vocab.lookup("c"),)]:
             assert loaded.predict(ctx) == model.predict(ctx)
-
-    def test_load_rejects_foreign_vocabulary(self, tmp_path):
-        model, _ = _train(["a b"], order=2)
-        path = tmp_path / "model.json"
-        model.save(path)
-        other_vocab = build_vocabulary(["x y"])
-        with pytest.raises(PredictorError, match="missing from vocabulary"):
-            load_ngram(path, other_vocab)
 
     @pytest.mark.parametrize("text, message", [
         ('{"order": 2}', "expected an object with keys"),
@@ -154,34 +146,40 @@ class TestSerialization:
         ('{"order": 2, "alpha": 0.1, "beta": 1, "tokens": [], "counts": []}', "beta must be in"),
         ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": "a", "counts": []}', "tokens must be a list"),
         ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": {}}', "counts must be a list"),
-        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a"]]}', "counts entry 0: expected"),
-        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[["a", "b"], "a", 1]]}',
-         "the longest counted context must have order - 1 = 1 tokens"),
-        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a", 0]]}', "counts entry 0: expected"),
-        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a", 1.5]]}',
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[[], "a"]]}',
          "counts entry 0: expected"),
-        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "zz", 1]]}',
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[["a", "b"], "a", 1]]}',
+         "the longest counted context must have order - 1 = 1 tokens"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[[], "a", 0]]}',
+         "counts entry 0: expected"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[[], "a", 1.5]]}',
+         "counts entry 0: expected"),
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[[], "zz", 1]]}',
          "counts entry 0: token 'zz' missing from vocabulary"),
-        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a", 1], [[], "a", 2]]}',
+        ('{"order": 2, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[[], "a", 1], [[], "a", 2]]}',
          "counts entry 1: duplicate entry"),
-        ('{"order": 3, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[["a"], "b", 1]]}',
+        ('{"order": 3, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[["a"], "b", 1]]}',
          "the longest counted context must have order - 1 = 2 tokens"),
-        ('{"order": 1000000000, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": [[[], "a", 1]]}',
+        ('{"order": 1000000000, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[[], "a", 1]]}',
          "the longest counted context must have order - 1 = 999999999 tokens"),
         ('{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": [], "counts": []}',
          "the longest counted context must have order - 1 = 0 tokens"),
+        ('{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "a"], "counts": [[[], "a", 1]]}',
+         "tokens must be distinct and not reserved surfaces"),
+        ('{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "</s>"], "counts": [[[], "a", 1]]}',
+         "tokens must be distinct and not reserved surfaces"),
     ])
     def test_load_rejects_malformed_files_naming_them(self, tmp_path, text, message):
         path = tmp_path / "model.json"
         path.write_text(text)
         with pytest.raises(PredictorError, match=f"^{re.escape(str(path))}: .*{message}"):
-            load_ngram(path, build_vocabulary(["a b"]))
+            load_ngram(path)
 
     def test_load_rejects_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_bytes(b'{"order": 2, \xff}')
         with pytest.raises(PredictorError, match=f"^{re.escape(str(path))}: not UTF-8 at byte 13$"):
-            load_ngram(path, build_vocabulary(["a b"]))
+            load_ngram(path)
 
 
 class TestFixedPredictors:

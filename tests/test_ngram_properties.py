@@ -43,7 +43,7 @@ def cases(draw):
         corpus = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=6).map(tuple),
                                min_size=1, max_size=5))
     order = draw(st.integers(1, 4))
-    model = train_ngram(corpus, order, draw(ALPHAS), draw(BETAS), vocab)
+    model = train_ngram(corpus, order, draw(ALPHAS), draw(BETAS), vocabulary=vocab)
     drawn = draw(st.lists(st.lists(st.sampled_from(ids), max_size=order + 1).map(tuple), max_size=6))
     contexts = [()] + [s[:t] for s in corpus for t in range(1, len(s) + 1)] + drawn
     return model, contexts

@@ -55,7 +55,7 @@ run_configs = st.builds(
 traces = st.builds(EventTrace, events=st.lists(events, max_size=12).map(tuple), run_config=run_configs)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(traces)
 def test_writer_matches_json_dumps_and_round_trips(trace):
     text = trace.serialize()
@@ -87,7 +87,7 @@ def _outcome(parse, text):
     return "trace", trace.serialize()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text())
 def test_any_text_gives_a_trace_or_a_trace_error(text):
     _outcome(parse_trace, text)
@@ -118,7 +118,7 @@ _near_lines = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(run_configs, st.lists(_near_lines, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
 def test_one_parse_reader_agrees_with_line_by_line_parse(config, lines, newline, final_newline):
     text = newline.join([config.to_json(), *lines]) + (newline if final_newline else "")
