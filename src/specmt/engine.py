@@ -17,30 +17,27 @@ decoded autoregressively with no speculation.
 A run's result is its final output and its trace, the only record of what
 happened: the speculation, hit and withdrawal counts are read from it, and
 the delays come from its `replay`, which scoring does, not the engine.
+
+The loop costs little beyond its translator and predictor calls: events are
+built positionally, surfaces are read from the vocabulary's token tuple, and
+each read slices its prefix once, which its speculation then reuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .model import SimtModel
-from .trace import (
-    COMMIT,
-    END,
-    PREDICT,
-    READ,
-    SPECULATE,
-    WITHDRAW,
-    WRITE,
-    Event,
-    EventTrace,
-    RunConfig,
-)
+from .trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE, Event, EventTrace, RunConfig
 from .vocab import BOS, EOS, PHI, Sentence, SpecmtError
 
 
 class EngineError(SpecmtError, RuntimeError):
     pass
+
+
+_event = partial(tuple.__new__, Event)  # an Event from its eight fields, in order
 
 
 @dataclass(frozen=True)
@@ -119,57 +116,57 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
     src_len = len(source)
     # the translator is duck-typed, so one that never emits EOS is stopped here
     limit = 2 * src_len + 8
-    surf = model.vocabulary.surface
+    surfaces = model.vocabulary.tokens
+    step = model.step
 
     out: list[int] = []
     events: list[Event] = []
+    emit = events.append
     slot = 0
     pending: tuple[int, int, int] | None = None  # (slot, decision, predicted token)
 
-    def speculate(basis: int) -> None:
-        """Predict the token for read basis+1 and decode one decision against it."""
+    def speculate(prefix: Sentence) -> None:
+        """Predict the token after `prefix` and decode one decision against it."""
         nonlocal slot, pending
-        prefix = source[:basis]
-        prediction = predictor.predict(prefix)
-        events.append(Event(PREDICT, i=basis + 1, pred=surf(prediction.token), p=prediction.probability))
-        if prediction.probability < tau:
+        basis = len(prefix)
+        token, probability = predictor.predict(prefix)
+        emit(_event((PREDICT, basis + 1, None, None, surfaces[token], probability, None, None)))
+        if probability < tau:
             return
-        hypothesis_done = prediction.token == EOS
-        hypothesis = prefix if hypothesis_done else prefix + (prediction.token,)
-        decision = model.step(hypothesis, len(out), hypothesis_done)
+        hypothesis_done = token == EOS
+        decision = step(prefix if hypothesis_done else prefix + (token,), len(out), hypothesis_done)
         slot += 1
-        events.append(Event(SPECULATE, j=slot, tok=surf(decision), i=basis))
-        pending = (slot, decision, prediction.token)
+        emit(_event((SPECULATE, basis, slot, surfaces[decision], None, None, None, None)))
+        pending = (slot, decision, token)
 
     if predictor is not None:
-        speculate(0)
+        speculate(())
     for i in range(1, src_len + 2):
         tok = source[i - 1] if i <= src_len else EOS
-        events.append(Event(READ, i=i, tok=surf(tok)))
+        emit(_event((READ, i, None, surfaces[tok], None, None, None, None)))
         done = tok == EOS
-        prefix = source[:min(i, src_len)]
+        prefix = source[:i]  # the whole source at the end-of-sequence read
 
         decision: int | None = None
         if pending is not None:
             pending_slot, pending_decision, predicted = pending
             pending = None
             if predicted == tok:
-                events.append(Event(COMMIT, j=pending_slot))
+                emit(_event((COMMIT, None, pending_slot, None, None, None, None, None)))
                 decision = pending_decision
             else:
-                decision = model.step(prefix, len(out), done)
-                events.append(
-                    Event(WITHDRAW, j=pending_slot, old=surf(pending_decision), new=surf(decision))
-                )
+                decision = step(prefix, len(out), done)
+                emit(_event((WITHDRAW, None, pending_slot, None, None, None,
+                             surfaces[pending_decision], surfaces[decision])))
             if decision not in (PHI, EOS):
                 out.append(decision)
 
         while decision not in (PHI, EOS):
             if len(out) > limit:
                 raise EngineError("runaway decode")
-            decision = model.step(prefix, len(out), done)
+            decision = step(prefix, len(out), done)
             slot += 1
-            events.append(Event(WRITE, j=slot, tok=surf(decision), i=i))
+            emit(_event((WRITE, i, slot, surfaces[decision], None, None, None, None)))
             if decision not in (PHI, EOS):
                 out.append(decision)
 
@@ -178,7 +175,7 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
         if done:
             raise EngineError("policy requested a read past the end of source")
         if predictor is not None:
-            speculate(i)
-    events.append(Event(END))
+            speculate(prefix)
+    emit(_event((END, None, None, None, None, None, None, None)))
 
     return RunResult(tuple(out), EventTrace(events=tuple(events), run_config=run_config or RunConfig()))

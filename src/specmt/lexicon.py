@@ -58,7 +58,8 @@ def load_lexicon(path: str | Path) -> tuple[Vocabulary, Lexicon]:
 
     The file fixes the vocabulary: reserved ids first, then every source,
     condition and target surface in file order of first occurrence. Blank
-    and '#' lines are skipped. Duplicate keys are rejected rather than
+    and '#' lines are skipped. A surface may not be empty or hold
+    whitespace. Duplicate keys are rejected rather than
     resolved, a reserved marker may not be a source, a condition, or a
     target other than `<unk>`, and every condition token and every
     ambiguous source needs a default rule. Errors name the file and, for a
@@ -75,6 +76,9 @@ def load_lexicon(path: str | Path) -> tuple[Vocabulary, Lexicon]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise LexiconError(f"{where}: expected 3 tab-separated columns")
+        for surface in parts:  # corpora split on whitespace, so no token can hold any
+            if surface.split() != [surface]:
+                raise LexiconError(f"{where}: empty surface or one holding whitespace: {surface!r}")
         src_s, cond_s, tgt_s = parts
         if src_s in RESERVED_SURFACES or src_s == DEFAULT_CONDITION:
             raise LexiconError(f"{where}: unknown or reserved source token {src_s!r}")

@@ -231,6 +231,8 @@ def _model_from_payload(payload: object) -> NgramModel:
         raise PredictorError("tokens must be a list of strings")
     if len(set(tokens)) != len(tokens) or set(tokens) & set(RESERVED_SURFACES):
         raise PredictorError("tokens must be distinct and not reserved surfaces")
+    if any(surface.split() != [surface] for surface in tokens):
+        raise PredictorError("tokens must be non-empty and hold no whitespace")
     vocabulary = Vocabulary(RESERVED_SURFACES + tuple(tokens))
     if not isinstance(entries, list):
         raise PredictorError("counts must be a list")

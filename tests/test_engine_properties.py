@@ -10,7 +10,13 @@ sentence, or another source token. For every case:
 - the speculative output equals the baseline output;
 - each trace replays to its output, and its delays match the brute-force
   definition over the frozen snapshot matrix;
-- speculative translator calls equal baseline calls plus withdrawals.
+- speculative translator calls equal baseline calls plus withdrawals;
+- every event sets exactly the fields the `Event` docstring lists for its
+  kind.
+
+A second property runs both engines with each shipped predictor, a trained
+n-gram model, the oracle and the always-wrong predictor, and asks for the
+same traces and output.
 """
 
 from __future__ import annotations
@@ -22,8 +28,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from specmt import (  # noqa: E402
+    AlwaysWrongPredictor,
     EngineConfig,
+    Event,
     Lexicon,
+    OraclePredictor,
     PolicyConfig,
     RunConfig,
     SimtModel,
@@ -31,12 +40,26 @@ from specmt import (  # noqa: E402
     replay,
     run_baseline,
     run_speculative,
+    train_ngram,
 )
 from specmt.ngram import Prediction  # noqa: E402
+from specmt.trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE  # noqa: E402
 from specmt.vocab import EOS, RESERVED_SURFACES  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_delays, frozen_run_baseline, frozen_run_speculative, snapshot_from_trace,
 )
+
+
+# the fields each kind sets, as the `Event` docstring lists them; the others are None
+FIELDS_BY_KIND = {
+    READ: {"i", "tok"},
+    PREDICT: {"i", "pred", "p"},
+    SPECULATE: {"i", "j", "tok"},
+    COMMIT: {"j"},
+    WITHDRAW: {"j", "old", "new"},
+    WRITE: {"i", "j", "tok"},
+    END: set(),
+}
 
 
 class ScriptedPredictor:
@@ -156,6 +179,42 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
         assert replayed.delays == brute_force_delays(rows)
         assert replayed.source_length == len(rows) == len(source)
 
+        for event in result.trace.events:
+            used = {name for name in Event._fields[1:] if getattr(event, name) is not None}
+            assert used == FIELDS_BY_KIND[event.ev], event
+
     assert counting.calls == baseline_calls + speculative.withdrawals
     assert speculative.speculations == speculative.hits + speculative.withdrawals
     assert baseline.speculations == baseline.hits == baseline.withdrawals == 0
+
+
+@st.composite
+def shipped_cases(draw):
+    """A drawn world and policy with one of the shipped predictors: an n-gram
+    model of order 1-3 trained on drawn sentences, the oracle, or the
+    always-wrong predictor over the lexicon's sources."""
+    vocab, lexicon, ids = draw(worlds())
+    model = SimtModel(lexicon=lexicon, policy=draw(policies), vocabulary=vocab)
+    sentences = st.lists(st.sampled_from(ids), min_size=1, max_size=20).map(tuple)
+    source = draw(sentences)
+    kind = draw(st.sampled_from(("ngram", "oracle", "always_wrong")))
+    if kind == "ngram":
+        corpus = draw(st.lists(sentences, min_size=1, max_size=6))
+        predictor = train_ngram(corpus, order=draw(st.integers(1, 3)), vocabulary=vocab)
+    elif kind == "oracle":
+        predictor = OraclePredictor(source)
+    else:
+        predictor = AlwaysWrongPredictor(source, vocab, lexicon.default)
+    tau = draw(st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
+    return model, predictor, source, tau, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shipped_cases())
+def test_engine_matches_frozen_engine_with_shipped_predictors(case):
+    model, predictor, source, tau, kind = case
+    config = RunConfig(policy=model.policy.kind, param=model.policy.param, tau=tau, predictor=kind)
+    result = run_speculative(model, predictor, source, EngineConfig(tau=tau), config)
+    frozen_output, frozen_trace = frozen_run_speculative(model, predictor, source, EngineConfig(tau=tau), config)
+    assert result.trace.serialize() == frozen_trace.serialize()
+    assert result.final_output == frozen_output

@@ -86,12 +86,15 @@ def load_or_error(load, path, data, file_errors=None):
 @example(b"a\t*\tA\nb\t*\t</s>\n")
 @example(b"a\t*\t<unk>\nb\ta\t<phi>\n")
 @example(b"c\t*\tC\nb\tc\tB\n")
+@example(b"a b\t*\tA\n")
+@example(b"a\t*\tA\nc\t*\tC D\n")
 def test_lexicon_loads_or_names_the_file(path, data):
     loaded = load_or_error(load_lexicon, path, data, LEXICON_FILE_ERRORS)
     if loaded is None:
         return
     vocab, lexicon = loaded
     assert vocab.tokens[:4] == RESERVED_SURFACES
+    assert all(surface.split() == [surface] for surface in vocab.tokens)
     assert lexicon.default and set(lexicon.default) <= set(vocab.regular_ids)
     assert lexicon.ambiguous == {src for src, _ in lexicon.conditional} <= set(lexicon.default)
     assert all(cond in lexicon.default for _, cond in lexicon.conditional)
@@ -115,8 +118,12 @@ def test_corpus_loads_or_names_the_file_and_line(path, data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(contents(ngram_text))
 @example(b'{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a"], "counts": [[[], "a", 2], [[], "</s>", 1]]}')
+@example(b'{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "x y"], "counts": [[[], "a", 2]]}')
 @example(b"1" * 5000)  # longer than Python's integer-conversion limit
 @example(b"[" * 100_000)  # deeper than the JSON decoder recurses
 def test_ngram_loads_or_names_the_file(path, data):
     model = load_or_error(load_ngram, path, data)
-    assert model is None or isinstance(model, NgramModel) and EOS in model.support
+    if model is None:
+        return
+    assert isinstance(model, NgramModel) and EOS in model.support
+    assert all(surface.split() == [surface] for surface in model.vocabulary.tokens)

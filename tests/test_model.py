@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,18 @@ class TestLexiconFiles:
         path = tmp_path / "lexicon.tsv"
         path.write_text("a\t*\tA\na\t*\tB1\nb\t*\tB2\nc\t*\tC\nd\t*\tD\n")
         with pytest.raises(LexiconError, match="duplicate"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize("text, line, surface", [
+        ("a b\t*\tA\n", 1, "'a b'"),
+        ("a\t*\tA\nc\t*\tC D\n", 2, "'C D'"),
+        ("a\t*\tA\nb\t\tB\n", 2, "''"),
+    ])
+    def test_empty_or_whitespace_surface_rejected(self, tmp_path, text, line, surface):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(text)
+        message = f"{path}: line {line}: empty surface or one holding whitespace: {surface}"
+        with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
             load_lexicon(path)
 
     def test_condition_without_default_rejected(self, tmp_path):

@@ -168,6 +168,10 @@ class TestSerialization:
          "tokens must be distinct and not reserved surfaces"),
         ('{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "</s>"], "counts": [[[], "a", 1]]}',
          "tokens must be distinct and not reserved surfaces"),
+        ('{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "x y"], "counts": [[[], "a", 1]]}',
+         "tokens must be non-empty and hold no whitespace"),
+        ('{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", ""], "counts": [[[], "a", 1]]}',
+         "tokens must be non-empty and hold no whitespace"),
     ])
     def test_load_rejects_malformed_files_naming_them(self, tmp_path, text, message):
         path = tmp_path / "model.json"
