@@ -116,10 +116,10 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if args.command == "train-lm":
         config = _config_from_args(args)
-        if args.lexicon is not None:
-            vocab = load_lexicon(args.lexicon)[0]
-        else:
-            vocab = build_vocabulary(read_corpus_lines(args.corpus))
+        lines = read_corpus_lines(args.corpus)
+        if not lines:
+            raise ExperimentError(f"{args.corpus}: empty corpus")
+        vocab = load_lexicon(args.lexicon)[0] if args.lexicon is not None else build_vocabulary(lines)
         corpus = list(load_corpus(args.corpus, vocab).values())
         model = train_ngram(corpus, config.ngram_order, config.alpha, config.beta, vocabulary=vocab)
         model.save(args.out)
@@ -129,6 +129,8 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "lm-stats":
         model = load_ngram(args.model)
         corpus = list(load_corpus(args.corpus, model.vocabulary).values())
+        if not corpus:
+            raise ExperimentError(f"{args.corpus}: empty evaluation corpus")
         stats = model.evaluate(corpus)
         print(f"sentences       {len(corpus)}")
         print(f"events          {int(stats['events'])}")

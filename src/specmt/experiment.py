@@ -40,8 +40,6 @@ SUMMARY_COLUMNS = [
     "al_baseline", "al_speculative", "al_diff", "awr", "bleu", "accuracy",
     "speculations", "hits", "withdrawals",
 ]
-# what `summarize` gives, and `metrics` writes: a predictor's accuracy is not in a trace
-PAIRED_COLUMNS = [col for col in SUMMARY_COLUMNS if col != "accuracy"]
 
 PREDICTOR_KINDS = ("indomain", "outdomain", "oracle", "always_wrong")
 OWNED_DIRS = ("traces", "data")  # subdirectories of out_dir that a sweep clears and rewrites
@@ -88,6 +86,8 @@ class ExperimentConfig:
             raise ExperimentError("empty policy grid")
         if not self.tau_grid:
             raise ExperimentError("empty tau grid")
+        if self.n_sentences < 1:
+            raise ExperimentError("n_sentences: need at least one sentence")
         unset = [key for key in ("corpus", "lexicon", "references") if getattr(self, key) is None]
         if 0 < len(unset) < 3:
             raise ExperimentError(f"corpus, lexicon and references are set together; not set: {', '.join(unset)}")
@@ -187,24 +187,30 @@ class PreparedData:
     corpus_id: str
     test_offset: int  # sentence index of the first test sentence
     test_lines: tuple[int, ...]  # physical corpus line of each test sentence
+    generated: GeneratedCorpus | None  # the world, when it was generated rather than read
 
 
 def prepare_data(config: ExperimentConfig, out_dir: Path | None = None) -> PreparedData:
     """Load or generate the corpus and split it 90/10 by sentence index; a
-    generated corpus is written to `out_dir`/data once the split succeeds."""
-    data, generated = _split_inputs(config)
-    if generated is not None and out_dir is not None:
-        write_generated(generated, out_dir / "data")
-    return data
-
-
-def _split_inputs(config: ExperimentConfig) -> tuple[PreparedData, GeneratedCorpus | None]:
-    """`prepare_data` without the write, and the corpus when it was generated."""
+    generated corpus is written to `out_dir`/data, when given, once the split
+    succeeds. A file corpus token that the lexicon has no rule for, such as
+    a target-side surface or a literal `<unk>`, is rejected naming its line."""
     generated = None
     if config.corpus is not None:
         vocab, lexicon = load_lexicon(config.lexicon)
         numbered = load_corpus(config.corpus, vocab)
+        for lineno, sentence in numbered.items():
+            for token in sentence:
+                if token not in lexicon.default:
+                    raise ExperimentError(
+                        f"{config.corpus}: line {lineno}: token {vocab.surface(token)!r} has no lexicon rule"
+                    )
         references = tuple(read_corpus_lines(config.references))
+        if len(numbered) != len(references):
+            raise ExperimentError(
+                f"corpus and references differ in length: {config.corpus} has {len(numbered)} sentences, "
+                f"{config.references} has {len(references)}"
+            )
         corpus_id = Path(config.corpus).name
     else:
         generated = generate(config.source_spec(), config.n_sentences)
@@ -213,12 +219,11 @@ def _split_inputs(config: ExperimentConfig) -> tuple[PreparedData, GeneratedCorp
         references = tuple(map(vocab.decode, generated.references))  # the lines of its references.txt
         corpus_id = config.source_spec().corpus_id()
     sources = tuple(numbered.values())
-    if len(sources) != len(references):
-        raise ExperimentError("corpus and references differ in length")
     split = int(len(sources) * TRAIN_FRACTION)
     if split == 0 or split == len(sources):
-        raise ExperimentError("corpus too small for a train/test split")
-    return PreparedData(
+        where = "n_sentences" if generated is not None else config.corpus
+        raise ExperimentError(f"{where}: too few sentences for a train/test split ({len(sources)})")
+    data = PreparedData(
         vocabulary=vocab,
         lexicon=lexicon,
         train_sources=sources[:split],
@@ -227,7 +232,11 @@ def _split_inputs(config: ExperimentConfig) -> tuple[PreparedData, GeneratedCorp
         corpus_id=corpus_id,
         test_offset=split,
         test_lines=tuple(numbered)[split:],
-    ), generated
+        generated=generated,
+    )
+    if generated is not None and out_dir is not None:
+        write_generated(generated, out_dir / "data")
+    return data
 
 
 @dataclass
@@ -269,23 +278,16 @@ def _clear_outputs(config: ExperimentConfig, out_dir: Path) -> None:
         (out_dir / name).unlink(missing_ok=True)
 
 
-def _prepare_run(config: ExperimentConfig, out_dir: Path) -> tuple[PreparedData, dict[str, NgramModel]]:
-    """Read or generate the inputs and train the predictors, then clear what
-    an earlier run left in `out_dir` and write a generated corpus there: an
-    input that fails leaves the earlier run untouched, and the generated
-    corpus is not held while the grid runs."""
-    data, generated = _split_inputs(config)
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    out_dir = Path(config.out_dir)
+    # inputs are read and predictors trained before anything is cleared, so
+    # an input that fails leaves an earlier run in `out_dir` untouched
+    data = prepare_data(config)
     trained = build_predictors(config, data)
     _clear_outputs(config, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if generated is not None:
-        write_generated(generated, out_dir / "data")
-    return data, trained
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    out_dir = Path(config.out_dir)
-    data, trained = _prepare_run(config, out_dir)
+    if data.generated is not None:
+        write_generated(data.generated, out_dir / "data")
     result = ExperimentResult(out_dir=out_dir)
     surface = data.vocabulary.surface
     sentence_bleu_stats = _bleu_stats_memo(data.reference_lines)
@@ -346,10 +348,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     run_rows.extend(point[1])
 
     result.summary_rows = summarize(run_rows)
-    accuracy = {"oracle": 1.0, "always_wrong": 0.0}
-    accuracy.update((kind, model.evaluate(data.test_sources)["accuracy"]) for kind, model in trained.items())
-    for row in result.summary_rows:
-        row["accuracy"] = accuracy[row["predictor"]]
     _write_csv(out_dir / "runs.csv", RUN_COLUMNS, run_rows)
     _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, result.summary_rows)
     meta = {
@@ -382,12 +380,12 @@ def _bleu_stats_memo(reference_lines: Sequence[str]):
 
 def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[str, ...]]:
     """Replay one run's trace into its `RUN_COLUMNS` row, plus its
-    `sentence_index` and its `bleu_stats`, and return the row with the final
-    output the trace replays to. The statistics are
+    `sentence_index`, its `bleu_stats` and its `predicted` count, and return
+    the row with the final output the trace replays to. The statistics are
     `sentence_bleu_stats(sentence_index, final)`; BLEU is left empty without
     that lookup. An inconsistent trace raises `TraceError`."""
     cfg = trace.run_config
-    final, delays, source_length, counts = replay(trace)
+    final, delays, source_length, counts, predicted = replay(trace)
     stats = None if sentence_bleu_stats is None else sentence_bleu_stats(cfg.sentence_index, final)
     return {
         "run_id": f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}",
@@ -405,15 +403,17 @@ def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[
         "BLEU": "" if stats is None else bleu_from_stats(stats),
         "sentence_index": cfg.sentence_index,
         "bleu_stats": stats,
+        "predicted": predicted,
     }, final
 
 
 def summarize(run_rows: Sequence[dict]) -> list[dict]:
-    """The `PAIRED_COLUMNS` row of every speculative grid point
+    """The `SUMMARY_COLUMNS` row of every speculative grid point
     `(policy, param, tau, predictor)` among `score_run` rows, in order of
     first appearance. Each speculative run is paired with the baseline run
     (predictor "none") of the same policy, param and sentence index; sums
-    run in row order. BLEU is left empty when a run has no reference."""
+    run in row order. Accuracy is the share of real source tokens predicted.
+    BLEU is left empty when a run has no reference."""
     baselines = {(r["policy"], r["param"], r["sentence_index"]): r for r in run_rows if r["predictor"] == "none"}
     groups: dict[tuple, list[dict]] = {}
     for row in run_rows:
@@ -438,6 +438,7 @@ def summarize(run_rows: Sequence[dict]) -> list[dict]:
             "al_diff": al_base - al_spec,
             "awr": sum(r["W"] for r in rows) / sum(r["J"] for r in rows),
             "bleu": "" if None in stats else bleu_from_stats(sum_bleu_stats(stats)),
+            "accuracy": sum(r["predicted"] for r in rows) / sum(r["I"] for r in rows),
             "speculations": sum(r["S"] for r in rows),
             "hits": sum(r["H"] for r in rows),
             "withdrawals": sum(r["W"] for r in rows),
@@ -532,5 +533,5 @@ def write_trace_metrics(
     runs_path = out / "trace_runs.csv"
     paired_path = out / "trace_paired.csv"
     _write_csv(runs_path, RUN_COLUMNS, run_rows)
-    _write_csv(paired_path, PAIRED_COLUMNS, paired_rows)
+    _write_csv(paired_path, SUMMARY_COLUMNS, paired_rows)
     return runs_path, paired_path

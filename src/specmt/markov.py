@@ -74,7 +74,6 @@ class MarkovSourceSpec:
 
 @dataclass(frozen=True)
 class GeneratedCorpus:
-    spec: MarkovSourceSpec
     vocabulary: Vocabulary
     lexicon: Lexicon
     sources: tuple[Sentence, ...]
@@ -167,9 +166,7 @@ def generate(spec: MarkovSourceSpec, n_sentences: int) -> GeneratedCorpus:
     sources = _sample_sources(spec, n_sentences, initial, transitions, corpus_ss)
     translator = SimtModel(lexicon=lexicon, policy=PolicyConfig.wait_k(1), vocabulary=vocab)
     references = tuple(translator.full_sentence_translate(s) for s in sources)
-    return GeneratedCorpus(
-        spec=spec, vocabulary=vocab, lexicon=lexicon, sources=sources, references=references
-    )
+    return GeneratedCorpus(vocabulary=vocab, lexicon=lexicon, sources=sources, references=references)
 
 
 def generate_out_of_domain_sources(

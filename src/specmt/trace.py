@@ -296,6 +296,7 @@ class Replay(NamedTuple):
     delays: tuple[int, ...]  # the finalization delay of each position of `final`
     source_length: int  # real source tokens read (the EOS arrival is not counted)
     counts: Counter[str]  # events of each kind, as `EventTrace.kind_counts`
+    predicted: int  # real source tokens that arrived as the last PREDICT of their index guessed
 
 
 def _close_row(visible: list[str], held: list[str], since: list[int], low: int, row: int) -> None:
@@ -314,8 +315,7 @@ def _close_row(visible: list[str], held: list[str], since: list[int], low: int, 
 
 
 def replay(trace: EventTrace) -> Replay:
-    """Replay a trace, in one pass over its events, into its final output,
-    the finalization delays of that output, its source length and its counts.
+    """Replay a trace, in one pass over its events, into its `Replay`.
 
     The delays are defined by the snapshot matrix: row i is the visible output
     in force after real source token i was processed, speculative writes
@@ -333,10 +333,11 @@ def replay(trace: EventTrace) -> Replay:
     speculated trailing token (when it was visible) and appends the corrected
     one (when that is visible). A row closes when the next real source token
     arrives; the EOS arrival closes nothing, so the write-only tail lands in
-    the last row. Raises TraceError for traces that violate the speculation
-    protocol ("inconsistent trace"): every SPECULATE must be resolved by
-    exactly one COMMIT or WITHDRAW before END, so a trace that replays has
-    speculations = hits + withdrawals.
+    the last row. A real READ(i, tok) is predicted when the last PREDICT(i,
+    pred) before it has pred == tok. Raises TraceError for traces that
+    violate the speculation protocol ("inconsistent trace"): every SPECULATE
+    must be resolved by exactly one COMMIT or WITHDRAW before END, so a trace
+    that replays has speculations = hits + withdrawals.
     """
     visible: list[str] = []
     held: list[str] = []  # the visible output when the last row closed
@@ -346,9 +347,11 @@ def replay(trace: EventTrace) -> Replay:
     committed_slots: set[int] = set()
     last_read = 0
     reads = 0
+    guesses: dict[int, str | None] = {}  # the guess of the last PREDICT of each source index
+    predicted = 0
     ended = False
 
-    for kind, i, j, tok, _, _, old, new in trace.events:
+    for kind, i, j, tok, pred, _, old, new in trace.events:
         if ended:
             raise TraceError("inconsistent trace: events after END")
         if kind == READ:
@@ -360,6 +363,8 @@ def replay(trace: EventTrace) -> Replay:
                     _close_row(visible, held, since, low, reads)
                     low = len(visible)
                 reads += 1
+                if i in guesses and guesses[i] == tok:
+                    predicted += 1
         elif kind in (WRITE, SPECULATE):
             if tok is None:
                 raise TraceError(f"inconsistent trace: {kind} without token")
@@ -391,7 +396,7 @@ def replay(trace: EventTrace) -> Replay:
                 visible.append(new)
             pending = None
         elif kind == PREDICT:
-            pass
+            guesses[i] = pred
         elif kind == END:
             if pending is not None:
                 raise TraceError(f"inconsistent trace: speculation at slot {pending[0]} unresolved at END")
@@ -404,4 +409,4 @@ def replay(trace: EventTrace) -> Replay:
     if reads == 0:
         raise TraceError("inconsistent trace: no source reads")
     _close_row(visible, held, since, low, reads)
-    return Replay(tuple(visible), tuple(accumulate(since, max)), reads, trace.kind_counts())
+    return Replay(tuple(visible), tuple(accumulate(since, max)), reads, trace.kind_counts(), predicted)

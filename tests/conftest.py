@@ -4,6 +4,16 @@ import pytest
 
 from specmt import Lexicon, MarkovSourceSpec, PolicyConfig, SimtModel, Vocabulary, generate
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property test modules skip themselves without hypothesis
+    pass
+else:
+    # every property test draws the same examples on every run, with no time
+    # limit per example; each test sets only its own max_examples
+    settings.register_profile("tier1", deadline=None, derandomize=True)
+    settings.load_profile("tier1")
+
 
 @pytest.fixture
 def toy():

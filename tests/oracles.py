@@ -164,6 +164,20 @@ def brute_force_delays(rows: tuple[tuple, ...]) -> tuple[int, ...]:
     return tuple(delays)
 
 
+def brute_force_predicted(trace: EventTrace) -> int:
+    """Real source reads whose token the predictor guessed, from the
+    definition: for each READ(i, tok) of a real token, look back for the
+    last PREDICT of index i before it and count the read when that
+    PREDICT's guess is tok."""
+    count = 0
+    for n, event in enumerate(trace.events):
+        if event.ev == READ and event.tok != EOS_SURFACE:
+            guesses = [e.pred for e in trace.events[:n] if e.ev == PREDICT and e.i == event.i]
+            if guesses and guesses[-1] == event.tok:
+                count += 1
+    return count
+
+
 def brute_force_bleu(hypotheses, references) -> float:
     """Corpus BLEU-4 straight from the definition: clipped counts per order,
     geometric mean as a fourth root of the product, brevity penalty last."""

@@ -289,8 +289,11 @@ REJECTED_SWEEPS = {
          "predictors=outdomain"],
         "predictors: out-of-domain predictor needs a generated corpus"),
     # inputs that fail only when read or generated
-    "one sentence": (["n_sentences=1"], "corpus too small for a train/test split"),
-    "no sentences": (["n_sentences=0"], "need at least one sentence"),
+    "no sentences": (["n_sentences=0"], "n_sentences: need at least one sentence"),
+    "one sentence": (["n_sentences=1"], "n_sentences: too few sentences for a train/test split (1)"),
+    "corpus token without a lexicon rule": (
+        ["corpus={out}/data/references.txt", "lexicon={out}/data/lexicon.tsv", "references={out}/data/references.txt"],
+        "{out}/data/references.txt: line 1: token 'T18' has no lexicon rule"),
     "missing corpus": (
         ["corpus={out}/data/missing.txt", "lexicon={out}/data/lexicon.tsv", "references={out}/data/references.txt"],
         "[Errno 2] No such file or directory: '{out}/data/missing.txt'"),
@@ -369,6 +372,31 @@ ERROR_CASES = {
     "predictor JSON without tokens": (
         ["lm-stats", "--model", "{tmp}/order_only.json", "--corpus", "{tmp}/corpus.txt"],
         "{tmp}/order_only.json: expected an object with keys order, alpha, beta, tokens and counts"),
+    "sweep corpus target token": (
+        ["sweep", "--set", "corpus={tmp}/target.txt", "--set", "lexicon={tmp}/ab.tsv",
+         "--set", "references={tmp}/target.txt", "--out", "{tmp}/r"],
+        "{tmp}/target.txt: line 19: token 'B' has no lexicon rule"),
+    "sweep corpus literal <unk>": (
+        ["sweep", "--set", "corpus={tmp}/unk.txt", "--set", "lexicon={tmp}/ab.tsv",
+         "--set", "references={tmp}/unk.txt", "--out", "{tmp}/r"],
+        "{tmp}/unk.txt: line 2: token '<unk>' has no lexicon rule"),
+    "corpus and references differ in length": (
+        ["sweep", "--set", "corpus={tmp}/ab.txt", "--set", "lexicon={tmp}/ab.tsv",
+         "--set", "references={tmp}/corpus.txt", "--out", "{tmp}/r"],
+        "corpus and references differ in length: {tmp}/ab.txt has 40 sentences, {tmp}/corpus.txt has 1"),
+    "file corpus too small to split": (
+        ["sweep", "--set", "corpus={tmp}/corpus.txt", "--set", "lexicon={tmp}/ab.tsv",
+         "--set", "references={tmp}/corpus.txt", "--out", "{tmp}/r"],
+        "{tmp}/corpus.txt: too few sentences for a train/test split (1)"),
+    "gen-corpus without sentences": (["gen-corpus", "--set", "n_sentences=0", "--out", "{tmp}/g"],
+                                     "n_sentences: need at least one sentence"),
+    "training corpus empty": (["train-lm", "--corpus", "{tmp}/blank.txt", "--out", "{tmp}/lm.json"],
+                              "{tmp}/blank.txt: empty corpus"),
+    "training corpus empty, with a lexicon": (
+        ["train-lm", "--corpus", "{tmp}/blank.txt", "--lexicon", "{tmp}/ab.tsv", "--out", "{tmp}/lm.json"],
+        "{tmp}/blank.txt: empty corpus"),
+    "held-out corpus empty": (["lm-stats", "--model", "{tmp}/ab.json", "--corpus", "{tmp}/blank.txt"],
+                              "{tmp}/blank.txt: empty evaluation corpus"),
 }
 
 
@@ -390,6 +418,9 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "reserved_target.tsv").write_text("a\t*\tA\nb\t*\t</s>\n")
     (tmp_path / "ab.txt").write_text("a b a\nb a\n" * 20)
     (tmp_path / "oov.txt").write_text("a b\n\nb zzz\n")
+    (tmp_path / "target.txt").write_text("a b a\n" * 18 + "a b a B\nb a\n")
+    (tmp_path / "unk.txt").write_text("a b\na <unk>\n" + "b a\n" * 18)
+    (tmp_path / "blank.txt").write_text("\n \n")
     argv, message = ERROR_CASES[case]
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
     captured = capsys.readouterr()

@@ -51,14 +51,14 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("config") / "drawn.cfg"
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(lines)
 def test_config_file_gives_a_valid_config_or_a_package_error(config_path, pairs):
     config_path.write_text("".join(f"{key} = {value}\n" for key, value in pairs), encoding="utf-8")
     check_config(lambda: load_config(config_path))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(lines)
 def test_set_gives_a_valid_config_or_a_package_error(pairs):
     args = build_parser().parse_args(["sweep", *(f"--set={key}={value}" for key, value in pairs)])

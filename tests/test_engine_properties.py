@@ -16,7 +16,10 @@ sentence, or another source token. For every case:
 
 A second property runs both engines with each shipped predictor, a trained
 n-gram model, the oracle and the always-wrong predictor, and asks for the
-same traces and output.
+same traces and output. A third counts, over the same runs, the source
+tokens their traces replay as predicted: a share equal to the n-gram
+model's own `evaluate` accuracy, 1 for the oracle, 0 for the always-wrong
+predictor, and none in a baseline trace.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def cases(draw):
     return model, ids, source, script, tau
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(cases())
 def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
     model, ids, source, script, tau = case
@@ -190,31 +193,55 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
 
 @st.composite
 def shipped_cases(draw):
-    """A drawn world and policy with one of the shipped predictors: an n-gram
-    model of order 1-3 trained on drawn sentences, the oracle, or the
-    always-wrong predictor over the lexicon's sources."""
+    """A drawn world and policy, 1-4 source sentences and one of the shipped
+    predictors: an n-gram model of order 1-3 trained on drawn sentences, or
+    the oracle or the always-wrong predictor over the lexicon's sources,
+    which are built per sentence. Gives the predictor of a sentence through
+    `predictor_for`."""
     vocab, lexicon, ids = draw(worlds())
     model = SimtModel(lexicon=lexicon, policy=draw(policies), vocabulary=vocab)
     sentences = st.lists(st.sampled_from(ids), min_size=1, max_size=20).map(tuple)
-    source = draw(sentences)
+    sources = draw(st.lists(sentences, min_size=1, max_size=4))
     kind = draw(st.sampled_from(("ngram", "oracle", "always_wrong")))
     if kind == "ngram":
         corpus = draw(st.lists(sentences, min_size=1, max_size=6))
-        predictor = train_ngram(corpus, order=draw(st.integers(1, 3)), vocabulary=vocab)
+        trained = train_ngram(corpus, order=draw(st.integers(1, 3)), vocabulary=vocab)
+        predictor_for = lambda source: trained  # noqa: E731
     elif kind == "oracle":
-        predictor = OraclePredictor(source)
+        predictor_for = OraclePredictor
     else:
-        predictor = AlwaysWrongPredictor(source, vocab, lexicon.default)
+        predictor_for = lambda source: AlwaysWrongPredictor(source, vocab, lexicon.default)  # noqa: E731
     tau = draw(st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
-    return model, predictor, source, tau, kind
+    return model, predictor_for, sources, tau, kind
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(shipped_cases())
 def test_engine_matches_frozen_engine_with_shipped_predictors(case):
-    model, predictor, source, tau, kind = case
+    model, predictor_for, sources, tau, kind = case
     config = RunConfig(policy=model.policy.kind, param=model.policy.param, tau=tau, predictor=kind)
-    result = run_speculative(model, predictor, source, EngineConfig(tau=tau), config)
-    frozen_output, frozen_trace = frozen_run_speculative(model, predictor, source, EngineConfig(tau=tau), config)
-    assert result.trace.serialize() == frozen_trace.serialize()
-    assert result.final_output == frozen_output
+    for source in sources:
+        result = run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau), config)
+        frozen_output, frozen_trace = frozen_run_speculative(
+            model, predictor_for(source), source, EngineConfig(tau=tau), config
+        )
+        assert result.trace.serialize() == frozen_trace.serialize()
+        assert result.final_output == frozen_output
+
+
+@settings(max_examples=150)
+@given(shipped_cases())
+def test_traces_count_the_predicted_share_the_predictor_scores(case):
+    # the gate tau withholds speculation, never the prediction, so every
+    # real source token is guessed once whatever tau is
+    model, predictor_for, sources, tau, kind = case
+    predicted = 0
+    for source in sources:
+        assert replay(run_baseline(model, source).trace).predicted == 0
+        result = run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau))
+        predicted += replay(result.trace).predicted
+    accuracy = predicted / sum(map(len, sources))
+    if kind == "ngram":
+        assert accuracy == predictor_for(None).evaluate(sources)["accuracy"]
+    else:
+        assert accuracy == (1.0 if kind == "oracle" else 0.0)

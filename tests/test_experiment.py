@@ -14,9 +14,9 @@ from specmt import (
     metrics_from_traces, plot_data, replay, run_baseline, run_experiment, run_speculative,
 )
 from specmt import trace as trace_module
+from specmt.engine import EngineError
 from specmt.experiment import (
     ExperimentError,
-    PAIRED_COLUMNS,
     RUN_COLUMNS,
     SUMMARY_COLUMNS,
     parse_config_text,
@@ -24,6 +24,7 @@ from specmt.experiment import (
     write_trace_metrics,
 )
 from specmt.metrics import bleu_from_stats, bleu_stats
+from specmt.ngram import NgramModel
 from specmt.vocab import read_corpus_lines
 from oracles import brute_force_bleu
 
@@ -192,19 +193,24 @@ class TestRunExperiment:
         assert _tree(data_dir) == inputs
 
     @staticmethod
-    def _sweep_with_target_token(tmp_path, blank_line=None):
-        """Sweep a 60-sentence corpus whose sentence 56 (test split) holds a
-        target-side token, in the vocabulary but not a source token: it
-        loads, and the sweep fails there. `blank_line`, when given, is the
-        physical line at which a blank line is inserted."""
+    def _sweep_failing_at_sentence_56(tmp_path, monkeypatch, blank_line=None):
+        """Sweep a 60-sentence file corpus whose baseline run of sentence 56
+        (test split) raises. `blank_line`, when given, is the physical line
+        at which a blank line is inserted."""
         spec = _config(tmp_path).source_spec()
         corpus, lexicon, references = gen_corpus(spec, 60, tmp_path / "world")
-        lines = corpus.read_text(encoding="utf-8").splitlines()
-        first, *rest = lines[56].split()
-        lines[56] = " ".join([first, "T00", *rest])
         if blank_line is not None:
+            lines = corpus.read_text(encoding="utf-8").splitlines()
             lines.insert(blank_line - 1, "")
-        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        real_run_baseline = experiment.run_baseline
+
+        def failing(model, source, run_config):
+            if run_config.sentence_index == 56:
+                raise EngineError("policy requested a read past the end of source")
+            return real_run_baseline(model, source, run_config)
+
+        monkeypatch.setattr(experiment, "run_baseline", failing)
         config = _config(
             tmp_path, corpus=str(corpus), lexicon=str(lexicon), references=str(references),
             k_grid=(2,), predictors=("oracle",),
@@ -213,13 +219,13 @@ class TestRunExperiment:
         assert len(result.failures) == 1
         return result.failures[0]
 
-    def test_failure_names_sentence_and_corpus_line(self, tmp_path):
-        failure = self._sweep_with_target_token(tmp_path)
+    def test_failure_names_sentence_and_corpus_line(self, tmp_path, monkeypatch):
+        failure = self._sweep_failing_at_sentence_56(tmp_path, monkeypatch)
         assert failure.startswith("baseline wait_k(k=2): sentence 56 (corpus line 57): ")
 
-    def test_failure_names_physical_corpus_line(self, tmp_path):
+    def test_failure_names_physical_corpus_line(self, tmp_path, monkeypatch):
         # a blank line before it moves sentence 56 to physical line 58
-        failure = self._sweep_with_target_token(tmp_path, blank_line=4)
+        failure = self._sweep_failing_at_sentence_56(tmp_path, monkeypatch, blank_line=4)
         assert failure.startswith("baseline wait_k(k=2): sentence 56 (corpus line 58): ")
 
     def test_oracle_beats_trained_predictor(self, tmp_path):
@@ -232,6 +238,25 @@ class TestRunExperiment:
         assert by_kind["oracle"]["al_diff"] >= by_kind["indomain"]["al_diff"]
         assert by_kind["oracle"]["awr"] == 0.0
         assert by_kind["oracle"]["al_diff"] > 0.0
+
+    def test_accuracy_is_counted_from_the_traces(self, tmp_path, monkeypatch):
+        # each trained predictor's accuracy is its `evaluate` accuracy on the
+        # test split, whatever tau gates, yet the sweep never calls evaluate
+        config = _config(tmp_path, predictors=("indomain", "outdomain", "oracle", "always_wrong"), tau_grid=(0.0, 1.0))
+        data = prepare_data(config)
+        trained = experiment.build_predictors(config, data)
+        expected = {kind: model.evaluate(data.test_sources)["accuracy"] for kind, model in trained.items()}
+        expected.update(oracle=1.0, always_wrong=0.0)
+
+        def evaluate(self, corpus):
+            raise AssertionError("the sweep called NgramModel.evaluate")
+
+        monkeypatch.setattr(NgramModel, "evaluate", evaluate)
+        result = run_experiment(config)
+        assert result.ok, result.failures
+        assert len(result.summary_rows) == 2 * 2 * 4
+        for row in result.summary_rows:
+            assert row["accuracy"] == expected[row["predictor"]]
 
 
 class TestScoreOnce:
@@ -403,12 +428,12 @@ class TestTraceMetrics:
             hyps = [hypotheses[f"{policy}-{param}-tau{tau}-{predictor}/{i:05d}"] for i in indices]
             refs = [tuple(references[i].split()) for i in indices]
             assert float(summary[key]["bleu"]) == pytest.approx(brute_force_bleu(hyps, refs), abs=1e-12)
-        # trace_paired.csv is summary.csv without accuracy, string for string
+        # trace_paired.csv is summary.csv, accuracy included, string for string
         paired = _read_csv(paired_path)
         assert len(paired) == len(summary) == 16
         for row in paired:
-            assert list(row) == PAIRED_COLUMNS
-            assert row == {col: summary[tuple(row[c] for c in PAIRED_COLUMNS[:4])][col] for col in PAIRED_COLUMNS}
+            assert list(row) == SUMMARY_COLUMNS
+            assert row == summary[tuple(row[c] for c in SUMMARY_COLUMNS[:4])]
 
     def test_summary_in_grid_order_and_paired_sorted(self, tmp_path):
         config = _config(

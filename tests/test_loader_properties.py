@@ -81,7 +81,7 @@ def load_or_error(load, path, data, file_errors=None):
         return None
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(contents(lexicon_text))
 @example(b"a\t*\tA\nb\t*\t</s>\n")
 @example(b"a\t*\t<unk>\nb\ta\t<phi>\n")
@@ -102,7 +102,7 @@ def test_lexicon_loads_or_names_the_file(path, data):
     assert targets < set(range(len(vocab))) and not targets & {BOS, EOS, PHI}
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(contents(corpus_text))
 @example(b"a b\n\n<s> a\n")
 @example(b"a z\n")
@@ -115,7 +115,7 @@ def test_corpus_loads_or_names_the_file_and_line(path, data):
         assert not {BOS, EOS, PHI} & set(sentence)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(contents(ngram_text))
 @example(b'{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a"], "counts": [[[], "a", 2], [[], "</s>", 1]]}')
 @example(b'{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "x y"], "counts": [[[], "a", 2]]}')

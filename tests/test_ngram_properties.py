@@ -49,7 +49,7 @@ def cases(draw):
     return model, contexts
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(cases())
 def test_predict_matches_full_scan(case):
     model, contexts = case

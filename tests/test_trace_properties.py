@@ -4,7 +4,8 @@ The writer must reproduce the `json.dumps` writer (frozen in `oracles.py`)
 byte for byte; the reader must map any text to an EventTrace or a
 TraceError naming a line, and its one-parse path must agree with the
 line-by-line parse on every input. `replay` must agree with the frozen
-row-building replay and the brute-force delays on any event list.
+row-building replay, the brute-force delays and the brute-force count of
+predicted source tokens on any event list.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import json
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from specmt import Event, EventTrace, RunConfig, TraceError, parse_trace, replay  # noqa: E402
 from specmt.trace import EVENT_KINDS, _parse_lines  # noqa: E402
 from specmt.vocab import EOS_SURFACE, PHI_SURFACE  # noqa: E402
-from oracles import brute_force_delays, dumps_event_json, dumps_serialize, snapshot_from_trace  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_delays, brute_force_predicted, dumps_event_json, dumps_serialize, snapshot_from_trace,
+)
 
 SPECIAL = [
     "</s>", "<phi>", "<s>", "<unk>", '"', "\\", '\\"', "\n", "\r\n", "\t", "\x00", "\x1f", "\x7f",
@@ -55,7 +58,7 @@ run_configs = st.builds(
 traces = st.builds(EventTrace, events=st.lists(events, max_size=12).map(tuple), run_config=run_configs)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(traces)
 def test_writer_matches_json_dumps_and_round_trips(trace):
     text = trace.serialize()
@@ -87,7 +90,7 @@ def _outcome(parse, text):
     return "trace", trace.serialize()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.text())
 def test_any_text_gives_a_trace_or_a_trace_error(text):
     _outcome(parse_trace, text)
@@ -118,7 +121,7 @@ _near_lines = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(run_configs, st.lists(_near_lines, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
 def test_one_parse_reader_agrees_with_line_by_line_parse(config, lines, newline, final_newline):
     text = newline.join([config.to_json(), *lines]) + (newline if final_newline else "")
@@ -134,18 +137,25 @@ def _replay_or_error(replay_trace, trace):
 
 def _assert_replay_matches_rows(trace):
     """`replay` raises the frozen replay's error, or gives its final row, the
-    brute-force delays of its rows, its row count and the kind counts."""
+    brute-force delays of its rows, its row count, the kind counts and the
+    brute-force count of predicted source tokens."""
     rows = _replay_or_error(snapshot_from_trace, trace)
     replayed = _replay_or_error(replay, trace)
     if isinstance(rows, str):
         assert replayed == rows
         return
-    assert replayed == (rows[-1], brute_force_delays(rows), len(rows), trace.kind_counts())
+    assert replayed == (
+        rows[-1], brute_force_delays(rows), len(rows), trace.kind_counts(), brute_force_predicted(trace)
+    )
     assert all(1 <= delay <= len(rows) for delay in replayed.delays)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.lists(events, max_size=12).map(tuple))
+# a read without a token, with no guess for it, is not predicted; of two
+# guesses for one index, the last one counts
+@example((Event("READ", i=1), Event("END")))
+@example((Event("PREDICT", i=1, pred="a"), Event("PREDICT", i=1, pred="b"), Event("READ", i=1, tok="b"), Event("END")))
 def test_replay_agrees_with_the_frozen_replay_on_any_events(trace_events):
     _assert_replay_matches_rows(EventTrace(events=trace_events))
 
@@ -162,7 +172,8 @@ def protocol_traces(draw):
     the next read, so its withdrawal re-pushes across a row close, or with no
     read in between, inside one row (also before the first read and around
     the end-of-source read, which closes no row). A withdrawal often
-    re-pushes the token it withdraws.
+    re-pushes the token it withdraws. The prediction before a speculation
+    guesses the next source token or misses it.
     """
     events = []
     slot = 0
@@ -186,7 +197,7 @@ def protocol_traces(draw):
         if draw(st.booleans()):
             slot += 1
             pending = (slot, draw(st.sampled_from(DECISIONS)))
-            events.append(Event("PREDICT", i=basis + 1, pred="x", p=0.5))
+            events.append(Event("PREDICT", i=basis + 1, pred=draw(st.sampled_from(("x", f"s{basis + 1}"))), p=0.5))
             events.append(Event("SPECULATE", j=slot, tok=pending[1], i=basis))
             if draw(st.booleans()):
                 resolve()
@@ -203,7 +214,7 @@ def protocol_traces(draw):
     return EventTrace(events=(*events, Event("END")))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(protocol_traces())
 def test_replay_agrees_with_the_frozen_replay_on_protocol_traces(trace):
     _assert_replay_matches_rows(trace)
