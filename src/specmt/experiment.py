@@ -7,6 +7,13 @@ trace file, plus a summary row per grid point, paired and aggregated by
 `summarize` exactly as `metrics` pairs trace files. The whole pipeline is
 a deterministic function of the configuration, so repeated runs produce
 byte-identical CSVs.
+
+Tau only gates speculation on the predictor's probability; the engine
+predicts every token whatever tau is. So a sweep runs and scores each
+(policy, predictor, sentence) once per distinct gating vector over the tau
+grid, and relabels that run's trace and row for every other tau with the
+same vector. Every output, traces included, is byte-identical to running
+each grid point on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from functools import cache
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
-from .engine import EngineConfig, run_baseline, run_speculative
+from .engine import EngineConfig, RunResult, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon
 from .markov import (
     GeneratedCorpus, MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated,
@@ -28,7 +35,7 @@ from .markov import (
 from .metrics import average_lagging, awr, bleu_from_stats, bleu_stats, sum_bleu_stats
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, _check_parameters, train_ngram
-from .trace import COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, load_trace, replay
+from .trace import COMMIT, PREDICT, SPECULATE, WITHDRAW, EventTrace, RunConfig, load_trace, replay
 from .vocab import Sentence, SpecmtError, Vocabulary, load_corpus, read_corpus_lines, read_text, write_artifact
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
@@ -292,8 +299,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     surface = data.vocabulary.surface
     sentence_bleu_stats = _bleu_stats_memo(data.reference_lines)
 
+    def scored(run: RunResult) -> tuple[RunResult, dict, tuple[str, ...]]:
+        return (run, *score_run(run.trace, sentence_bleu_stats))
+
     def run_point(point: str, trace_name: str, run_one, baseline_outputs=None):
-        """Run, score, save and check every test sentence of one grid point.
+        """Run, score, save and check every test sentence of one grid point;
+        `run_one(source, index)` gives a sentence's run, row and final output.
         Returns the outputs and the rows, or None after recording the error
         of the sentence whose run or scoring raised one."""
         trace_dir = out_dir / "traces" / trace_name
@@ -305,8 +316,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             index = data.test_offset + i
             where = f"{point}: sentence {index} (corpus line {data.test_lines[i]})"
             try:
-                run = run_one(source, index)
-                row, final = score_run(run.trace, sentence_bleu_stats)
+                run, row, final = run_one(source, index)
             except Exception as exc:
                 result.failures.append(f"{where}: {exc}")
                 return None
@@ -326,22 +336,44 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         tagged = RunConfig(policy=policy.kind, param=policy.param, corpus=data.corpus_id, seed=config.seed)
         baseline = run_point(
             f"baseline {policy.describe()}", f"{policy.kind}-{policy.param}-baseline",
-            lambda source, index: run_baseline(model, source, replace(tagged, sentence_index=index)),
+            lambda source, index: scored(run_baseline(model, source, replace(tagged, sentence_index=index))),
         )
         if baseline is None:
             continue
         baseline_outputs, base_rows = baseline
         run_rows.extend(base_rows)
-        for tau in config.tau_grid:
+        # (predictor kind, sentence index) -> the PREDICT probabilities of its
+        # first run, and its scored runs by gating vector, which a later tau
+        # with the same vector reuses relabelled. Runs are kept only while a
+        # later tau can still reuse them, and a run that raised is never kept.
+        shared: dict[tuple[str, int], tuple[tuple[float, ...], dict[tuple[bool, ...], tuple]]] = {}
+        for position, tau in enumerate(config.tau_grid):
+            keep = position + 1 < len(config.tau_grid)
             engine_config = EngineConfig(tau=tau)
             for kind in config.predictors:
+
+                def run_shared(source: Sentence, index: int):
+                    run_config = replace(tagged, tau=tau, predictor=kind, sentence_index=index)
+                    entry = shared.get((kind, index))
+                    same = entry and entry[1].get(_gating(entry[0], tau))
+                    if same:
+                        run, row, final = same
+                        relabelled = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
+                        return relabelled, {**row, "tau": tau, "run_id": _run_id(run_config)}, final
+                    fresh = scored(run_speculative(
+                        model, _predictor_for(kind, trained, source, data), source, engine_config, run_config,
+                    ))
+                    if keep:
+                        probabilities, runs = entry or shared.setdefault((kind, index), (
+                            tuple(e.p for e in fresh[0].trace.events if e.ev == PREDICT), {},
+                        ))
+                        runs[_gating(probabilities, tau)] = fresh
+                    return fresh
+
                 point = run_point(
                     f"{policy.describe()} tau={tau} predictor={kind}",
                     f"{policy.kind}-{policy.param}-tau{tau}-{kind}",
-                    lambda source, index: run_speculative(
-                        model, _predictor_for(kind, trained, source, data), source, engine_config,
-                        replace(tagged, tau=tau, predictor=kind, sentence_index=index),
-                    ),
+                    run_shared,
                     baseline_outputs,
                 )
                 if point is not None:
@@ -363,6 +395,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+def _gating(probabilities: tuple[float, ...], tau: float) -> tuple[bool, ...]:
+    """Which predictions the engine speculates on at `tau`: its own test."""
+    return tuple(not p < tau for p in probabilities)
+
+
 def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, data: PreparedData):
     if kind == "oracle":
         return OraclePredictor(source)
@@ -378,6 +415,10 @@ def _bleu_stats_memo(reference_lines: Sequence[str]):
     return cache(lambda index, final: bleu_stats(final, reference_lines[index].split()))
 
 
+def _run_id(cfg: RunConfig) -> str:
+    return f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}"
+
+
 def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[str, ...]]:
     """Replay one run's trace into its `RUN_COLUMNS` row, plus its
     `sentence_index`, its `bleu_stats` and its `predicted` count, and return
@@ -388,7 +429,7 @@ def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[
     final, delays, source_length, counts, predicted = replay(trace)
     stats = None if sentence_bleu_stats is None else sentence_bleu_stats(cfg.sentence_index, final)
     return {
-        "run_id": f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}",
+        "run_id": _run_id(cfg),
         "policy": cfg.policy,
         "param": cfg.param,
         "tau": cfg.tau,

@@ -105,11 +105,6 @@ class Event(NamedTuple):
     old: str | None = None
     new: str | None = None
 
-    def to_json(self) -> str:
-        parts: list[str] = []
-        _event_parts(parts, self, "}")
-        return "".join(parts)
-
 
 @dataclass(frozen=True)
 class RunConfig:

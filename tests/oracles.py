@@ -7,15 +7,23 @@ package, so agreement is evidence and not tautology.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from collections import Counter
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
-from specmt.engine import EngineConfig, EngineError
+from specmt.engine import EngineConfig, EngineError, run_baseline, run_speculative
+from specmt.experiment import (
+    RUN_COLUMNS, SUMMARY_COLUMNS, ExperimentConfig, build_predictors, prepare_data, score_run, summarize,
+)
 from specmt.metrics import MetricsError, bleu_from_stats, bleu_stats, sum_bleu_stats
+from specmt.model import SimtModel
+from specmt.ngram import AlwaysWrongPredictor, OraclePredictor
 from specmt.trace import (
     COMMIT,
     END,
@@ -30,6 +38,13 @@ from specmt.trace import (
     TraceError,
 )
 from specmt.vocab import BOS, EOS, EOS_SURFACE, PHI, PHI_SURFACE
+
+
+def event_json(event: Event) -> str:
+    """One event's line as the trace writer spells it, without its newline:
+    the second line of a trace holding only that event (a JSON string
+    escapes every newline, so lines split at each one)."""
+    return EventTrace(events=(event,)).serialize().split("\n")[1]
 
 
 def dumps_event_json(event: Event) -> str:
@@ -464,3 +479,50 @@ def full_scan_predict(model, context):
         if p > best_p:
             best_tok, best_p = tok, p
     return best_tok, best_p
+
+
+def independent_sweep(config: ExperimentConfig) -> tuple[str, str, dict[str, bytes]]:
+    """A sweep with no run shared between grid points: every baseline and
+    every (policy, tau, predictor, sentence) run from scratch and scored on
+    its own, through the package's engine, `score_run` and `summarize`.
+    Returns the runs.csv text, the summary.csv text and every trace file's
+    bytes by its path under traces/. Assumes no run fails."""
+    data = prepare_data(config)
+    trained = build_predictors(config, data)
+    stats = cache(lambda index, final: bleu_stats(final, data.reference_lines[index].split()))
+    rows: list[dict] = []
+    traces: dict[str, bytes] = {}
+
+    def record(directory: str, trace: EventTrace) -> None:
+        row, _ = score_run(trace, stats)
+        rows.append(row)
+        traces[f"{directory}/{row['sentence_index']:05d}.jsonl"] = trace.serialize().encode("utf-8")
+
+    for policy in config.policy_grid():
+        model = SimtModel(lexicon=data.lexicon, policy=policy, vocabulary=data.vocabulary)
+        header = {"policy": policy.kind, "param": policy.param, "corpus": data.corpus_id, "seed": config.seed}
+        indexed = list(enumerate(data.test_sources, data.test_offset))
+        for index, source in indexed:
+            run = run_baseline(model, source, RunConfig(**header, sentence_index=index))
+            record(f"{policy.kind}-{policy.param}-baseline", run.trace)
+        for tau in config.tau_grid:
+            for kind in config.predictors:
+                for index, source in indexed:
+                    if kind == "oracle":
+                        predictor = OraclePredictor(source)
+                    elif kind == "always_wrong":
+                        predictor = AlwaysWrongPredictor(source, data.vocabulary, data.lexicon.default)
+                    else:
+                        predictor = trained[kind]
+                    run_config = RunConfig(**header, tau=tau, predictor=kind, sentence_index=index)
+                    run = run_speculative(model, predictor, source, EngineConfig(tau=tau), run_config)
+                    record(f"{policy.kind}-{policy.param}-tau{tau}-{kind}", run.trace)
+
+    def csv_text(columns: list[str], table: list[dict]) -> str:
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(columns)
+        writer.writerows([row[column] for column in columns] for row in table)
+        return text.getvalue()
+
+    return csv_text(RUN_COLUMNS, rows), csv_text(SUMMARY_COLUMNS, summarize(rows)), traces

@@ -20,6 +20,11 @@ same traces and output. A third counts, over the same runs, the source
 tokens their traces replay as predicted: a share equal to the n-gram
 model's own `evaluate` accuracy, 1 for the oracle, 0 for the always-wrong
 predictor, and none in a baseline trace.
+
+Two more pin what a sweep and a grid rely on: tau changes a run only
+through which of its (tau-independent) predictions clear it, and the
+adaptive policy with a latency weight of at most 0.1 runs exactly as
+wait-1.
 """
 
 from __future__ import annotations
@@ -192,7 +197,7 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
 
 
 @st.composite
-def shipped_cases(draw):
+def shipped_cases(draw, policies=policies):
     """A drawn world and policy, 1-4 source sentences and one of the shipped
     predictors: an n-gram model of order 1-3 trained on drawn sentences, or
     the oracle or the always-wrong predictor over the lexicon's sources,
@@ -245,3 +250,37 @@ def test_traces_count_the_predicted_share_the_predictor_scores(case):
         assert accuracy == predictor_for(None).evaluate(sources)["accuracy"]
     else:
         assert accuracy == (1.0 if kind == "oracle" else 0.0)
+
+
+TAUS = (0.0, 0.3, 0.5, 0.7, 1.0)
+
+
+@settings(max_examples=150)
+@given(shipped_cases())
+def test_tau_changes_a_run_only_through_the_gating_of_its_predictions(case):
+    # what lets a sweep run each distinct gating once and relabel it for the
+    # other taus: the PREDICT events are the same at every tau, and two taus
+    # that clear the same predictions give the same events
+    model, predictor_for, sources, _, kind = case
+    for source in sources:
+        events = {tau: run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau)).trace.events
+                  for tau in TAUS}
+        predicts = {tau: [(e.i, e.pred, e.p) for e in run if e.ev == PREDICT] for tau, run in events.items()}
+        assert all(predicts[tau] == predicts[0.0] for tau in TAUS)
+        by_gating: dict[tuple[bool, ...], tuple] = {}
+        for tau in TAUS:
+            gating = tuple(not p < tau for _, _, p in predicts[tau])  # the engine's gate
+            assert by_gating.setdefault(gating, events[tau]) == events[tau]
+
+
+@settings(max_examples=150)
+@given(shipped_cases(st.floats(min_value=0.0, max_value=0.1, exclude_min=True).map(PolicyConfig.adaptive)))
+def test_adaptive_with_latency_weight_at_most_a_tenth_is_wait_1(case):
+    # its write threshold 0.4 + L <= 0.5 accepts every visible token, as wait-1 does
+    model, predictor_for, sources, tau, _ = case
+    wait_1 = SimtModel(lexicon=model.lexicon, policy=PolicyConfig.wait_k(1), vocabulary=model.vocabulary)
+    for source in sources:
+        assert run_baseline(model, source).trace.events == run_baseline(wait_1, source).trace.events
+        adaptive = run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau))
+        waiting = run_speculative(wait_1, predictor_for(source), source, EngineConfig(tau=tau))
+        assert adaptive.trace.events == waiting.trace.events

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import csv
+import io
+import json
 import re
 import shutil
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 
 from specmt import (
     ExperimentConfig, OraclePredictor, PolicyConfig, SimtModel, experiment, gen_corpus, load_config, load_trace,
-    metrics_from_traces, plot_data, replay, run_baseline, run_experiment, run_speculative,
+    metrics_from_traces, parse_trace, plot_data, replay, run_baseline, run_experiment, run_speculative,
 )
 from specmt import trace as trace_module
 from specmt.engine import EngineError
@@ -26,7 +29,7 @@ from specmt.experiment import (
 from specmt.metrics import bleu_from_stats, bleu_stats
 from specmt.ngram import NgramModel
 from specmt.vocab import read_corpus_lines
-from oracles import brute_force_bleu
+from oracles import brute_force_bleu, independent_sweep
 
 
 def _config(tmp_path, **kw):
@@ -353,10 +356,19 @@ class TestSingleReplay:
         assert calls == []
 
     def test_sweep_replays_each_run_once(self, tmp_path, monkeypatch):
+        # a run that serves several taus is replayed once: replays are the
+        # rows less the rows whose gating an earlier tau of their
+        # (policy, predictor, sentence) already had
         calls = self._count_replays(monkeypatch)
-        config = _config(tmp_path, predictors=("indomain", "oracle"), tau_grid=(0.0, 0.5))
+        config = _config(tmp_path, predictors=("indomain", "oracle"), tau_grid=(0.0, 0.5), record_traces=True)
         assert run_experiment(config).ok
-        assert len(calls) == len(_read_csv(Path(config.out_dir) / "runs.csv")) == 2 * 12 * (1 + 2 * 2)
+        out = Path(config.out_dir)
+        rows = len(_read_csv(out / "runs.csv"))
+        gatings = _gatings(load_trace(path) for path in (out / "traces").rglob("*.jsonl"))
+        shared = sum(len(vectors) - len(set(vectors)) for vectors in gatings.values())
+        assert rows == 2 * 12 * (1 + 2 * 2)
+        assert shared == 2 * 12  # the oracle's probability 1.0 clears both taus
+        assert len(calls) == rows - shared
 
     def test_replay_error_is_the_sentence_failure(self, tmp_path, monkeypatch):
         # a speculative run of k=1 whose trace lacks END: its grid point
@@ -374,6 +386,82 @@ class TestSingleReplay:
         assert result.failures == ["wait_k(k=1) tau=0.0 predictor=indomain: sentence 110 (corpus line 111): "
                                    "inconsistent trace: missing END"]
         assert [(row["policy"], row["param"]) for row in result.summary_rows] == [("wait_k", 3.0)]
+
+
+def _gatings(traces) -> dict[tuple, list[tuple[bool, ...]]]:
+    """(policy, param, predictor, sentence index) -> the gating vector of
+    each of its speculative traces: which of the trace's own PREDICT
+    probabilities clear the trace's own tau."""
+    gatings: dict[tuple, list[tuple[bool, ...]]] = {}
+    for trace in traces:
+        cfg = trace.run_config
+        if cfg.predictor != "none":
+            gating = tuple(not event.p < cfg.tau for event in trace.events if event.ev == "PREDICT")
+            gatings.setdefault((cfg.policy, cfg.param, cfg.predictor, cfg.sentence_index), []).append(gating)
+    return gatings
+
+
+class TestTauSharing:
+    """A sweep runs each (policy, predictor, sentence) once per distinct
+    gating over the tau grid and relabels that run for the other taus; every
+    output equals that of a sweep that runs each grid point on its own."""
+
+    @staticmethod
+    def _count_runs(monkeypatch, fail=None):
+        """Record the run config of every `run_speculative` call of a sweep;
+        the run whose (param, tau, sentence index) is `fail` raises."""
+        calls = []
+        real = experiment.run_speculative
+
+        def counted(model, predictor, source, engine_config, run_config):
+            calls.append(run_config)
+            if (run_config.param, run_config.tau, run_config.sentence_index) == fail:
+                raise EngineError("injected failure")
+            return real(model, predictor, source, engine_config, run_config)
+
+        monkeypatch.setattr(experiment, "run_speculative", counted)
+        return calls
+
+    def test_sweep_equals_independent_sweep(self, tmp_path, monkeypatch):
+        calls = self._count_runs(monkeypatch)
+        config = _config(
+            tmp_path, k_grid=(1, 3), l_grid=(0.5,), tau_grid=(0.0, 0.3, 0.9, 1.0),
+            predictors=("indomain", "oracle", "always_wrong"), record_traces=True,
+        )
+        assert run_experiment(config).ok
+        runs_text, summary_text, traces = independent_sweep(config)
+        out = Path(config.out_dir)
+        assert (out / "runs.csv").read_bytes() == runs_text.encode("utf-8")
+        assert (out / "summary.csv").read_bytes() == summary_text.encode("utf-8")
+        assert {
+            path.relative_to(out / "traces").as_posix(): path.read_bytes() for path in (out / "traces").rglob("*.jsonl")
+        } == traces
+        # one engine run per distinct gating, counted from the independent traces
+        gatings = _gatings(parse_trace(text.decode("utf-8")) for text in traces.values())
+        assert len(gatings) == 3 * 3 * 12
+        assert len(calls) == sum(len(set(vectors)) for vectors in gatings.values()) < 3 * 3 * 12 * 4
+        # the oracle reports probability 1.0, so it runs once per sentence per policy
+        oracle_runs = Counter((c.policy, c.param, c.sentence_index) for c in calls if c.predictor == "oracle")
+        assert len(oracle_runs) == 3 * 12 and set(oracle_runs.values()) == {1}
+
+    def test_a_run_that_raised_is_not_shared(self, tmp_path, monkeypatch):
+        # the oracle's k=1 run of sentence 110 raises at tau 0: that grid point
+        # fails there, and at tau 0.5 the sentence and those after it run again
+        calls = self._count_runs(monkeypatch, fail=(1.0, 0.0, 110))
+        config = _config(tmp_path, predictors=("oracle",), tau_grid=(0.0, 0.5))
+        result = run_experiment(config)
+        failures = ["wait_k(k=1) tau=0.0 predictor=oracle: sentence 110 (corpus line 111): injected failure"]
+        out = Path(config.out_dir)
+        assert result.failures == failures
+        assert json.loads((out / "meta.json").read_text(encoding="utf-8"))["failures"] == failures
+        runs_text, _, _ = independent_sweep(config)
+        expected = [row for row in csv.DictReader(io.StringIO(runs_text))
+                    if (row["param"], row["tau"], row["predictor"]) != ("1.0", "0.0", "oracle")]
+        assert _read_csv(out / "runs.csv") == expected
+        assert [(c.tau, c.sentence_index) for c in calls if c.param == 1.0] == [
+            (0.0, 108), (0.0, 109), (0.0, 110), *((0.5, index) for index in range(110, 120)),
+        ]
+        assert [(c.tau, c.sentence_index) for c in calls if c.param == 3.0] == [(0.0, i) for i in range(108, 120)]
 
 
 class TestTraceMetrics:

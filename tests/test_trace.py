@@ -17,7 +17,7 @@ from specmt import (
     run_speculative,
 )
 from conftest import make_model
-from oracles import dumps_event_json, snapshot_from_trace
+from oracles import dumps_event_json, event_json, snapshot_from_trace
 
 
 def _trace(*events, config=None):
@@ -285,7 +285,7 @@ class TestReaderLayouts:
 
         monkeypatch.setattr(trace_module.json, "dumps", refuse)
         event = Event("WITHDRAW", j=3, old="x\"\\y", new="<phi>")
-        assert event.to_json() == '{"ev": "WITHDRAW", "j": 3, "old": "x\\"\\\\y", "new": "<phi>"}'
+        assert event_json(event) == '{"ev": "WITHDRAW", "j": 3, "old": "x\\"\\\\y", "new": "<phi>"}'
         trace = _trace(ev("PREDICT", i=1, pred="é", p=0.25), event, config=RunConfig(corpus="cé"))
         assert trace.serialize().count("\n") == 3
 
@@ -296,7 +296,7 @@ class TestWriter:
             Event("READ", i=1, tok="1"), Event("READ", i=True, tok=1), Event("READ", i=1.0, tok=True),
             Event("READ", i=1, tok=1.0), Event("PREDICT", pred=None, p=True), Event(None, j="2"),
         ):
-            assert event.to_json() == dumps_event_json(event)
+            assert event_json(event) == dumps_event_json(event)
 
 
 class TestCounts:

@@ -22,7 +22,7 @@ from specmt import Event, EventTrace, RunConfig, TraceError, parse_trace, replay
 from specmt.trace import EVENT_KINDS, _parse_lines  # noqa: E402
 from specmt.vocab import EOS_SURFACE, PHI_SURFACE  # noqa: E402
 from oracles import (  # noqa: E402
-    brute_force_delays, brute_force_predicted, dumps_event_json, dumps_serialize, snapshot_from_trace,
+    brute_force_delays, brute_force_predicted, dumps_event_json, dumps_serialize, event_json, snapshot_from_trace,
 )
 
 SPECIAL = [
@@ -69,7 +69,7 @@ def test_writer_matches_json_dumps_and_round_trips(trace):
 @given(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
 def test_non_finite_numbers_are_spelled_as_json_dumps_does(value):
     event = Event("PREDICT", i=1, pred="a", p=value)
-    assert event.to_json() == dumps_event_json(event)
+    assert event_json(event) == dumps_event_json(event)
     config = RunConfig(param=value, tau=value)
     assert EventTrace(events=(event,), run_config=config).serialize() == dumps_serialize(
         EventTrace(events=(event,), run_config=config)
@@ -100,22 +100,22 @@ def test_any_text_gives_a_trace_or_a_trace_error(text):
 # typed values, non-objects, broken JSON, several objects on one line, one
 # object broken over two lines between its members, and the two together,
 # which as a JSON array still has as many items as lines.
-_several = st.lists(events.map(Event.to_json), min_size=2, max_size=3).map(", ".join)
-_broken = events.map(lambda e: e.to_json().replace(", ", "\n", 1))
+_several = st.lists(events.map(event_json), min_size=2, max_size=3).map(", ".join)
+_broken = events.map(lambda e: event_json(e).replace(", ", "\n", 1))
 _keys = st.sampled_from(["ev", "i", "j", "tok", "pred", "p", "old", "new", "policy", "seed", "x"])
 _values = st.one_of(
     st.none(), st.booleans(), ints, st.floats(), surfaces, st.sampled_from(sorted(EVENT_KINDS)),
     st.lists(st.integers(), max_size=2),
 )
 _near_lines = st.one_of(
-    events.map(Event.to_json),
-    events.map(Event.to_json),
+    events.map(event_json),
+    events.map(event_json),
     run_configs.map(RunConfig.to_json),
     st.dictionaries(_keys, _values, max_size=4).map(json.dumps),
     _several,
     _broken,
     st.tuples(_several, _broken).map("\n".join),
-    events.map(lambda e: e.to_json()[: len(e.to_json()) // 2]),
+    events.map(lambda e: event_json(e)[: len(event_json(e)) // 2]),
     st.sampled_from(["", " ", "\r", "[", "]", "{", "}", "null", "1", '"x"', "[{}]", ',{"ev": "END"}']),
     st.text(max_size=8),
 )
