@@ -9,11 +9,11 @@ a deterministic function of the configuration, so repeated runs produce
 byte-identical CSVs.
 
 Tau only gates speculation on the predictor's probability; the engine
-predicts every token whatever tau is. So a sweep runs and scores each
-(policy, predictor, sentence) once per distinct gating vector over the tau
-grid, and relabels that run's trace and row for every other tau with the
-same vector. Every output, traces included, is byte-identical to running
-each grid point on its own.
+predicts every token whatever tau is. So at each tau a sweep reuses an
+earlier run of the same (policy, predictor, sentence) whose `PREDICT`
+probabilities gate alike at both taus, relabelling its trace and row, and
+keeps a fresh run only while a later tau remains. Every output, traces
+included, is byte-identical to running each grid point on its own.
 """
 
 from __future__ import annotations
@@ -342,32 +342,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             continue
         baseline_outputs, base_rows = baseline
         run_rows.extend(base_rows)
-        # (predictor kind, sentence index) -> the PREDICT probabilities of its
-        # first run, and its scored runs by gating vector, which a later tau
-        # with the same vector reuses relabelled. Runs are kept only while a
-        # later tau can still reuse them, and a run that raised is never kept.
-        shared: dict[tuple[str, int], tuple[tuple[float, ...], dict[tuple[bool, ...], tuple]]] = {}
-        for position, tau in enumerate(config.tau_grid):
-            keep = position + 1 < len(config.tau_grid)
+        # (predictor kind, sentence index) -> its fresh scored runs. A later tau
+        # reuses, relabelled, the first run whose PREDICT probabilities the
+        # engine gates alike at both taus. Runs are kept only while a later tau
+        # remains to reuse them, and a run that raised is never kept.
+        shared: dict[tuple[str, int], list[tuple[RunResult, dict, tuple[str, ...]]]] = {}
+        for tau in config.tau_grid:
             engine_config = EngineConfig(tau=tau)
             for kind in config.predictors:
 
                 def run_shared(source: Sentence, index: int):
                     run_config = replace(tagged, tau=tau, predictor=kind, sentence_index=index)
-                    entry = shared.get((kind, index))
-                    same = entry and entry[1].get(_gating(entry[0], tau))
-                    if same:
-                        run, row, final = same
-                        relabelled = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
-                        return relabelled, {**row, "tau": tau, "run_id": _run_id(run_config)}, final
+                    for run, row, final in shared.get((kind, index), ()):
+                        earlier = run.trace.run_config.tau
+                        if all((e.p < tau) == (e.p < earlier) for e in run.trace.events if e.ev == PREDICT):
+                            relabelled = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
+                            return relabelled, {**row, "tau": tau, "run_id": _run_id(run_config)}, final
                     fresh = scored(run_speculative(
                         model, _predictor_for(kind, trained, source, data), source, engine_config, run_config,
                     ))
-                    if keep:
-                        probabilities, runs = entry or shared.setdefault((kind, index), (
-                            tuple(e.p for e in fresh[0].trace.events if e.ev == PREDICT), {},
-                        ))
-                        runs[_gating(probabilities, tau)] = fresh
+                    if tau != config.tau_grid[-1]:
+                        shared.setdefault((kind, index), []).append(fresh)
                     return fresh
 
                 point = run_point(
@@ -393,11 +388,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     write_artifact(out_dir / "meta.json", json.dumps(meta, indent=2, default=list) + "\n")  # last: marks a finished run
     return result
-
-
-def _gating(probabilities: tuple[float, ...], tau: float) -> tuple[bool, ...]:
-    """Which predictions the engine speculates on at `tau`: its own test."""
-    return tuple(not p < tau for p in probabilities)
 
 
 def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, data: PreparedData):
@@ -489,9 +479,9 @@ def summarize(run_rows: Sequence[dict]) -> list[dict]:
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=columns)
-    writer.writeheader()
-    writer.writerows({col: row[col] for col in columns} for row in rows)
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows([row[col] for col in columns] for row in rows)
     write_artifact(path, text.getvalue())
 
 

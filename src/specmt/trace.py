@@ -57,9 +57,9 @@ def _number(value: object) -> str:
     return _dumps(value)
 
 
-def _event_parts(parts: list[str], event: Event, end: str) -> None:
-    """Append one event's JSON object, keys in field order and None fields
-    left out, then `end`."""
+def _event_parts(parts: list[str], event: Event) -> None:
+    """Append one event's JSON line, keys in field order and None fields
+    left out."""
     ev, i, j, tok, pred, p, old, new = event
     parts += ('{"ev": ', _string(ev))
     if i is not None:
@@ -76,7 +76,7 @@ def _event_parts(parts: list[str], event: Event, end: str) -> None:
         parts += (', "old": ', _string(old))
     if new is not None:
         parts += (', "new": ', _string(new))
-    parts.append(end)
+    parts.append("}\n")
 
 
 class Event(NamedTuple):
@@ -145,7 +145,7 @@ class EventTrace:
         keys in a fixed order; byte-identical to `json.dumps` of each line."""
         parts = [self.run_config.to_json(), "\n"]
         for event in self.events:
-            _event_parts(parts, event, "}\n")
+            _event_parts(parts, event)
         return "".join(parts)
 
     def save(self, path: str | Path) -> None:
@@ -330,7 +330,8 @@ def replay(trace: EventTrace) -> Replay:
     arrives; the EOS arrival closes nothing, so the write-only tail lands in
     the last row. A real READ(i, tok) is predicted when the last PREDICT(i,
     pred) before it has pred == tok. Raises TraceError for traces that
-    violate the speculation protocol ("inconsistent trace"): every SPECULATE
+    violate the speculation protocol ("inconsistent trace"): a READ needs its
+    index and token, a PREDICT its index and guess, and every SPECULATE
     must be resolved by exactly one COMMIT or WITHDRAW before END, so a trace
     that replays has speculations = hits + withdrawals.
     """
@@ -353,6 +354,8 @@ def replay(trace: EventTrace) -> Replay:
             if i is None or i <= last_read:
                 raise TraceError("inconsistent trace: READ indices not increasing")
             last_read = i
+            if tok is None:
+                raise TraceError("inconsistent trace: READ without token")
             if tok != EOS_SURFACE:
                 if reads > 0:
                     _close_row(visible, held, since, low, reads)
@@ -391,6 +394,8 @@ def replay(trace: EventTrace) -> Replay:
                 visible.append(new)
             pending = None
         elif kind == PREDICT:
+            if i is None or pred is None:
+                raise TraceError("inconsistent trace: PREDICT without index or guess")
             guesses[i] = pred
         elif kind == END:
             if pending is not None:

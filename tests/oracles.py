@@ -105,6 +105,8 @@ def snapshot_from_trace(trace: EventTrace) -> tuple[tuple[str, ...], ...]:
             if event.i is None or event.i <= last_read:
                 raise TraceError("inconsistent trace: READ indices not increasing")
             last_read = event.i
+            if event.tok is None:
+                raise TraceError("inconsistent trace: READ without token")
             if event.tok != EOS_SURFACE:
                 if reads > 0:
                     rows.append(tuple(visible))
@@ -139,7 +141,8 @@ def snapshot_from_trace(trace: EventTrace) -> tuple[tuple[str, ...], ...]:
                 visible.append(event.new)
             pending = None
         elif kind == PREDICT:
-            pass
+            if event.i is None or event.pred is None:
+                raise TraceError("inconsistent trace: PREDICT without index or guess")
         elif kind == END:
             if pending is not None:
                 raise TraceError(f"inconsistent trace: speculation at slot {pending[0]} unresolved at END")

@@ -403,8 +403,9 @@ def _gatings(traces) -> dict[tuple, list[tuple[bool, ...]]]:
 
 class TestTauSharing:
     """A sweep runs each (policy, predictor, sentence) once per distinct
-    gating over the tau grid and relabels that run for the other taus; every
-    output equals that of a sweep that runs each grid point on its own."""
+    gating over the tau grid and relabels an earlier run that gates alike for
+    the other taus; every output equals that of a sweep that runs each grid
+    point on its own."""
 
     @staticmethod
     def _count_runs(monkeypatch, fail=None):
@@ -422,10 +423,12 @@ class TestTauSharing:
         monkeypatch.setattr(experiment, "run_speculative", counted)
         return calls
 
-    def test_sweep_equals_independent_sweep(self, tmp_path, monkeypatch):
+    # an unsorted grid shares as fully: a run is reused at any tau that gates alike
+    @pytest.mark.parametrize("tau_grid", [(0.0, 0.3, 0.9, 1.0), (0.9, 0.0, 1.0, 0.3)])
+    def test_sweep_equals_independent_sweep(self, tmp_path, monkeypatch, tau_grid):
         calls = self._count_runs(monkeypatch)
         config = _config(
-            tmp_path, k_grid=(1, 3), l_grid=(0.5,), tau_grid=(0.0, 0.3, 0.9, 1.0),
+            tmp_path, k_grid=(1, 3), l_grid=(0.5,), tau_grid=tau_grid,
             predictors=("indomain", "oracle", "always_wrong"), record_traces=True,
         )
         assert run_experiment(config).ok

@@ -82,6 +82,18 @@ class TestReplay:
         with pytest.raises(TraceError, match="READ indices"):
             replay(trace)
 
+    @pytest.mark.parametrize("events, message", [
+        # a guess of nothing, then a token of nothing, is no prediction
+        ((ev("PREDICT", i=1), ev("READ", i=1)), "PREDICT without index or guess"),
+        ((ev("PREDICT", i=1, pred="a", p=1.0), ev("READ", i=1)), "READ without token"),
+        ((ev("READ", i=1, tok="a"), ev("READ", i=2)), "READ without token"),
+        ((ev("PREDICT", pred="a", p=1.0), ev("READ", i=1, tok="a")), "PREDICT without index or guess"),
+    ])
+    def test_reads_and_predictions_need_their_fields(self, events, message):
+        trace = _trace(*events, ev("WRITE", j=1, tok="</s>", i=1), ev("END"))
+        with pytest.raises(TraceError, match=f"inconsistent trace: {message}"):
+            replay(trace)
+
     def test_missing_end_is_inconsistent(self):
         trace = _trace(ev("READ", i=1, tok="a"))
         with pytest.raises(TraceError, match="END"):

@@ -152,9 +152,10 @@ def _assert_replay_matches_rows(trace):
 
 @settings(max_examples=200)
 @given(st.lists(events, max_size=12).map(tuple))
-# a read without a token, with no guess for it, is not predicted; of two
+# a read without a token, or a guess without one, is inconsistent; of two
 # guesses for one index, the last one counts
 @example((Event("READ", i=1), Event("END")))
+@example((Event("PREDICT", i=1), Event("READ", i=1), Event("END")))
 @example((Event("PREDICT", i=1, pred="a"), Event("PREDICT", i=1, pred="b"), Event("READ", i=1, tok="b"), Event("END")))
 def test_replay_agrees_with_the_frozen_replay_on_any_events(trace_events):
     _assert_replay_matches_rows(EventTrace(events=trace_events))
