@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .vocab import (
-    BOS_SURFACE, EOS_SURFACE, PHI_SURFACE, RESERVED_SURFACES, SpecmtError, Vocabulary, read_text, write_artifact,
+    BOS_SURFACE, EOS_SURFACE, PHI_SURFACE, RESERVED_SURFACES, Sentence, SpecmtError, Vocabulary,
+    read_text, write_artifact,
 )
 
 
@@ -18,11 +19,11 @@ class LexiconError(SpecmtError, ValueError):
 class Lexicon:
     """Monotone token-to-token rules with optional successor conditions.
 
-    `default` maps every regular source id to a target id. `conditional`
-    maps (source id, next source id) pairs to an alternative target; its
-    sources are the `ambiguous` ones, and each needs a default rule too. At
-    most one rule matches any (token, successor) pair, so translation is
-    deterministic.
+    The one translation rule: position p renders source token p, by the
+    conditional rule of (token p, token p+1) when token p+1 is visible and
+    has one, else by `default`, which maps every regular source id to a
+    target id. The sources of `conditional` are the `ambiguous` ones, and
+    each needs a default rule too.
     """
 
     default: dict[int, int]
@@ -36,16 +37,26 @@ class Lexicon:
                 raise LexiconError(f"ambiguous token id {src} lacks a default rule")
         object.__setattr__(self, "ambiguous", ambiguous)
 
-    def translate(self, token: int, next_token: int | None = None) -> int:
-        """Apply the conditional rule when its successor matches, else the default."""
-        if next_token is not None:
-            conditioned = self.conditional.get((token, next_token))
+    def translate(self, prefix: Sentence, pos: int) -> int:
+        """The target of 1-based position `pos` of a visible source prefix."""
+        token = prefix[pos - 1]
+        if pos < len(prefix):
+            conditioned = self.conditional.get((token, prefix[pos]))
             if conditioned is not None:
                 return conditioned
         try:
             return self.default[token]
         except KeyError:
             raise LexiconError(f"unknown source token id {token}") from None
+
+    def settled(self, prefix: Sentence, pos: int) -> bool:
+        """Whether `translate(prefix, pos)` holds however the prefix grows:
+        the successor is visible, or the token has no conditional rule."""
+        return pos < len(prefix) or prefix[pos - 1] not in self.ambiguous
+
+    def translate_sentence(self, source: Sentence) -> Sentence:
+        """The translation with every successor visible: the references and the quality upper bound."""
+        return tuple(self.translate(source, pos) for pos in range(1, len(source) + 1))
 
 
 DEFAULT_CONDITION = "*"

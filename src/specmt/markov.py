@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .lexicon import Lexicon, save_lexicon
-from .model import PolicyConfig, SimtModel
 from .vocab import RESERVED_SURFACES, Sentence, SpecmtError, Vocabulary, write_corpus_lines
 
 
@@ -164,8 +163,7 @@ def generate(spec: MarkovSourceSpec, n_sentences: int) -> GeneratedCorpus:
     initial, transitions = _chain(spec, transition_ss)
     vocab, lexicon = _build_vocab_and_lexicon(spec, transitions, lexicon_ss)
     sources = _sample_sources(spec, n_sentences, initial, transitions, corpus_ss)
-    translator = SimtModel(lexicon=lexicon, policy=PolicyConfig.wait_k(1), vocabulary=vocab)
-    references = tuple(translator.full_sentence_translate(s) for s in sources)
+    references = tuple(map(lexicon.translate_sentence, sources))
     return GeneratedCorpus(vocabulary=vocab, lexicon=lexicon, sources=sources, references=references)
 
 

@@ -1,11 +1,10 @@
 """Deterministic incremental translation model and its read/write policies.
 
-The model translates monotonically: output position p renders source token p
-through the lexicon, with the successor token (when visible) selecting the
-conditional rule for ambiguous entries. So a decision depends on the source
-prefix and on the number of target tokens written, not on which they are. A
-policy decides per call whether to emit the next target token or to request
-more input by returning PHI.
+The model translates monotonically: output position p is the lexicon's
+translation of source position p in the visible prefix (`Lexicon.translate`).
+So a decision depends on the source prefix and on the number of target tokens
+written, not on which they are. A policy decides per call whether to emit the
+next target token or to request more input by returning PHI.
 Determinism is load-bearing: identical arguments must always produce the
 identical decision, because the speculative engine reuses outputs computed
 from predicted prefixes whenever the prediction turns out to be correct.
@@ -29,7 +28,8 @@ class ModelError(SpecmtError, ValueError):
 def adaptive_threshold(latency_weight: float) -> float:
     """Confidence needed to write under the adaptive policy: min(1.0, 0.4 + L).
 
-    Ambiguous tokens without a visible successor carry confidence 0.5, so
+    A position whose translation is not yet settled (`Lexicon.settled`: an
+    ambiguous token without a visible successor) carries confidence 0.5, so
     latency weights L <= 0.1 accept those risky early writes while larger
     weights hold back until the conditioning token arrives.
     """
@@ -103,31 +103,12 @@ class SimtModel:
             if not self._adaptive_writes(source_prefix, pos, source_done):
                 return PHI
 
-        token = source_prefix[pos - 1]
-        next_token = source_prefix[pos] if pos < len(source_prefix) else None
-        return self.lexicon.translate(token, next_token)
+        return self.lexicon.translate(source_prefix, pos)
 
     def _adaptive_writes(self, source_prefix: Sentence, pos: int, source_done: bool) -> bool:
         if source_done:
             return True
         if pos > len(source_prefix):
             return False  # nothing to translate yet
-        token = source_prefix[pos - 1]
-        if token not in self.lexicon.ambiguous or pos < len(source_prefix):
-            confidence = 1.0
-        else:
-            confidence = 0.5
+        confidence = 1.0 if self.lexicon.settled(source_prefix, pos) else 0.5
         return confidence >= adaptive_threshold(self.policy.latency_weight or 0.0)
-
-    def full_sentence_translate(self, source: Sentence) -> Sentence:
-        """Whole-sentence translation: conditional rules apply wherever defined.
-
-        This is the quality upper bound and the reference generator.
-        """
-        if not source:
-            raise ModelError("empty source")
-        out = []
-        for pos, token in enumerate(source):
-            next_token = source[pos + 1] if pos + 1 < len(source) else None
-            out.append(self.lexicon.translate(token, next_token))
-        return tuple(out)

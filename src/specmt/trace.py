@@ -331,9 +331,10 @@ def replay(trace: EventTrace) -> Replay:
     the last row. A real READ(i, tok) is predicted when the last PREDICT(i,
     pred) before it has pred == tok. Raises TraceError for traces that
     violate the speculation protocol ("inconsistent trace"): a READ needs its
-    index and token, a PREDICT its index and guess, and every SPECULATE
-    must be resolved by exactly one COMMIT or WITHDRAW before END, so a trace
-    that replays has speculations = hits + withdrawals.
+    index and token, a PREDICT its index and guess, a SPECULATE its slot and
+    a WITHDRAW its corrected token, and every SPECULATE must be resolved by
+    exactly one COMMIT or WITHDRAW before END, so a trace that replays has
+    speculations = hits + withdrawals.
     """
     visible: list[str] = []
     held: list[str] = []  # the visible output when the last row closed
@@ -367,9 +368,11 @@ def replay(trace: EventTrace) -> Replay:
             if tok is None:
                 raise TraceError(f"inconsistent trace: {kind} without token")
             if kind == SPECULATE:
+                if j is None:
+                    raise TraceError("inconsistent trace: SPECULATE without slot")
                 if pending is not None:
                     raise TraceError("inconsistent trace: nested speculation")
-                pending = (j or 0, tok)
+                pending = (j, tok)
             if tok not in (PHI_SURFACE, EOS_SURFACE):
                 visible.append(tok)
         elif kind == COMMIT:
@@ -384,13 +387,15 @@ def replay(trace: EventTrace) -> Replay:
                 raise TraceError("inconsistent trace: WITHDRAW without speculation")
             if pending[1] != old:
                 raise TraceError("inconsistent trace: withdrawn token mismatch")
+            if new is None:
+                raise TraceError("inconsistent trace: WITHDRAW without corrected token")
             if old not in (PHI_SURFACE, EOS_SURFACE):
                 if not visible or visible[-1] != old:
                     raise TraceError("inconsistent trace: withdrawn token not trailing")
                 visible.pop()
                 if len(visible) < low:
                     low = len(visible)
-            if new is not None and new not in (PHI_SURFACE, EOS_SURFACE):
+            if new not in (PHI_SURFACE, EOS_SURFACE):
                 visible.append(new)
             pending = None
         elif kind == PREDICT:

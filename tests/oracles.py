@@ -115,9 +115,11 @@ def snapshot_from_trace(trace: EventTrace) -> tuple[tuple[str, ...], ...]:
             if event.tok is None:
                 raise TraceError(f"inconsistent trace: {kind} without token")
             if kind == SPECULATE:
+                if event.j is None:
+                    raise TraceError("inconsistent trace: SPECULATE without slot")
                 if pending is not None:
                     raise TraceError("inconsistent trace: nested speculation")
-                pending = (event.j or 0, event.tok)
+                pending = (event.j, event.tok)
             if event.tok not in (PHI_SURFACE, EOS_SURFACE):
                 visible.append(event.tok)
         elif kind == COMMIT:
@@ -133,11 +135,13 @@ def snapshot_from_trace(trace: EventTrace) -> tuple[tuple[str, ...], ...]:
             slot, old = pending
             if old != event.old:
                 raise TraceError("inconsistent trace: withdrawn token mismatch")
+            if event.new is None:
+                raise TraceError("inconsistent trace: WITHDRAW without corrected token")
             if old not in (PHI_SURFACE, EOS_SURFACE):
                 if not visible or visible[-1] != old:
                     raise TraceError("inconsistent trace: withdrawn token not trailing")
                 visible.pop()
-            if event.new is not None and event.new not in (PHI_SURFACE, EOS_SURFACE):
+            if event.new not in (PHI_SURFACE, EOS_SURFACE):
                 visible.append(event.new)
             pending = None
         elif kind == PREDICT:

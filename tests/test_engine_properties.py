@@ -25,6 +25,10 @@ Two more pin what a sweep and a grid rely on: tau changes a run only
 through which of its (tau-independent) predictions clear it, and the
 adaptive policy with a latency weight of at most 0.1 runs exactly as
 wait-1.
+
+The last two pin the one translation rule in `Lexicon`: a settled position's
+translation holds however the prefix grows, and wait-k with k at least the
+source length writes the whole-sentence translation.
 """
 
 from __future__ import annotations
@@ -284,3 +288,25 @@ def test_adaptive_with_latency_weight_at_most_a_tenth_is_wait_1(case):
         adaptive = run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau))
         waiting = run_speculative(wait_1, predictor_for(source), source, EngineConfig(tau=tau))
         assert adaptive.trace.events == waiting.trace.events
+
+
+@settings(max_examples=200)
+@given(worlds(), st.data())
+def test_a_settled_translation_holds_as_the_prefix_grows(world, data):
+    _, lexicon, ids = world
+    tokens = st.lists(st.sampled_from(ids), max_size=6)
+    prefix = tuple(data.draw(tokens.filter(bool)))
+    extension = tuple(data.draw(tokens))
+    pos = data.draw(st.integers(1, len(prefix)))
+    if lexicon.settled(prefix, pos):
+        assert lexicon.translate(prefix + extension, pos) == lexicon.translate(prefix, pos)
+
+
+@settings(max_examples=150)
+@given(worlds(), st.data())
+def test_wait_k_covering_the_source_writes_the_sentence_translation(world, data):
+    vocab, lexicon, ids = world
+    source = tuple(data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=20)))
+    k = len(source) + data.draw(st.integers(0, 2))
+    model = SimtModel(lexicon=lexicon, policy=PolicyConfig.wait_k(k), vocabulary=vocab)
+    assert run_baseline(model, source).final_output == lexicon.translate_sentence(source)

@@ -59,9 +59,17 @@ class TestGeneratedWorld:
         vocab, lexicon = load_lexicon(lexicon_path)
         sources = list(load_corpus(corpus_path, vocab).values())
         refs = [tuple(vocab.encode(line)) for line in read_corpus_lines(refs_path)]
-        model = SimtModel(lexicon=lexicon, policy=PolicyConfig.wait_k(1), vocabulary=vocab)
         for source, ref in zip(sources, refs):
-            assert model.full_sentence_translate(source) == ref
+            assert lexicon.translate_sentence(source) == ref
+
+    def test_references_are_wait_k_outputs_once_k_covers_the_source(self):
+        # with every successor visible before each write, decoding applies
+        # the one rule the references are generated by
+        data = generate(_spec(ambiguity_rate=0.4), 40)
+        for source, ref in zip(data.sources, data.references):
+            for k in (len(source), len(source) + 2):
+                model = SimtModel(lexicon=data.lexicon, policy=PolicyConfig.wait_k(k), vocabulary=data.vocabulary)
+                assert run_baseline(model, source).final_output == ref
 
     def test_sentence_lengths_respect_bounds(self):
         data = generate(_spec(min_length=4, max_length=6), 100)

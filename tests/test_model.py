@@ -107,29 +107,39 @@ class TestDeterminism:
             assert model.step(prefix, written, done) == model.step(prefix, written, done)
 
 
-class TestFullSentence:
+class TestTranslationRule:
+    def test_conditional_rule_needs_visible_successor(self, toy):
+        vocab, lexicon, ids = toy
+        assert lexicon.translate((ids["b"],), 1) == ids["B2"]
+        assert lexicon.translate((ids["b"], ids["c"]), 1) == ids["B1"]
+        assert lexicon.translate((ids["b"], ids["a"]), 1) == ids["B2"]
+        assert lexicon.translate((ids["a"], ids["b"], ids["c"]), 2) == ids["B1"]
+
+    def test_settled_once_successor_visible_or_token_unambiguous(self, toy):
+        vocab, lexicon, ids = toy
+        assert not lexicon.settled((ids["b"],), 1)
+        assert not lexicon.settled((ids["a"], ids["b"]), 2)
+        assert lexicon.settled((ids["b"], ids["a"]), 1)
+        assert lexicon.settled((ids["a"],), 1)
+
     def test_single_token(self, toy):
         vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
-        assert model.full_sentence_translate((ids["a"],)) == (ids["A"],)
+        assert lexicon.translate_sentence((ids["a"],)) == (ids["A"],)
 
     def test_conditional_applies_when_defined(self, toy):
         vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
-        assert model.full_sentence_translate((ids["b"], ids["c"])) == (ids["B1"], ids["C"])
-        assert model.full_sentence_translate((ids["b"], ids["a"])) == (ids["B2"], ids["A"])
+        assert lexicon.translate_sentence((ids["b"], ids["c"])) == (ids["B1"], ids["C"])
+        assert lexicon.translate_sentence((ids["b"], ids["a"])) == (ids["B2"], ids["A"])
 
-    def test_empty_source_rejected(self, toy):
+    def test_empty_source_translates_to_nothing(self, toy):
         vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
-        with pytest.raises(ModelError):
-            model.full_sentence_translate(())
+        assert lexicon.translate_sentence(()) == ()
 
     def test_unknown_token_rejected(self, toy):
         vocab, lexicon, ids = toy
-        model = make_model(vocab, lexicon)
-        with pytest.raises(LexiconError, match="unknown source token"):
-            model.full_sentence_translate((ids["A"],))  # target id: no source rule
+        message = f"unknown source token id {ids['A']}"  # target id: no source rule
+        with pytest.raises(LexiconError, match=f"^{message}$"):
+            lexicon.translate_sentence((ids["A"],))
 
 
 class TestLexiconFiles:

@@ -94,6 +94,21 @@ class TestReplay:
         with pytest.raises(TraceError, match=f"inconsistent trace: {message}"):
             replay(trace)
 
+    @pytest.mark.parametrize("events, message", [
+        # the corrected token is output: dropping it would replay to nothing
+        ((ev("PREDICT", i=1, pred="a", p=1.0), ev("SPECULATE", j=1, tok="A", i=0),
+          ev("READ", i=1, tok="b"), ev("WITHDRAW", j=1, old="A"), ev("READ", i=2, tok="</s>")),
+         "WITHDRAW without corrected token"),
+        # not slot 0, which a COMMIT of slot 0 would resolve
+        ((ev("READ", i=1, tok="a"), ev("SPECULATE", tok="A", i=1), ev("COMMIT", j=0)),
+         "SPECULATE without slot"),
+    ])
+    def test_speculations_and_withdrawals_need_their_fields(self, events, message):
+        trace = _trace(*events, ev("WRITE", j=2, tok="</s>", i=2), ev("END"))
+        for replay_trace in (replay, snapshot_from_trace):
+            with pytest.raises(TraceError, match=f"^inconsistent trace: {message}$"):
+                replay_trace(trace)
+
     def test_missing_end_is_inconsistent(self):
         trace = _trace(ev("READ", i=1, tok="a"))
         with pytest.raises(TraceError, match="END"):
