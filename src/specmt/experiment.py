@@ -487,6 +487,8 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 def plot_data(results_dir: str | Path, max_awr: float | None = None) -> list[Path]:
     """Reshape summary.csv into one plot-ready CSV per figure analog."""
+    if max_awr is not None and not max_awr >= 0:
+        raise ExperimentError(f"max_awr must be a number >= 0, got {max_awr}")
     results = Path(results_dir)
     summary_path = results / "summary.csv"
     if not summary_path.exists():

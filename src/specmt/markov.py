@@ -9,12 +9,18 @@ writing cost translation quality.
 
 Everything is reproducible bit-for-bit from the spec and its seed. The seed
 fans out through named children (transition matrix, lexicon, sentence
-sampling) so each part can be regenerated independently.
+sampling) so each part can be regenerated independently. The transition rows
+come from one Dirichlet call of the matrix's generator. The sampler takes its
+uniforms in fixed-size blocks from its generator's stream, in the order that
+one draw per step would take them, so a spec and seed give the same corpus
+bytes whatever the block size.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +28,11 @@ import numpy as np
 
 from .lexicon import Lexicon, save_lexicon
 from .vocab import RESERVED_SURFACES, Sentence, SpecmtError, Vocabulary, write_corpus_lines
+
+
+# uniforms drawn per refill by `_sample_sources`: a fixed block, so memory does
+# not grow with the corpus or with `max_length`
+UNIFORM_BLOCK = 4096
 
 
 class GenerationError(SpecmtError, ValueError):
@@ -89,9 +100,7 @@ def _chain(spec: MarkovSourceSpec, entropy) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(entropy)
     count = spec.regular_count
     initial = rng.dirichlet(np.full(count, spec.transition_concentration))
-    transitions = np.vstack(
-        [rng.dirichlet(np.full(count + 1, spec.transition_concentration)) for _ in range(count)]
-    )
+    transitions = rng.dirichlet(np.full(count + 1, spec.transition_concentration), size=count)
     return initial, transitions
 
 
@@ -123,6 +132,12 @@ def _build_vocab_and_lexicon(
     return vocab, Lexicon(default=default, conditional=conditional)
 
 
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """`rng.random()`, one value at a time, drawn `UNIFORM_BLOCK` at a time."""
+    while True:
+        yield from rng.random(UNIFORM_BLOCK).tolist()
+
+
 def _sample_sources(
     spec: MarkovSourceSpec,
     n_sentences: int,
@@ -130,25 +145,34 @@ def _sample_sources(
     transitions: np.ndarray,
     entropy,
 ) -> tuple[Sentence, ...]:
-    """Walk the chain until its end column fires, clamped to the length bounds."""
-    rng = np.random.default_rng(entropy)
+    """Walk the chain until its end column fires, clamped to the length bounds.
+
+    Inverse-CDF sampling, one uniform per step from `_uniforms`: the same
+    values, in the same order, as one `rng.random()` call per step.
+    """
     count = spec.regular_count
-    # inverse-CDF sampling: one uniform per step
-    cum_initial = np.cumsum(initial)
-    cum_rows = np.cumsum(transitions, axis=1)
-    forced = np.argmax(transitions[:, :count], axis=1)
+    cum_initial = np.cumsum(initial).tolist()
+    cum_rows = np.cumsum(transitions, axis=1).tolist()
+    # a cumsum's total can round below 1, and below a draw: a last bound of
+    # +inf puts such a draw in the last column instead of past it
+    cum_initial[-1] = math.inf
+    for row in cum_rows:
+        row[-1] = math.inf
+    forced = np.argmax(transitions[:, :count], axis=1).tolist()
+    uniform = _uniforms(np.random.default_rng(entropy)).__next__
+    min_length, max_length = spec.min_length, spec.max_length
     sentences = []
     for _ in range(n_sentences):
-        token = min(int(np.searchsorted(cum_initial, rng.random(), side="right")), count - 1)
+        token = bisect_right(cum_initial, uniform())
         ids = [4 + token]
-        while len(ids) < spec.max_length:
-            nxt = min(int(np.searchsorted(cum_rows[token], rng.random(), side="right")), count)
+        for length in range(1, max_length):
+            nxt = bisect_right(cum_rows[token], uniform())
             if nxt == count:  # end-of-sentence column
-                if len(ids) >= spec.min_length:
+                if length >= min_length:
                     break
                 # too short to end: fall to the most likely token instead,
                 # so the detour stays predictable from the context
-                nxt = int(forced[token])
+                nxt = forced[token]
             token = nxt
             ids.append(4 + token)
         sentences.append(tuple(ids))

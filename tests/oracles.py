@@ -21,6 +21,7 @@ from specmt.engine import EngineConfig, EngineError, run_baseline, run_speculati
 from specmt.experiment import (
     RUN_COLUMNS, SUMMARY_COLUMNS, ExperimentConfig, build_predictors, prepare_data, score_run, summarize,
 )
+from specmt.markov import GeneratedCorpus, MarkovSourceSpec, _build_vocab_and_lexicon
 from specmt.metrics import MetricsError, bleu_from_stats, bleu_stats, sum_bleu_stats
 from specmt.model import SimtModel
 from specmt.ngram import AlwaysWrongPredictor, OraclePredictor
@@ -37,7 +38,7 @@ from specmt.trace import (
     RunConfig,
     TraceError,
 )
-from specmt.vocab import BOS, EOS, EOS_SURFACE, PHI, PHI_SURFACE
+from specmt.vocab import BOS, EOS, EOS_SURFACE, PHI, PHI_SURFACE, Sentence
 
 
 def event_json(event: Event) -> str:
@@ -533,3 +534,76 @@ def independent_sweep(config: ExperimentConfig) -> tuple[str, str, dict[str, byt
         return text.getvalue()
 
     return csv_text(RUN_COLUMNS, rows), csv_text(SUMMARY_COLUMNS, summarize(rows)), traces
+
+
+# The Markov sampler as it was before its rows came from one Dirichlet call
+# and its uniforms from blocks: one `rng.dirichlet` per row, one `rng.random()`
+# and one `np.searchsorted` per token. Frozen as the reference that the
+# shipped sampler must reproduce bit for bit.
+
+
+def _chain(spec: MarkovSourceSpec, entropy) -> tuple[np.ndarray, np.ndarray]:
+    """Initial distribution over tokens and transition rows over tokens + end.
+
+    The extra final column of each transition row is the probability of the
+    sentence ending after that token, so sentence termination is part of the
+    chain and as predictable as the tokens themselves.
+    """
+    rng = np.random.default_rng(entropy)
+    count = spec.regular_count
+    initial = rng.dirichlet(np.full(count, spec.transition_concentration))
+    transitions = np.vstack(
+        [rng.dirichlet(np.full(count + 1, spec.transition_concentration)) for _ in range(count)]
+    )
+    return initial, transitions
+
+
+def _sample_sources(
+    spec: MarkovSourceSpec,
+    n_sentences: int,
+    initial: np.ndarray,
+    transitions: np.ndarray,
+    entropy,
+) -> tuple[Sentence, ...]:
+    """Walk the chain until its end column fires, clamped to the length bounds."""
+    rng = np.random.default_rng(entropy)
+    count = spec.regular_count
+    # inverse-CDF sampling: one uniform per step
+    cum_initial = np.cumsum(initial)
+    cum_rows = np.cumsum(transitions, axis=1)
+    forced = np.argmax(transitions[:, :count], axis=1)
+    sentences = []
+    for _ in range(n_sentences):
+        token = min(int(np.searchsorted(cum_initial, rng.random(), side="right")), count - 1)
+        ids = [4 + token]
+        while len(ids) < spec.max_length:
+            nxt = min(int(np.searchsorted(cum_rows[token], rng.random(), side="right")), count)
+            if nxt == count:  # end-of-sentence column
+                if len(ids) >= spec.min_length:
+                    break
+                # too short to end: fall to the most likely token instead,
+                # so the detour stays predictable from the context
+                nxt = int(forced[token])
+            token = nxt
+            ids.append(4 + token)
+        sentences.append(tuple(ids))
+    return tuple(sentences)
+
+
+def frozen_generate(spec: MarkovSourceSpec, n_sentences: int) -> GeneratedCorpus:
+    """`markov.generate` over the frozen chain and sampler."""
+    transition_ss, lexicon_ss, corpus_ss = np.random.SeedSequence(spec.seed).spawn(3)
+    initial, transitions = _chain(spec, transition_ss)
+    vocab, lexicon = _build_vocab_and_lexicon(spec, transitions, lexicon_ss)
+    sources = _sample_sources(spec, n_sentences, initial, transitions, corpus_ss)
+    references = tuple(map(lexicon.translate_sentence, sources))
+    return GeneratedCorpus(vocabulary=vocab, lexicon=lexicon, sources=sources, references=references)
+
+
+def frozen_generate_out_of_domain_sources(
+    spec: MarkovSourceSpec, n_sentences: int, domain_seed: int
+) -> tuple[Sentence, ...]:
+    """`markov.generate_out_of_domain_sources` over the frozen chain and sampler."""
+    transition_ss, _, corpus_ss = np.random.SeedSequence(domain_seed).spawn(3)
+    initial, transitions = _chain(spec, transition_ss)
+    return _sample_sources(spec, n_sentences, initial, transitions, corpus_ss)

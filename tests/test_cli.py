@@ -10,6 +10,7 @@ import pytest
 
 import specmt
 from specmt.cli import build_parser, main
+from specmt.experiment import SUMMARY_COLUMNS
 from specmt.vocab import load_corpus, read_corpus_lines
 
 
@@ -395,6 +396,10 @@ ERROR_CASES = {
     "training corpus empty, with a lexicon": (
         ["train-lm", "--corpus", "{tmp}/blank.txt", "--lexicon", "{tmp}/ab.tsv", "--out", "{tmp}/lm.json"],
         "{tmp}/blank.txt: empty corpus"),
+    "plot-data max_awr not a number": (["plot-data", "--results", "{tmp}/results", "--max-awr", "nan"],
+                                       "max_awr must be a number >= 0, got nan"),
+    "plot-data max_awr negative": (["plot-data", "--results", "{tmp}/results", "--max-awr", "-1"],
+                                   "max_awr must be a number >= 0, got -1.0"),
     "held-out corpus empty": (["lm-stats", "--model", "{tmp}/ab.json", "--corpus", "{tmp}/blank.txt"],
                               "{tmp}/blank.txt: empty evaluation corpus"),
 }
@@ -421,6 +426,10 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "target.txt").write_text("a b a\n" * 18 + "a b a B\nb a\n")
     (tmp_path / "unk.txt").write_text("a b\na <unk>\n" + "b a\n" * 18)
     (tmp_path / "blank.txt").write_text("\n \n")
+    (tmp_path / "results").mkdir()
+    (tmp_path / "results" / "summary.csv").write_text(
+        ",".join(SUMMARY_COLUMNS) + "\nwait_k,1,0.0,oracle,2,1.0,1.0,0.0,0.0,1.0,1.0,0,0,0\n"
+    )
     argv, message = ERROR_CASES[case]
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
     captured = capsys.readouterr()

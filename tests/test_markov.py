@@ -15,7 +15,7 @@ from specmt import (
 )
 from specmt.markov import GenerationError
 from specmt.vocab import load_corpus, read_corpus_lines
-from oracles import corpus_bleu
+from oracles import corpus_bleu, frozen_generate
 
 
 def _spec(**kw):
@@ -53,6 +53,13 @@ class TestDeterminism:
 
 
 class TestGeneratedWorld:
+    def test_memory_does_not_grow_with_max_length(self):
+        # sentences end by the chain's end column long before this bound; a
+        # sampler that drew n_sentences * max_length uniforms up front would
+        # ask for gigabytes here
+        spec = MarkovSourceSpec(vocab_size=8, transition_concentration=1.0, min_length=1, max_length=10**9)
+        assert generate(spec, 3) == frozen_generate(spec, 3)
+
     def test_files_reconstruct_the_in_memory_world(self, tmp_path):
         spec = _spec()
         corpus_path, lexicon_path, refs_path = gen_corpus(spec, 30, tmp_path)
