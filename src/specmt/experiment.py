@@ -493,12 +493,22 @@ def plot_data(results_dir: str | Path, max_awr: float | None = None) -> list[Pat
     summary_path = results / "summary.csv"
     if not summary_path.exists():
         raise ExperimentError(f"missing summary.csv in {results}")
-    with summary_path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        rows = list(reader)
-        for column in SUMMARY_COLUMNS:
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise ExperimentError(f"missing column {column!r} in {summary_path}")
+    numeric = ("param", "tau") if max_awr is None else ("param", "tau", "awr")  # the columns read as numbers
+    reader = csv.DictReader(io.StringIO(read_text(summary_path, ExperimentError)))
+    for column in SUMMARY_COLUMNS:
+        if reader.fieldnames is None or column not in reader.fieldnames:
+            raise ExperimentError(f"missing column {column!r} in {summary_path}")
+    rows = []
+    for row in reader:
+        where = f"{summary_path}: line {reader.line_num}"
+        if None in row or None in row.values():
+            raise ExperimentError(f"{where}: expected {len(reader.fieldnames)} fields")
+        for column in numeric:
+            try:
+                float(row[column])
+            except ValueError:
+                raise ExperimentError(f"{where}: {column} is not a number: {row[column]!r}") from None
+        rows.append(row)
     if not rows:
         raise ExperimentError(f"no summary rows in {summary_path}")
 

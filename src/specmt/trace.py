@@ -34,48 +34,42 @@ class TraceError(SpecmtError, ValueError):
     pass
 
 
-def _dumps(value: object) -> str:
-    return json.dumps(value, ensure_ascii=False)
-
-
-def _string(value: object) -> str:
-    """`json.dumps` of a string field; `encode_basestring` is the encoder it
-    uses for strings when `ensure_ascii=False`."""
-    return encode_basestring(value) if type(value) is str else _dumps(value)
-
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps spellings
 
 
-def _number(value: object) -> str:
-    """`json.dumps(value)` for an int or a float, without its per-call set-up."""
+def _value(value: object) -> str:
+    """`json.dumps(value, ensure_ascii=False)`, without its per-call set-up
+    for a str (`encode_basestring` is the encoder it uses then), an int or a
+    float."""
+    if type(value) is str:
+        return encode_basestring(value)
     if type(value) is int:
         return repr(value)
     if type(value) is float:
         text = repr(value)
         return _NON_FINITE.get(text, text)
-    return _dumps(value)
+    return json.dumps(value, ensure_ascii=False)
 
 
 def _event_parts(parts: list[str], event: Event) -> None:
     """Append one event's JSON line, keys in field order and None fields
     left out."""
     ev, i, j, tok, pred, p, old, new = event
-    parts += ('{"ev": ', _string(ev))
+    parts += ('{"ev": ', _value(ev))
     if i is not None:
-        parts += (', "i": ', _number(i))
+        parts += (', "i": ', _value(i))
     if j is not None:
-        parts += (', "j": ', _number(j))
+        parts += (', "j": ', _value(j))
     if tok is not None:
-        parts += (', "tok": ', _string(tok))
+        parts += (', "tok": ', _value(tok))
     if pred is not None:
-        parts += (', "pred": ', _string(pred))
+        parts += (', "pred": ', _value(pred))
     if p is not None:
-        parts += (', "p": ', _number(p))
+        parts += (', "p": ', _value(p))
     if old is not None:
-        parts += (', "old": ', _string(old))
+        parts += (', "old": ', _value(old))
     if new is not None:
-        parts += (', "new": ', _string(new))
+        parts += (', "new": ', _value(new))
     parts.append("}\n")
 
 
@@ -119,16 +113,8 @@ class RunConfig:
     sentence_index: int = 0
 
     def to_json(self) -> str:
-        return "".join((
-            '{"policy": ', _string(self.policy),
-            ', "param": ', _number(self.param),
-            ', "tau": ', _number(self.tau),
-            ', "predictor": ', _string(self.predictor),
-            ', "corpus": ', _string(self.corpus),
-            ', "seed": ', _number(self.seed),
-            ', "sentence_index": ', _number(self.sentence_index),
-            "}",
-        ))
+        """The header line, keys in field order."""
+        return "{" + ", ".join(f'"{key}": {_value(value)}' for key, value in vars(self).items()) + "}"
 
 
 @dataclass(frozen=True)

@@ -402,6 +402,14 @@ ERROR_CASES = {
                                    "max_awr must be a number >= 0, got -1.0"),
     "held-out corpus empty": (["lm-stats", "--model", "{tmp}/ab.json", "--corpus", "{tmp}/blank.txt"],
                               "{tmp}/blank.txt: empty evaluation corpus"),
+    "plot-data param not a number": (["plot-data", "--results", "{tmp}/param_x"],
+                                     "{tmp}/param_x/summary.csv: line 2: param is not a number: 'x'"),
+    "plot-data awr empty under max_awr": (["plot-data", "--results", "{tmp}/awr_empty", "--max-awr", "0.5"],
+                                          "{tmp}/awr_empty/summary.csv: line 2: awr is not a number: ''"),
+    "plot-data short summary row": (["plot-data", "--results", "{tmp}/short_row"],
+                                    "{tmp}/short_row/summary.csv: line 3: expected 14 fields"),
+    "plot-data summary not UTF-8": (["plot-data", "--results", "{tmp}/binary_summary"],
+                                    "{tmp}/binary_summary/summary.csv: not UTF-8 at byte 0"),
 }
 
 
@@ -426,10 +434,16 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "target.txt").write_text("a b a\n" * 18 + "a b a B\nb a\n")
     (tmp_path / "unk.txt").write_text("a b\na <unk>\n" + "b a\n" * 18)
     (tmp_path / "blank.txt").write_text("\n \n")
-    (tmp_path / "results").mkdir()
-    (tmp_path / "results" / "summary.csv").write_text(
-        ",".join(SUMMARY_COLUMNS) + "\nwait_k,1,0.0,oracle,2,1.0,1.0,0.0,0.0,1.0,1.0,0,0,0\n"
-    )
+    summary_row = "wait_k,1,0.0,oracle,2,1.0,1.0,0.0,0.0,1.0,1.0,0,0,0\n"
+    for name, rows in (
+        ("results", summary_row), ("param_x", summary_row.replace(",1,", ",x,", 1)),
+        ("awr_empty", summary_row.replace(",0.0,1.0,1.0,", ",,1.0,1.0,", 1)),
+        ("short_row", summary_row + "wait_k,1.0\n"),
+    ):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.csv").write_text(",".join(SUMMARY_COLUMNS) + "\n" + rows)
+    (tmp_path / "binary_summary").mkdir()
+    (tmp_path / "binary_summary" / "summary.csv").write_bytes(b"\xff\xfe" + summary_row.encode())
     argv, message = ERROR_CASES[case]
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
     captured = capsys.readouterr()

@@ -24,7 +24,11 @@ predictor, and none in a baseline trace.
 Two more pin what a sweep and a grid rely on: tau changes a run only
 through which of its (tau-independent) predictions clear it, and the
 adaptive policy with a latency weight of at most 0.1 runs exactly as
-wait-1.
+wait-1. A third pins why every predictor gains alike at wait-k with k at
+least 3: at tau 0, unless the predictor guesses the end of the sentence
+early, a speculative wait-k run has baseline wait-(k-1)'s delays, and on
+a source of at least k-1 tokens it withdraws only decisions it writes again
+unchanged.
 
 The last two pin the one translation rule in `Lexicon`: a settled position's
 translation holds however the prefix grows, and wait-k with k at least the
@@ -56,7 +60,7 @@ from specmt import (  # noqa: E402
 )
 from specmt.ngram import Prediction  # noqa: E402
 from specmt.trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE  # noqa: E402
-from specmt.vocab import EOS, RESERVED_SURFACES  # noqa: E402
+from specmt.vocab import EOS, EOS_SURFACE, RESERVED_SURFACES  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_delays, frozen_run_baseline, frozen_run_speculative, snapshot_from_trace,
 )
@@ -288,6 +292,30 @@ def test_adaptive_with_latency_weight_at_most_a_tenth_is_wait_1(case):
         adaptive = run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau))
         waiting = run_speculative(wait_1, predictor_for(source), source, EngineConfig(tau=tau))
         assert adaptive.trace.events == waiting.trace.events
+
+
+@settings(max_examples=150)
+@given(shipped_cases(st.integers(min_value=3, max_value=7).map(PolicyConfig.wait_k)))
+def test_speculative_wait_k_from_3_runs_as_baseline_wait_k_minus_1(case):
+    # at k >= 3 a speculated decision translates a position at least two
+    # behind the guessed token, and a rule reads at most one token past its
+    # position, so the guess is never read: only its count moves the lag, and
+    # every withdrawal puts back the decision it takes away. Two exceptions:
+    # a guessed end of sentence before the real one lifts the wait, so the
+    # speculated decision writes where wait-k would still read (delays and
+    # withdrawals both change); and a source of at most k - 2 tokens is read
+    # whole before any write, so a real token guessed past its end speculates
+    # a read where the real end writes (only the withdrawal changes)
+    model, predictor_for, sources, _, _ = case
+    shorter = SimtModel(lexicon=model.lexicon, policy=PolicyConfig.wait_k(model.policy.k - 1),
+                        vocabulary=model.vocabulary)
+    for source in sources:
+        trace = run_speculative(model, predictor_for(source), source, EngineConfig(tau=0.0)).trace
+        if any(e.ev == PREDICT and e.pred == EOS_SURFACE and e.i <= len(source) for e in trace.events):
+            continue
+        if len(source) >= model.policy.k - 1:
+            assert all(e.old == e.new for e in trace.events if e.ev == WITHDRAW)
+        assert replay(trace).delays == replay(run_baseline(shorter, source).trace).delays
 
 
 @settings(max_examples=200)

@@ -17,7 +17,7 @@ from specmt import (
     run_speculative,
 )
 from conftest import make_model
-from oracles import dumps_event_json, event_json, snapshot_from_trace
+from oracles import dumps_event_json, dumps_run_config_json, event_json, snapshot_from_trace
 
 
 def _trace(*events, config=None):
@@ -324,6 +324,12 @@ class TestWriter:
             Event("READ", i=1, tok=1.0), Event("PREDICT", pred=None, p=True), Event(None, j="2"),
         ):
             assert event_json(event) == dumps_event_json(event)
+        for config in (
+            RunConfig(param=True, tau=False, seed=True), RunConfig(policy=None, param=None, corpus=None),
+            RunConfig(param="0.5", seed="7"), RunConfig(policy=3, predictor=-1),
+            RunConfig(param=float("nan"), tau=float("inf"), seed=-float("inf")),
+        ):
+            assert config.to_json() == dumps_run_config_json(config)
 
 
 class TestCounts:
