@@ -14,13 +14,16 @@ Speculation depth is one source token: each read step speculates at most its
 first decision. After the end-of-sequence arrives the remaining output is
 decoded autoregressively with no speculation.
 
+Tau only gates: `probability < tau` skips a speculation, and every token is
+predicted whatever tau is, so `gates_alike` tells when runs at two taus agree.
+
 A run's result is its final output and its trace, the only record of what
 happened: the speculation, hit and withdrawal counts are read from it, and
 the delays come from its `replay`, which scoring does, not the engine.
 
 The loop costs little beyond its translator and predictor calls: events are
 built positionally, surfaces are read from the vocabulary's token tuple, and
-each read slices its prefix once, which its speculation then reuses.
+each read slices its prefix once, which the next step's speculation reuses.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise EngineError("tau must be in [0, 1]")
+
+
+def gates_alike(trace: EventTrace, tau: float, other: float) -> bool:
+    """Whether the gate decides every `PREDICT` of `trace` alike at `tau`
+    and at `other`: then a run at `tau` is also the run at `other`."""
+    return all((e.p < tau) == (e.p < other) for e in trace.events if e.ev == PREDICT)
 
 
 @dataclass(frozen=True)
@@ -102,12 +111,12 @@ def run_speculative(
 def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: RunConfig | None) -> RunResult:
     """The read/write loop, speculating only when there is a predictor.
 
-    Each read step: resolve the pending speculation against the token that
-    actually arrived (commit on a hit, withdraw and recompute on a miss),
-    keep decoding with the real prefix until the policy asks to read, then
-    predict the next token and speculate one decision on it when the
-    prediction clears the probability gate. The end-of-source read either
-    finishes the translation or raises, so the loop always ends in a break.
+    Each read step: predict the coming token from the prefix read so far and
+    speculate one decision on it when the prediction clears the gate, read
+    the token, resolve the speculation against it (commit on a hit, withdraw
+    and recompute on a miss), then keep decoding with the real prefix until
+    the policy asks to read. The end-of-source read either finishes the
+    translation or raises, so the loop always ends in a break.
     """
     if not source:
         raise EngineError("empty source")
@@ -139,9 +148,10 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
         emit(_event((SPECULATE, basis, slot, surfaces[decision], None, None, None, None)))
         pending = (slot, decision, token)
 
-    if predictor is not None:
-        speculate(())
+    prefix: Sentence = ()
     for i in range(1, src_len + 2):
+        if predictor is not None:
+            speculate(prefix)
         tok = source[i - 1] if i <= src_len else EOS
         emit(_event((READ, i, None, surfaces[tok], None, None, None, None)))
         done = tok == EOS
@@ -174,8 +184,6 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
             break
         if done:
             raise EngineError("policy requested a read past the end of source")
-        if predictor is not None:
-            speculate(prefix)
     emit(_event((END, None, None, None, None, None, None, None)))
 
     return RunResult(tuple(out), EventTrace(events=tuple(events), run_config=run_config or RunConfig()))

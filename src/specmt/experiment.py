@@ -1,19 +1,19 @@
 """Experiment sweeps: grids over policies, thresholds, and predictors.
 
-Each grid point runs a baseline pass and a speculative pass over the test
-split, verifies inline that speculation left the output untouched, and emits
-one CSV row per run, scored by `score_run` exactly as `metrics` scores a
-trace file, plus a summary row per grid point, paired and aggregated by
-`summarize` exactly as `metrics` pairs trace files. The whole pipeline is
-a deterministic function of the configuration, so repeated runs produce
-byte-identical CSVs.
+Each policy's grid points run in one loop, the baseline first as the point
+with predictor `none` at tau 0.0. A point runs every test sentence, checks
+inline that speculation left the output untouched, and emits one CSV row per
+run, scored by `score_run` exactly as `metrics` scores a trace file; each
+speculative point also gets a summary row, paired and aggregated by
+`summarize` exactly as `metrics` pairs trace files. A point stops at its
+first sentence that raises, and a failing baseline skips its policy.
 
-Tau only gates speculation on the predictor's probability; the engine
-predicts every token whatever tau is. So at each tau a sweep reuses an
-earlier run of the same (policy, predictor, sentence) whose `PREDICT`
-probabilities gate alike at both taus, relabelling its trace and row, and
-keeps a fresh run only while a later tau remains. Every output, traces
-included, is byte-identical to running each grid point on its own.
+A sentence reuses, relabelled, a kept run of the same (policy, predictor,
+sentence) that `gates_alike` finds gated alike at its tau, or else runs
+afresh. Only speculative runs that did not raise are kept, and only while a
+later tau remains. Every output, traces included, is byte-identical to
+running each grid point on its own, and a fixed configuration gives
+byte-identical outputs on every run.
 """
 
 from __future__ import annotations
@@ -24,18 +24,19 @@ import json
 import shutil
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
+from itertools import product
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
-from .engine import EngineConfig, RunResult, run_baseline, run_speculative
+from .engine import EngineConfig, RunResult, gates_alike, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon
 from .markov import (
     GeneratedCorpus, MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated,
 )
 from .metrics import average_lagging, awr, bleu_from_stats, bleu_stats, sum_bleu_stats
 from .model import PolicyConfig, SimtModel
-from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, _check_parameters, train_ngram
-from .trace import COMMIT, PREDICT, SPECULATE, WITHDRAW, EventTrace, RunConfig, load_trace, replay
+from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, check_parameters, train_ngram
+from .trace import COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, load_trace, replay
 from .vocab import Sentence, SpecmtError, Vocabulary, load_corpus, read_corpus_lines, read_text, write_artifact
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
@@ -110,7 +111,7 @@ class ExperimentConfig:
             ("l_grid", lambda: [PolicyConfig.adaptive(l) for l in self.l_grid]),
             ("tau_grid", lambda: [EngineConfig(tau=tau) for tau in self.tau_grid]),
             ("", self.source_spec),
-            ("", lambda: _check_parameters(self.ngram_order, self.alpha, self.beta)),
+            ("", lambda: check_parameters(self.ngram_order, self.alpha, self.beta)),
         ):
             try:
                 check()
@@ -298,81 +299,56 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult(out_dir=out_dir)
     surface = data.vocabulary.surface
     sentence_bleu_stats = _bleu_stats_memo(data.reference_lines)
-
-    def scored(run: RunResult) -> tuple[RunResult, dict, tuple[str, ...]]:
-        return (run, *score_run(run.trace, sentence_bleu_stats))
-
-    def run_point(point: str, trace_name: str, run_one, baseline_outputs=None):
-        """Run, score, save and check every test sentence of one grid point;
-        `run_one(source, index)` gives a sentence's run, row and final output.
-        Returns the outputs and the rows, or None after recording the error
-        of the sentence whose run or scoring raised one."""
-        trace_dir = out_dir / "traces" / trace_name
-        if config.record_traces:
-            trace_dir.mkdir(parents=True, exist_ok=True)
-        outputs: list[Sentence] = []
-        rows: list[dict] = []
-        for i, source in enumerate(data.test_sources):
-            index = data.test_offset + i
-            where = f"{point}: sentence {index} (corpus line {data.test_lines[i]})"
-            try:
-                run, row, final = run_one(source, index)
-            except Exception as exc:
-                result.failures.append(f"{where}: {exc}")
-                return None
-            if config.record_traces:
-                run.trace.save(trace_dir / f"{index:05d}.jsonl")
-            if baseline_outputs is not None and run.final_output != baseline_outputs[i]:
-                result.failures.append(f"{where}: speculative output differs")
-            if tuple(map(surface, run.final_output)) != final:
-                result.failures.append(f"{where}: trace replays to another output")
-            outputs.append(run.final_output)
-            rows.append(row)
-        return outputs, rows
-
     run_rows: list[dict] = []
     for policy in config.policy_grid():
         model = SimtModel(lexicon=data.lexicon, policy=policy, vocabulary=data.vocabulary)
         tagged = RunConfig(policy=policy.kind, param=policy.param, corpus=data.corpus_id, seed=config.seed)
-        baseline = run_point(
-            f"baseline {policy.describe()}", f"{policy.kind}-{policy.param}-baseline",
-            lambda source, index: scored(run_baseline(model, source, replace(tagged, sentence_index=index))),
-        )
-        if baseline is None:
-            continue
-        baseline_outputs, base_rows = baseline
-        run_rows.extend(base_rows)
-        # (predictor kind, sentence index) -> its fresh scored runs. A later tau
-        # reuses, relabelled, the first run whose PREDICT probabilities the
-        # engine gates alike at both taus. Runs are kept only while a later tau
-        # remains to reuse them, and a run that raised is never kept.
-        shared: dict[tuple[str, int], list[tuple[RunResult, dict, tuple[str, ...]]]] = {}
-        for tau in config.tau_grid:
-            engine_config = EngineConfig(tau=tau)
-            for kind in config.predictors:
-
-                def run_shared(source: Sentence, index: int):
-                    run_config = replace(tagged, tau=tau, predictor=kind, sentence_index=index)
-                    for run, row, final in shared.get((kind, index), ()):
-                        earlier = run.trace.run_config.tau
-                        if all((e.p < tau) == (e.p < earlier) for e in run.trace.events if e.ev == PREDICT):
-                            relabelled = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
-                            return relabelled, {**row, "tau": tau, "run_id": _run_id(run_config)}, final
-                    fresh = scored(run_speculative(
-                        model, _predictor_for(kind, trained, source, data), source, engine_config, run_config,
-                    ))
-                    if tau != config.tau_grid[-1]:
-                        shared.setdefault((kind, index), []).append(fresh)
-                    return fresh
-
-                point = run_point(
-                    f"{policy.describe()} tau={tau} predictor={kind}",
-                    f"{policy.kind}-{policy.param}-tau{tau}-{kind}",
-                    run_shared,
-                    baseline_outputs,
-                )
-                if point is not None:
-                    run_rows.extend(point[1])
+        baseline_outputs: list[Sentence] = []
+        # (predictor kind, sentence index) -> the scored speculative runs kept for a later tau
+        kept: dict[tuple[str, int], list[tuple[RunResult, dict, tuple[str, ...]]]] = {}
+        for tau, kind in [(0.0, "none"), *product(config.tau_grid, config.predictors)]:
+            baseline, engine_config = kind == "none", EngineConfig(tau=tau)
+            point = f"baseline {policy.describe()}" if baseline else f"{policy.describe()} tau={tau} predictor={kind}"
+            label = "baseline" if baseline else f"tau{tau}-{kind}"
+            trace_dir = out_dir / "traces" / f"{policy.kind}-{policy.param}-{label}"
+            if config.record_traces:
+                trace_dir.mkdir(parents=True, exist_ok=True)
+            rows: list[dict] = []
+            for i, source in enumerate(data.test_sources):
+                index = data.test_offset + i
+                where = f"{point}: sentence {index} (corpus line {data.test_lines[i]})"
+                run_config = replace(tagged, tau=tau, predictor=kind, sentence_index=index)
+                try:
+                    for run, row, final in kept.get((kind, index), ()):
+                        if gates_alike(run.trace, run.trace.run_config.tau, tau):  # relabel the kept run
+                            run = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
+                            row = {**row, "tau": tau, "run_id": _run_id(run_config)}
+                            break
+                    else:
+                        if baseline:
+                            run = run_baseline(model, source, run_config)
+                        else:
+                            predictor = _predictor_for(kind, trained, source, data)
+                            run = run_speculative(model, predictor, source, engine_config, run_config)
+                        row, final = score_run(run.trace, sentence_bleu_stats)
+                        if not baseline and tau != config.tau_grid[-1]:
+                            kept.setdefault((kind, index), []).append((run, row, final))
+                except Exception as exc:
+                    result.failures.append(f"{where}: {exc}")
+                    break
+                if config.record_traces:
+                    run.trace.save(trace_dir / f"{index:05d}.jsonl")
+                if baseline:
+                    baseline_outputs.append(run.final_output)
+                elif run.final_output != baseline_outputs[i]:
+                    result.failures.append(f"{where}: speculative output differs")
+                if tuple(map(surface, run.final_output)) != final:
+                    result.failures.append(f"{where}: trace replays to another output")
+                rows.append(row)
+            if len(rows) == len(data.test_sources):
+                run_rows.extend(rows)
+            elif baseline:
+                break  # a failing baseline skips its policy
 
     result.summary_rows = summarize(run_rows)
     _write_csv(out_dir / "runs.csv", RUN_COLUMNS, run_rows)

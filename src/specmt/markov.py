@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .lexicon import Lexicon, save_lexicon
-from .vocab import RESERVED_SURFACES, Sentence, SpecmtError, Vocabulary, write_corpus_lines
+from .vocab import FIRST_REGULAR, RESERVED_SURFACES, Sentence, SpecmtError, Vocabulary, write_corpus_lines
 
 
 # uniforms drawn per refill by `_sample_sources`: a fixed block, so memory does
@@ -58,9 +58,9 @@ class MarkovSourceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 4:
-            raise GenerationError("vocab_size < 4: reserved ids do not fit")
-        if self.vocab_size < 5:
+        if self.vocab_size < FIRST_REGULAR:
+            raise GenerationError(f"vocab_size < {FIRST_REGULAR}: reserved ids do not fit")
+        if self.vocab_size == FIRST_REGULAR:
             raise GenerationError("vocab_size leaves no regular source token")
         if not 0.0 < self.transition_concentration < math.inf:
             raise GenerationError("kappa (transition concentration) must be positive and finite")
@@ -73,7 +73,7 @@ class MarkovSourceSpec:
 
     @property
     def regular_count(self) -> int:
-        return self.vocab_size - 4
+        return self.vocab_size - FIRST_REGULAR
 
     def corpus_id(self) -> str:
         return (
@@ -164,7 +164,7 @@ def _sample_sources(
     sentences = []
     for _ in range(n_sentences):
         token = bisect_right(cum_initial, uniform())
-        ids = [4 + token]
+        ids = [FIRST_REGULAR + token]
         for length in range(1, max_length):
             nxt = bisect_right(cum_rows[token], uniform())
             if nxt == count:  # end-of-sentence column
@@ -174,7 +174,7 @@ def _sample_sources(
                 # so the detour stays predictable from the context
                 nxt = forced[token]
             token = nxt
-            ids.append(4 + token)
+            ids.append(FIRST_REGULAR + token)
         sentences.append(tuple(ids))
     return tuple(sentences)
 

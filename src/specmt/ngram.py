@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .vocab import (
-    BOS, EOS, RESERVED_SURFACES, UNK, UNK_SURFACE, Sentence, SpecmtError, Vocabulary, read_text, write_artifact,
+    BOS, EOS, FIRST_REGULAR, RESERVED_SURFACES, UNK, UNK_SURFACE, Sentence, SpecmtError, Vocabulary, read_text,
+    write_artifact,
 )
 
 
@@ -171,13 +172,14 @@ class NgramModel:
             "order": self.order,
             "alpha": self.alpha,
             "beta": self.beta,
-            "tokens": list(self.vocabulary.tokens[4:]),
+            "tokens": list(self.vocabulary.tokens[FIRST_REGULAR:]),
             "counts": entries,
         }
         write_artifact(path, json.dumps(payload, ensure_ascii=False, indent=0) + "\n")
 
 
-def _check_parameters(order: int, alpha: float, beta: float) -> None:
+def check_parameters(order: int, alpha: float, beta: float) -> None:
+    """Raise `PredictorError` for an order, alpha or beta no model can have."""
     if order < 1:
         raise PredictorError("invalid order: ngram_order must be >= 1")
     if not 0.0 < alpha < math.inf:
@@ -190,7 +192,7 @@ def train_ngram(
     corpus: Sequence[Sentence], order: int, alpha: float = 0.1, beta: float = 0.9, *, vocabulary: Vocabulary
 ) -> NgramModel:
     """Count n-grams of every order up to `order` with BOS padding and an EOS terminal."""
-    _check_parameters(order, alpha, beta)
+    check_parameters(order, alpha, beta)
     if not corpus:
         raise PredictorError("empty corpus")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
@@ -225,7 +227,7 @@ def _model_from_payload(payload: object) -> NgramModel:
     order, alpha, beta = payload["order"], payload["alpha"], payload["beta"]
     if type(order) is not int or not all(type(x) in (int, float) for x in (alpha, beta)):
         raise PredictorError("order must be an integer, alpha and beta numbers")
-    _check_parameters(order, alpha, beta)
+    check_parameters(order, alpha, beta)
     tokens, entries = payload["tokens"], payload["counts"]
     if not isinstance(tokens, list) or not all(isinstance(s, str) for s in tokens):
         raise PredictorError("tokens must be a list of strings")

@@ -16,7 +16,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .vocab import EOS_SURFACE, PHI_SURFACE, SpecmtError, read_text, write_artifact
 
@@ -138,10 +138,8 @@ class EventTrace:
         write_artifact(path, self.serialize())
 
 
-_HEADER_TYPES: dict[str, tuple[type, ...]] = {
-    "policy": (str,), "param": (int, float), "tau": (int, float), "predictor": (str,),
-    "corpus": (str,), "seed": (int,), "sentence_index": (int,),
-}
+# the types of each header key, from `RunConfig`'s annotations; a float field also takes an int
+_HEADER_TYPES = {key: (int, float) if kind is float else (kind,) for key, kind in get_type_hints(RunConfig).items()}
 _EVENT_TYPES: dict[str, tuple[type, ...]] = {
     "ev": (str,), "i": (int,), "j": (int,), "tok": (str,), "pred": (str,),
     "p": (int, float), "old": (str,), "new": (str,),

@@ -19,6 +19,7 @@ PHI_SURFACE = "<phi>"
 UNK_SURFACE = "<unk>"
 
 RESERVED_SURFACES = (BOS_SURFACE, EOS_SURFACE, PHI_SURFACE, UNK_SURFACE)
+FIRST_REGULAR = len(RESERVED_SURFACES)  # the id of the first regular token
 
 # A sentence is a tuple of token ids, free of BOS/EOS/PHI markers.
 Sentence = tuple[int, ...]
@@ -54,7 +55,7 @@ class Vocabulary:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.tokens[:4] != RESERVED_SURFACES:
+        if self.tokens[:FIRST_REGULAR] != RESERVED_SURFACES:
             raise VocabularyError("reserved tokens missing or misplaced")
         index = {}
         for i, tok in enumerate(self.tokens):
@@ -69,7 +70,7 @@ class Vocabulary:
     @property
     def regular_ids(self) -> range:
         """Ids of non-reserved tokens."""
-        return range(4, len(self.tokens))
+        return range(FIRST_REGULAR, len(self.tokens))
 
     def lookup(self, surface: str) -> int:
         """Surface -> id, UNK for unknown surfaces."""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from specmt import EngineConfig, ExperimentConfig, load_config  # noqa: E402
 from specmt.cli import ERRORS, _config_from_args, build_parser  # noqa: E402
-from specmt.ngram import _check_parameters  # noqa: E402
+from specmt.ngram import check_parameters  # noqa: E402
 
 KEYS = [f.name for f in fields(ExperimentConfig)]
 JUNK_KEYS = ["foo", "K_GRID", "kgrid", "tau", "order", "", "out", "vocab-size"]
@@ -43,7 +43,7 @@ def check_config(build):
     config.source_spec()
     for tau in config.tau_grid:
         EngineConfig(tau=tau)
-    _check_parameters(config.ngram_order, config.alpha, config.beta)
+    check_parameters(config.ngram_order, config.alpha, config.beta)
 
 
 @pytest.fixture(scope="module")

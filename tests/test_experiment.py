@@ -466,6 +466,47 @@ class TestTauSharing:
         ]
         assert [(c.tau, c.sentence_index) for c in calls if c.param == 3.0] == [(0.0, i) for i in range(108, 120)]
 
+    def test_what_failing_points_leave_on_disk(self, tmp_path, monkeypatch):
+        # k=1's baseline raises at sentence 112: its traces stop there and its
+        # policy is skipped. k=5's oracle run of sentence 110 raises at tau 0:
+        # that point's traces stop there, and tau 0.5 is complete.
+        calls = self._count_runs(monkeypatch, fail=(5.0, 0.0, 110))
+        real_run_baseline = experiment.run_baseline
+
+        def failing(model, source, run_config):
+            if (run_config.param, run_config.sentence_index) == (1.0, 112):
+                raise EngineError("injected baseline failure")
+            return real_run_baseline(model, source, run_config)
+
+        monkeypatch.setattr(experiment, "run_baseline", failing)
+        config = _config(tmp_path, k_grid=(1, 3, 5), predictors=("oracle",), tau_grid=(0.0, 0.5), record_traces=True)
+        result = run_experiment(config)
+        assert result.failures == [
+            "baseline wait_k(k=1): sentence 112 (corpus line 113): injected baseline failure",
+            "wait_k(k=5) tau=0.0 predictor=oracle: sentence 110 (corpus line 111): injected failure",
+        ]
+        out = Path(config.out_dir)
+        runs_text, _, traces = independent_sweep(config)
+
+        # the sentence index at which each point's traces stop; k=1's speculative points have none
+        stop = {"wait_k-1.0-baseline": 112, "wait_k-5.0-tau0.0-oracle": 110}
+        stop.update({path.split("/")[0]: 0 for path in traces if path.startswith("wait_k-1.0-tau")})
+        expected = {
+            path: text for path, text in traces.items() if int(Path(path).stem) < stop.get(path.split("/")[0], 120)
+        }
+        assert {
+            path.relative_to(out / "traces").as_posix(): path.read_bytes() for path in (out / "traces").rglob("*.jsonl")
+        } == expected
+        assert sorted(p.name for p in (out / "traces").iterdir()) == sorted({path.split("/")[0] for path in expected})
+        assert _read_csv(out / "runs.csv") == [
+            row for row in csv.DictReader(io.StringIO(runs_text))
+            if row["param"] != "1.0" and (row["param"], row["tau"], row["predictor"]) != ("5.0", "0.0", "oracle")
+        ]
+        # the tau 0.5 point reuses the kept runs of 108 and 109 and runs the rest again
+        assert [(c.tau, c.sentence_index) for c in calls if c.param == 5.0] == [
+            (0.0, 108), (0.0, 109), (0.0, 110), *((0.5, index) for index in range(110, 120)),
+        ]
+
 
 class TestTraceMetrics:
     def test_traces_agree_with_run_rows(self, tmp_path):

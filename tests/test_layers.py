@@ -3,8 +3,9 @@
 From the bottom: `vocab`; then `lexicon`, `ngram`, `trace` and `metrics`;
 then `model` and `markov`; then `engine`, `experiment` and `cli`, each on its
 own layer. A module may import a module of a lower layer, never one of its
-own layer or above. Imports are read with `ast`, so the check also sees
-imports inside functions.
+own layer or above, and never a `_`-prefixed name of another module: what
+one module lends another is public. Imports are read with `ast`, so the
+check also sees imports inside functions.
 """
 
 from __future__ import annotations
@@ -35,10 +36,17 @@ def _package_module(name: str) -> str | None:
     return (rest.partition(".")[0] or "__init__") if top == "specmt" else None
 
 
+def _import_nodes(module: str) -> list[ast.AST]:
+    return [
+        node for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
 def package_imports(module: str) -> set[str]:
     """The package modules that `module` imports, relatively or by name."""
     imported = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+    for node in _import_nodes(module):
         if isinstance(node, ast.ImportFrom) and node.level:
             names = [node.module] if node.module else [alias.name for alias in node.names]
             imported.update(name.partition(".")[0] for name in names)
@@ -50,6 +58,15 @@ def package_imports(module: str) -> set[str]:
     return imported
 
 
+def private_imports(module: str) -> list[str]:
+    """The `_`-prefixed names that `module` imports from package modules."""
+    return [
+        alias.name for node in _import_nodes(module)
+        if isinstance(node, ast.ImportFrom) and (node.level or _package_module(node.module or ""))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+
+
 def test_every_module_has_a_layer():
     assert set(MODULES) == set(LAYER)
 
@@ -58,3 +75,9 @@ def test_every_module_has_a_layer():
 def test_imports_go_down_the_layers(module):
     upward = {name for name in package_imports(module) if LAYER.get(name, len(LAYERS)) >= LAYER[module]}
     assert not upward, f"{module} imports {sorted(upward)} from its own layer or above"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_imported(module):
+    private = private_imports(module)
+    assert not private, f"{module} imports private names {private}"

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+from dataclasses import fields, replace
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -169,6 +173,20 @@ class TestSerialization:
         parsed = parse_trace(trace.serialize())
         assert parsed.run_config == trace.run_config
         assert parsed.events == trace.events
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_every_header_field_round_trips(self, name):
+        # a float field also takes an int; a value of another type is named
+        kind = get_type_hints(RunConfig)[name]
+        for value in {str: ["x y"], int: [41], float: [0.75, 2]}[kind]:
+            config = replace(RunConfig(), **{name: value})
+            parsed = parse_trace(_trace(ev("READ", i=1, tok="a"), ev("END"), config=config).serialize())
+            assert parsed.run_config == config and type(getattr(parsed.run_config, name)) is type(value)
+        wrong, described = {str: (1, "a string"), int: (1.5, "an int"), float: ("1", "a number")}[kind]
+        header = json.dumps({**vars(RunConfig()), name: wrong})
+        with pytest.raises(TraceError) as info:
+            parse_trace(header + '\n{"ev": "END"}\n')
+        assert str(info.value) == f"line 1: header key {name!r} is not {described}: {wrong!r}"
 
     def test_save_and_load(self, toy, tmp_path):
         vocab, lexicon, ids = toy
