@@ -8,12 +8,13 @@ speculative point also gets a summary row, paired and aggregated by
 `summarize` exactly as `metrics` pairs trace files. A point stops at its
 first sentence that raises, and a failing baseline skips its policy.
 
-A sentence reuses, relabelled, a kept run of the same (policy, predictor,
-sentence) that `gates_alike` finds gated alike at its tau, or else runs
-afresh. Only speculative runs that did not raise are kept, and only while a
-later tau remains. Every output, traces included, is byte-identical to
-running each grid point on its own, and a fixed configuration gives
-byte-identical outputs on every run.
+A policy decides by its `rule` alone, so a sentence reuses, relabelled, a
+kept run of the same (rule, predictor, sentence) that `gates_alike` finds
+gated alike at its tau, or else runs afresh. A run that did not raise is
+kept only while a later grid point could reuse it: a later tau of its
+policy, or a later policy of the same rule. Every output, traces included,
+is byte-identical to running each grid point on its own, and a fixed
+configuration gives byte-identical outputs on every run.
 """
 
 from __future__ import annotations
@@ -300,12 +301,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     surface = data.vocabulary.surface
     sentence_bleu_stats = _bleu_stats_memo(data.reference_lines)
     run_rows: list[dict] = []
-    for policy in config.policy_grid():
+    policies = config.policy_grid()
+    # (rule, predictor kind, sentence index) -> the scored runs kept for a later grid point
+    kept: dict[tuple[tuple, str, int], list[tuple[RunResult, dict, tuple[str, ...]]]] = {}
+    for n, policy in enumerate(policies):
+        shared = policy.rule in {later.rule for later in policies[n + 1:]}  # a later policy may reuse its runs
         model = SimtModel(lexicon=data.lexicon, policy=policy, vocabulary=data.vocabulary)
         tagged = RunConfig(policy=policy.kind, param=policy.param, corpus=data.corpus_id, seed=config.seed)
         baseline_outputs: list[Sentence] = []
-        # (predictor kind, sentence index) -> the scored speculative runs kept for a later tau
-        kept: dict[tuple[str, int], list[tuple[RunResult, dict, tuple[str, ...]]]] = {}
         for tau, kind in [(0.0, "none"), *product(config.tau_grid, config.predictors)]:
             baseline, engine_config = kind == "none", EngineConfig(tau=tau)
             point = f"baseline {policy.describe()}" if baseline else f"{policy.describe()} tau={tau} predictor={kind}"
@@ -319,10 +322,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 where = f"{point}: sentence {index} (corpus line {data.test_lines[i]})"
                 run_config = replace(tagged, tau=tau, predictor=kind, sentence_index=index)
                 try:
-                    for run, row, final in kept.get((kind, index), ()):
+                    for run, row, final in kept.get((policy.rule, kind, index), ()):
                         if gates_alike(run.trace, run.trace.run_config.tau, tau):  # relabel the kept run
                             run = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
-                            row = {**row, "tau": tau, "run_id": _run_id(run_config)}
+                            row = {**row, "policy": policy.kind, "param": policy.param, "tau": tau,
+                                   "run_id": _run_id(run_config)}
                             break
                     else:
                         if baseline:
@@ -331,10 +335,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                             predictor = _predictor_for(kind, trained, source, data)
                             run = run_speculative(model, predictor, source, engine_config, run_config)
                         row, final = score_run(run.trace, sentence_bleu_stats)
-                        if not baseline and tau != config.tau_grid[-1]:
-                            kept.setdefault((kind, index), []).append((run, row, final))
-                except Exception as exc:
-                    result.failures.append(f"{where}: {exc}")
+                        if shared or not baseline and tau != config.tau_grid[-1]:
+                            kept.setdefault((policy.rule, kind, index), []).append((run, row, final))
+                except Exception as exc:  # anything but the package's own errors is a bug: name its type
+                    reason = exc if isinstance(exc, SpecmtError) else f"{type(exc).__name__}: {exc}"
+                    result.failures.append(f"{where}: {reason}")
                     break
                 if config.record_traces:
                     run.trace.save(trace_dir / f"{index:05d}.jsonl")
@@ -349,6 +354,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 run_rows.extend(rows)
             elif baseline:
                 break  # a failing baseline skips its policy
+        if not shared:  # no later grid point can reuse a run of this rule
+            kept = {key: runs for key, runs in kept.items() if key[0] != policy.rule}
 
     result.summary_rows = summarize(run_rows)
     _write_csv(out_dir / "runs.csv", RUN_COLUMNS, run_rows)

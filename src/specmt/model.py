@@ -5,6 +5,10 @@ translation of source position p in the visible prefix (`Lexicon.translate`).
 So a decision depends on the source prefix and on the number of target tokens
 written, not on which they are. A policy decides per call whether to emit the
 next target token or to request more input by returning PHI.
+
+A policy decides by its `rule` alone: wait-k k, or write when settled. An
+adaptive policy is wait-k 1 if its threshold admits an unsettled position's
+confidence, else write-when-settled, so policies of equal rule decide alike.
 Determinism is load-bearing: identical arguments must always produce the
 identical decision, because the speculative engine reuses outputs computed
 from predicted prefixes whenever the prediction turns out to be correct.
@@ -12,13 +16,15 @@ from predicted prefixes whenever the prediction turns out to be correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lexicon import Lexicon
 from .vocab import EOS, PHI, Sentence, SpecmtError, Vocabulary
 
 WAIT_K = "wait_k"
 ADAPTIVE = "adaptive"
+SETTLED = "settled"  # the rule that writes a position once its translation is settled
+UNSETTLED_CONFIDENCE = 0.5  # an adaptive policy's confidence in an unsettled position; settled is 1.0
 
 
 class ModelError(SpecmtError, ValueError):
@@ -41,6 +47,8 @@ class PolicyConfig:
     kind: str
     k: int | None = None
     latency_weight: float | None = None
+    # what `step` decides by: (WAIT_K, k) or (SETTLED, None), derived from the fields above
+    rule: tuple[str, int | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == WAIT_K:
@@ -48,13 +56,18 @@ class PolicyConfig:
                 raise ModelError("wait-k policy takes exactly k")
             if self.k < 1:
                 raise ModelError("k must be >= 1")
+            rule = (WAIT_K, self.k)
         elif self.kind == ADAPTIVE:
             if self.latency_weight is None or self.k is not None:
                 raise ModelError("adaptive policy takes exactly a latency weight")
             if not 0.0 < self.latency_weight <= 1.0:
                 raise ModelError("latency weight must be in (0, 1]")
+            # the comparison itself, not L <= 0.1: in floats 0.4 + L is still 0.5 up to L = 0.10000000000000003
+            admits_unsettled = UNSETTLED_CONFIDENCE >= adaptive_threshold(self.latency_weight)
+            rule = (WAIT_K, 1) if admits_unsettled else (SETTLED, None)
         else:
             raise ModelError(f"unknown policy kind {self.kind!r}")
+        object.__setattr__(self, "rule", rule)
 
     @staticmethod
     def wait_k(k: int) -> PolicyConfig:
@@ -84,7 +97,7 @@ class SimtModel:
 
     def step(self, source_prefix: Sentence, written: int, source_done: bool = False) -> int:
         """One incremental decision given the visible source prefix and the
-        number of target tokens written so far.
+        number of target tokens written so far, by the policy's `rule`.
 
         Returns PHI when the policy wants another source token, EOS when the
         translation is complete, and the next target token id otherwise.
@@ -93,22 +106,14 @@ class SimtModel:
         end of sequence); once set, the policy never reads again.
         """
         pos = written + 1  # 1-based source position to translate next
-        if source_done and pos > len(source_prefix):
-            return EOS
-
-        if self.policy.kind == WAIT_K:
-            if not source_done and len(source_prefix) < written + self.policy.k:
-                return PHI
-        else:
-            if not self._adaptive_writes(source_prefix, pos, source_done):
-                return PHI
-
-        return self.lexicon.translate(source_prefix, pos)
-
-    def _adaptive_writes(self, source_prefix: Sentence, pos: int, source_done: bool) -> bool:
         if source_done:
-            return True
-        if pos > len(source_prefix):
-            return False  # nothing to translate yet
-        confidence = 1.0 if self.lexicon.settled(source_prefix, pos) else 0.5
-        return confidence >= adaptive_threshold(self.policy.latency_weight or 0.0)
+            if pos > len(source_prefix):
+                return EOS
+        else:
+            kind, k = self.policy.rule
+            if kind == WAIT_K:
+                if len(source_prefix) < written + k:
+                    return PHI
+            elif pos > len(source_prefix) or not self.lexicon.settled(source_prefix, pos):
+                return PHI
+        return self.lexicon.translate(source_prefix, pos)

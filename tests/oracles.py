@@ -23,7 +23,7 @@ from specmt.experiment import (
 )
 from specmt.markov import GeneratedCorpus, MarkovSourceSpec, _build_vocab_and_lexicon
 from specmt.metrics import MetricsError, bleu_from_stats, bleu_stats, sum_bleu_stats
-from specmt.model import SimtModel
+from specmt.model import WAIT_K, SimtModel, adaptive_threshold
 from specmt.ngram import AlwaysWrongPredictor, OraclePredictor
 from specmt.trace import (
     COMMIT,
@@ -457,6 +457,27 @@ def frozen_run_speculative(model, predictor, source, config=None, run_config=Non
 
     trace = EventTrace(events=tuple(events), run_config=run_config or RunConfig())
     return tuple(out), trace
+
+
+# `SimtModel.step` as it was before it decided by the policy's rule: the
+# adaptive policy compares its confidence in the position with its threshold
+# on every call. Frozen as the reference that deciding by rule must equal.
+
+
+def frozen_step(model: SimtModel, source_prefix: Sentence, written: int, source_done: bool = False) -> int:
+    pos = written + 1
+    if source_done and pos > len(source_prefix):
+        return EOS
+    if model.policy.kind == WAIT_K:
+        if not source_done and len(source_prefix) < written + model.policy.k:
+            return PHI
+    elif not source_done:
+        if pos > len(source_prefix):
+            return PHI
+        confidence = 1.0 if model.lexicon.settled(source_prefix, pos) else 0.5
+        if confidence < adaptive_threshold(model.policy.latency_weight):
+            return PHI
+    return model.lexicon.translate(source_prefix, pos)
 
 
 def _recursive_prob(model, token, ctx):

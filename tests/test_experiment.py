@@ -231,6 +231,17 @@ class TestRunExperiment:
         failure = self._sweep_failing_at_sentence_56(tmp_path, monkeypatch, blank_line=4)
         assert failure.startswith("baseline wait_k(k=2): sentence 56 (corpus line 58): ")
 
+    def test_failure_names_a_programming_error_by_its_type(self, tmp_path, monkeypatch):
+        # an exception that is not the package's own is a bug, not a bad input
+        def buggy(model, predictor, source, engine_config, run_config):
+            return {}[5]
+
+        monkeypatch.setattr(experiment, "run_speculative", buggy)
+        result = run_experiment(_config(tmp_path, k_grid=(1,)))
+        assert result.failures == [
+            "wait_k(k=1) tau=0.0 predictor=indomain: sentence 108 (corpus line 109): KeyError: 5",
+        ]
+
     def test_oracle_beats_trained_predictor(self, tmp_path):
         config = _config(tmp_path, predictors=("indomain", "oracle"), n_sentences=200)
         result = run_experiment(config)
@@ -356,19 +367,20 @@ class TestSingleReplay:
         assert calls == []
 
     def test_sweep_replays_each_run_once(self, tmp_path, monkeypatch):
-        # a run that serves several taus is replayed once: replays are the
-        # rows less the rows whose gating an earlier tau of their
-        # (policy, predictor, sentence) already had
+        # a run that serves several grid points is replayed once: replays are
+        # the distinct (rule, predictor, sentence, gating) of the traces
         calls = self._count_replays(monkeypatch)
-        config = _config(tmp_path, predictors=("indomain", "oracle"), tau_grid=(0.0, 0.5), record_traces=True)
+        config = _config(
+            tmp_path, l_grid=(0.05,), predictors=("indomain", "oracle"), tau_grid=(0.0, 0.5), record_traces=True,
+        )
         assert run_experiment(config).ok
         out = Path(config.out_dir)
         rows = len(_read_csv(out / "runs.csv"))
-        gatings = _gatings(load_trace(path) for path in (out / "traces").rglob("*.jsonl"))
-        shared = sum(len(vectors) - len(set(vectors)) for vectors in gatings.values())
-        assert rows == 2 * 12 * (1 + 2 * 2)
-        assert shared == 2 * 12  # the oracle's probability 1.0 clears both taus
-        assert len(calls) == rows - shared
+        engine_runs = _engine_runs(load_trace(path) for path in (out / "traces").rglob("*.jsonl"))
+        assert rows == 3 * 12 * (1 + 2 * 2)
+        # adaptive 0.05 decides as wait-k 1; per rule and sentence: the baseline,
+        # one oracle run (its probability 1.0 clears both taus), two indomain runs
+        assert len(calls) == len(engine_runs) == 2 * 12 * (1 + 1 + 2) < rows
 
     def test_replay_error_is_the_sentence_failure(self, tmp_path, monkeypatch):
         # a speculative run of k=1 whose trace lacks END: its grid point
@@ -388,47 +400,56 @@ class TestSingleReplay:
         assert [(row["policy"], row["param"]) for row in result.summary_rows] == [("wait_k", 3.0)]
 
 
-def _gatings(traces) -> dict[tuple, list[tuple[bool, ...]]]:
-    """(policy, param, predictor, sentence index) -> the gating vector of
-    each of its speculative traces: which of the trace's own PREDICT
+def _engine_runs(traces) -> set[tuple]:
+    """The distinct (rule, predictor, sentence index, gating) of the traces,
+    baselines included: the gating says which of the trace's own PREDICT
     probabilities clear the trace's own tau."""
-    gatings: dict[tuple, list[tuple[bool, ...]]] = {}
+    runs = set()
     for trace in traces:
         cfg = trace.run_config
-        if cfg.predictor != "none":
-            gating = tuple(not event.p < cfg.tau for event in trace.events if event.ev == "PREDICT")
-            gatings.setdefault((cfg.policy, cfg.param, cfg.predictor, cfg.sentence_index), []).append(gating)
-    return gatings
+        policy = PolicyConfig.wait_k(int(cfg.param)) if cfg.policy == "wait_k" else PolicyConfig.adaptive(cfg.param)
+        gating = tuple(not event.p < cfg.tau for event in trace.events if event.ev == "PREDICT")
+        runs.add((policy.rule, cfg.predictor, cfg.sentence_index, gating))
+    return runs
 
 
 class TestTauSharing:
-    """A sweep runs each (policy, predictor, sentence) once per distinct
-    gating over the tau grid and relabels an earlier run that gates alike for
-    the other taus; every output equals that of a sweep that runs each grid
-    point on its own."""
+    """A sweep runs each (rule, predictor, sentence) once per distinct gating
+    over the tau grid, and relabels an earlier run, of any policy with that
+    rule, that gates alike for the other grid points; every output equals
+    that of a sweep that runs each grid point on its own."""
 
     @staticmethod
-    def _count_runs(monkeypatch, fail=None):
+    def _count_runs(monkeypatch, fail=()):
         """Record the run config of every `run_speculative` call of a sweep;
-        the run whose (param, tau, sentence index) is `fail` raises."""
+        a run whose (param, tau, sentence index) is in `fail` raises."""
         calls = []
         real = experiment.run_speculative
 
         def counted(model, predictor, source, engine_config, run_config):
             calls.append(run_config)
-            if (run_config.param, run_config.tau, run_config.sentence_index) == fail:
+            if (run_config.param, run_config.tau, run_config.sentence_index) in fail:
                 raise EngineError("injected failure")
             return real(model, predictor, source, engine_config, run_config)
 
         monkeypatch.setattr(experiment, "run_speculative", counted)
         return calls
 
-    # an unsorted grid shares as fully: a run is reused at any tau that gates alike
+    # an unsorted grid shares as fully: a run is reused at any tau that gates alike.
+    # wait-k 1 and adaptive 0.05 share a rule, and so do adaptive 0.5 and 0.2.
     @pytest.mark.parametrize("tau_grid", [(0.0, 0.3, 0.9, 1.0), (0.9, 0.0, 1.0, 0.3)])
     def test_sweep_equals_independent_sweep(self, tmp_path, monkeypatch, tau_grid):
         calls = self._count_runs(monkeypatch)
+        baseline_calls = []
+        real_run_baseline = experiment.run_baseline
+
+        def counted_baseline(model, source, run_config):
+            baseline_calls.append(run_config)
+            return real_run_baseline(model, source, run_config)
+
+        monkeypatch.setattr(experiment, "run_baseline", counted_baseline)
         config = _config(
-            tmp_path, k_grid=(1, 3), l_grid=(0.5,), tau_grid=tau_grid,
+            tmp_path, k_grid=(1, 3), l_grid=(0.5, 0.2, 0.05), tau_grid=tau_grid,
             predictors=("indomain", "oracle", "always_wrong"), record_traces=True,
         )
         assert run_experiment(config).ok
@@ -439,18 +460,46 @@ class TestTauSharing:
         assert {
             path.relative_to(out / "traces").as_posix(): path.read_bytes() for path in (out / "traces").rglob("*.jsonl")
         } == traces
-        # one engine run per distinct gating, counted from the independent traces
-        gatings = _gatings(parse_trace(text.decode("utf-8")) for text in traces.values())
-        assert len(gatings) == 3 * 3 * 12
-        assert len(calls) == sum(len(set(vectors)) for vectors in gatings.values()) < 3 * 3 * 12 * 4
-        # the oracle reports probability 1.0, so it runs once per sentence per policy
+        # one engine run per distinct (rule, predictor, sentence, gating), counted from the independent traces
+        engine_runs = _engine_runs(parse_trace(text.decode("utf-8")) for text in traces.values())
+        assert len(baseline_calls) == sum(1 for run in engine_runs if run[1] == "none") == 3 * 12
+        assert len(calls) == sum(1 for run in engine_runs if run[1] != "none") < 3 * 3 * 12 * 4
+        assert {(run[0], run[1], run[2]) for run in engine_runs if run[1] != "none"} == {
+            (rule, kind, index) for rule in (("wait_k", 1), ("wait_k", 3), ("settled", None))
+            for kind in config.predictors for index in range(108, 120)
+        }
+        # the oracle reports probability 1.0, so it runs once per sentence per rule
         oracle_runs = Counter((c.policy, c.param, c.sentence_index) for c in calls if c.predictor == "oracle")
         assert len(oracle_runs) == 3 * 12 and set(oracle_runs.values()) == {1}
+
+    @pytest.mark.parametrize("fail, failing", [
+        ({(1.0, 0.0, 110)}, ["wait_k(k=1)"]),
+        ({(1.0, 0.0, 110), (0.05, 0.0, 110)}, ["wait_k(k=1)", "adaptive(L=0.05, threshold=0.45)"]),
+    ], ids=["first-raises", "both-raise"])
+    def test_a_run_that_raised_is_not_shared_across_policies(self, tmp_path, monkeypatch, fail, failing):
+        # wait-k 1's oracle run of sentence 110 raises, so adaptive 0.05, of the
+        # same rule, runs that sentence and those after it afresh: it completes,
+        # or, when its own run raises too, fails naming its own grid point
+        calls = self._count_runs(monkeypatch, fail=fail)
+        config = _config(tmp_path, k_grid=(1, 3), l_grid=(0.05,), predictors=("oracle",))
+        result = run_experiment(config)
+        assert result.failures == [
+            f"{point} tau=0.0 predictor=oracle: sentence 110 (corpus line 111): injected failure" for point in failing
+        ]
+        runs_text, _, _ = independent_sweep(config)
+        params = {"wait_k(k=1)": "1.0", "adaptive(L=0.05, threshold=0.45)": "0.05"}
+        failed = {(params[point], "0.0", "oracle") for point in failing}
+        expected = [row for row in csv.DictReader(io.StringIO(runs_text))
+                    if (row["param"], row["tau"], row["predictor"]) not in failed]
+        assert _read_csv(Path(config.out_dir) / "runs.csv") == expected
+        assert [c.sentence_index for c in calls if c.param == 1.0] == [108, 109, 110]
+        afresh = [110] if len(failing) == 2 else list(range(110, 120))
+        assert [c.sentence_index for c in calls if c.param == 0.05] == afresh
 
     def test_a_run_that_raised_is_not_shared(self, tmp_path, monkeypatch):
         # the oracle's k=1 run of sentence 110 raises at tau 0: that grid point
         # fails there, and at tau 0.5 the sentence and those after it run again
-        calls = self._count_runs(monkeypatch, fail=(1.0, 0.0, 110))
+        calls = self._count_runs(monkeypatch, fail={(1.0, 0.0, 110)})
         config = _config(tmp_path, predictors=("oracle",), tau_grid=(0.0, 0.5))
         result = run_experiment(config)
         failures = ["wait_k(k=1) tau=0.0 predictor=oracle: sentence 110 (corpus line 111): injected failure"]
@@ -470,7 +519,7 @@ class TestTauSharing:
         # k=1's baseline raises at sentence 112: its traces stop there and its
         # policy is skipped. k=5's oracle run of sentence 110 raises at tau 0:
         # that point's traces stop there, and tau 0.5 is complete.
-        calls = self._count_runs(monkeypatch, fail=(5.0, 0.0, 110))
+        calls = self._count_runs(monkeypatch, fail={(5.0, 0.0, 110)})
         real_run_baseline = experiment.run_baseline
 
         def failing(model, source, run_config):

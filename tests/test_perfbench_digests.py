@@ -4,7 +4,8 @@ Each workload of `perfbench/workloads.py` is swept once on its stored check
 seed, in a temporary directory, and its artifacts are hashed by
 `perfbench/checks.py`, as the benchmark does before it times anything. So a
 change that alters any byte of `runs.csv`, `summary.csv` or a trace file
-fails here, not first in a benchmark run.
+fails here, not first in a benchmark run, and so does a change that loses
+the sharing of runs between policies of one decision rule.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from specmt import run_experiment
+from specmt import experiment, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,10 +36,26 @@ STORED = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_check_sweep_reproduces_the_stored_digests(name, tmp_path):
+def test_check_sweep_reproduces_the_stored_digests(name, tmp_path, monkeypatch):
     workload = workloads.WORKLOADS[name]
     stored = STORED[name]
     config = workload.config(stored["seed"], tmp_path)
+    baselines = []
+    real_run_baseline = experiment.run_baseline
+
+    def counted(model, source, run_config):
+        baselines.append((model.policy.rule, run_config.sentence_index))
+        return real_run_baseline(model, source, run_config)
+
+    monkeypatch.setattr(experiment, "run_baseline", counted)
     assert run_experiment(config).ok
     got = checks.sweep_digests(Path(config.out_dir), workload.from_files)
     assert {"seed": stored["seed"], **got} == stored
+    # policies of one decision rule share their runs: one baseline run per (rule, sentence)
+    assert len(baselines) == len(set(baselines)) == BASELINE_RUNS[name]
+
+
+# distinct decision rules x test sentences: `short`'s 10 policies hold 6 rules
+# (adaptive 0.1, 0.05 and 0.02 decide as wait-k 1, adaptive 0.5 and 0.2 alike),
+# `traced`'s 5 hold 4, and `long`'s 4 policies hold 4 rules over 20 sentences
+BASELINE_RUNS = {"short": 6 * 10, "traced": 4 * 10, "long": 4 * 20}
