@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .vocab import (
     BOS, EOS, FIRST_REGULAR, RESERVED_SURFACES, UNK, UNK_SURFACE, Sentence, SpecmtError, Vocabulary, read_text,
     write_artifact,
@@ -40,14 +42,13 @@ class NgramModel:
     prediction event space: EOS and every counted token, in ascending id
     order. `predict` returns the argmax over it, ties going to the smallest id.
 
-    That argmax scores few tokens. A token counted after no non-empty suffix
-    of the context gets (1 - beta) times its lower-order probability at every
-    level, down to the unigram, with the same float operations for each such
-    token; rounding is monotone, so its probability never exceeds that of an
-    unseen token with a higher unigram count. So `predict` scores the tokens
-    counted after some suffix, then walks `_ranked` (the support by descending
-    unigram count, then id) over the unseen tokens for as long as their
-    probability equals the first one's.
+    `predict` computes the distribution after a context as one float64 vector
+    over `support`, from the vector of the context's one-shorter suffix: the
+    same IEEE operations, in the same order, as `probability` makes for each
+    token, so the argmax and its probability are bit for bit those of a scan
+    over the support. The vectors of contexts shorter than order - 1 are kept
+    in `_vectors`, and each full context's `Prediction` in `_cache`, as they
+    are asked for; neither changes any result.
     """
 
     order: int
@@ -59,17 +60,19 @@ class NgramModel:
     _totals: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     _unigram: dict[int, int] = field(init=False, repr=False, compare=False)
     _denominator: float = field(init=False, repr=False, compare=False)
-    _ranked: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _position: dict[int, int] = field(init=False, repr=False, compare=False)
+    _vectors: dict[tuple[int, ...], np.ndarray] = field(init=False, repr=False, compare=False)
     _cache: dict[tuple[int, ...], Prediction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         totals = {ctx: sum(dist.values()) for ctx, dist in self.counts.items()}
-        unigram = self.counts.get((), {})
-        object.__setattr__(self, "support", tuple(sorted({EOS}.union(*self.counts.values()))))
+        support = tuple(sorted({EOS}.union(*self.counts.values())))
+        object.__setattr__(self, "support", support)
         object.__setattr__(self, "_totals", totals)
-        object.__setattr__(self, "_unigram", unigram)
-        object.__setattr__(self, "_denominator", totals.get((), 0) + self.alpha * len(self.support))
-        object.__setattr__(self, "_ranked", tuple(sorted(self.support, key=lambda t: (-unigram.get(t, 0), t))))
+        object.__setattr__(self, "_unigram", self.counts.get((), {}))
+        object.__setattr__(self, "_denominator", totals.get((), 0) + self.alpha * len(support))
+        object.__setattr__(self, "_position", {tok: n for n, tok in enumerate(support)})
+        object.__setattr__(self, "_vectors", {})
         object.__setattr__(self, "_cache", {})
 
     def _context(self, prefix: Sequence[int]) -> tuple[int, ...]:
@@ -101,31 +104,40 @@ class NgramModel:
             p = self.beta * (dist.get(token, 0) / total) + (1.0 - self.beta) * p
         return p
 
+    def _dense(self, ctx: tuple[int, ...]) -> np.ndarray:
+        """The counts after `ctx`, one per token of `support`, in its order."""
+        dist = self.counts.get(ctx, {})
+        return np.bincount(
+            [self._position[tok] for tok in dist], weights=list(dist.values()), minlength=len(self.support)
+        )
+
+    def _vector(self, ctx: tuple[int, ...]) -> np.ndarray:
+        """`_prob` of every support token after `ctx`, as one vector: the
+        add-alpha unigram for the empty context, else the suffix's vector,
+        mixed with this context's maximum likelihood when it has a count."""
+        p = self._vectors.get(ctx)
+        if p is not None:
+            return p
+        if not ctx:
+            p = (self._dense(ctx) + self.alpha) / self._denominator
+        else:
+            p = self._vector(ctx[1:])
+            total = self._totals.get(ctx, 0)
+            if total:
+                p = self.beta * (self._dense(ctx) / total) + (1.0 - self.beta) * p
+        if len(ctx) < self.order - 1:
+            self._vectors[ctx] = p
+        return p
+
     def predict(self, context: Sequence[int]) -> Prediction:
         """Most probable next token; ties break toward the smallest id."""
         ctx = self._context(context)
         cached = self._cache.get(ctx)
         if cached is not None:
             return cached
-        chain = self._chain(ctx)
-        seen = set().union(*(dist for dist, _ in chain))
-        best_tok, best_p = -1, -1.0
-        for tok in seen:
-            p = self._prob(tok, chain)
-            if p > best_p or (p == best_p and tok < best_tok):
-                best_tok, best_p = tok, p
-        top = None  # the probability of the unseen tokens with the highest unigram count
-        for tok in self._ranked:
-            if tok in seen:
-                continue
-            p = self._prob(tok, chain)
-            if top is None:
-                top = p
-            elif p < top:
-                break
-            if p > best_p or (p == best_p and tok < best_tok):
-                best_tok, best_p = tok, p
-        result = Prediction(best_tok, best_p)
+        p = self._vector(ctx)
+        best = int(p.argmax())
+        result = Prediction(self.support[best], float(p[best]))
         self._cache[ctx] = result
         return result
 

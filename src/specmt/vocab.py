@@ -83,7 +83,7 @@ class Vocabulary:
         return tuple(self.lookup(tok) for tok in line.split())
 
     def decode(self, ids: Iterable[int]) -> str:
-        return " ".join(self.tokens[i] for i in ids)
+        return " ".join([self.tokens[i] for i in ids])
 
 
 def build_vocabulary(corpus: Iterable[str]) -> Vocabulary:

@@ -12,6 +12,7 @@ import io
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
@@ -185,6 +186,13 @@ def brute_force_delays(rows: tuple[tuple, ...]) -> tuple[int, ...]:
                 delays.append(i)
                 break
     return tuple(delays)
+
+
+def brute_force_al(delays: Sequence[int], source_length: int) -> Fraction:
+    """Average lagging from its definition, in exact rationals: the mean over
+    output positions j = 1..J of g_j - (j - 1) * I / J."""
+    j_count = len(delays)
+    return sum(Fraction(g) - Fraction((j - 1) * source_length, j_count) for j, g in enumerate(delays, 1)) / j_count
 
 
 def brute_force_predicted(trace: EventTrace) -> int:

@@ -17,6 +17,7 @@ from specmt import (
     train_ngram,
 )
 from specmt.vocab import BOS, EOS
+from oracles import full_scan_predict
 
 
 def _train(lines, order, alpha=0.1, beta=0.9):
@@ -107,6 +108,39 @@ class TestPrediction:
         for ctx in itertools.product(ids[:4] + [BOS], repeat=2):
             total = sum(model.probability(tok, ctx) for tok in model.support)
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestPredictionAtWidth:
+    """The `long` benchmark's shape: 200 tokens, kappa 1.0, order 3, so most
+    contexts are unseen at some order and the support is wide."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        spec = MarkovSourceSpec(vocab_size=200, transition_concentration=1.0, ambiguity_rate=0.5,
+                                min_length=40, max_length=80, seed=11)
+        data = generate(spec, 110)
+        model = train_ngram(data.sources[:100], 3, vocabulary=data.vocabulary)
+        prefixes = [s[:t] for s in data.sources[100:] for t in range(len(s) + 1)]
+        # each prefix followed by the token the model guesses after it, as a speculation reads it
+        contexts = prefixes + [prefix + (model.predict(prefix).token,) for prefix in prefixes]
+        return model, contexts
+
+    def test_predict_matches_full_scan(self, world):
+        model, contexts = world
+        assert len(model.support) > 150 and len(contexts) > 1000
+        for context in contexts:
+            got = model.predict(context)
+            want = full_scan_predict(model, context)
+            assert (got.token, got.probability.hex()) == (want[0], want[1].hex()), context
+            assert type(got.probability) is float  # a NumPy scalar would take the trace writer's slow path
+
+    def test_save_load_preserves_predictions(self, world, tmp_path):
+        model, contexts = world
+        model.save(tmp_path / "model.json")
+        loaded = load_ngram(tmp_path / "model.json")
+        for context in contexts:
+            got, want = loaded.predict(context), model.predict(context)
+            assert (got.token, got.probability.hex()) == (want.token, want.probability.hex()), context
 
 
 class TestHeldOutQuality:

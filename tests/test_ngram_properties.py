@@ -1,7 +1,7 @@
 """Property test of `NgramModel.predict` against the full scan in `oracles.py`.
 
-`predict` scores only the tokens counted after some suffix of the context,
-plus the unseen tokens whose probability ties the best unseen one. Each case
+`predict` computes the distribution over the support as one vector built
+from its suffix's cached vector, and takes its first maximum. Each case
 draws a small vocabulary and a training corpus (half of them built from
 permutations of one word list, so that counts tie), an order of 1-4, and
 an alpha and beta that include the extremes: beta near 0 or 1, and an
