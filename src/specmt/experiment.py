@@ -37,8 +37,10 @@ from .markov import (
 from .metrics import average_lagging, awr, bleu_from_stats, bleu_stats, sum_bleu_stats
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, check_parameters, train_ngram
-from .trace import COMMIT, SPECULATE, WITHDRAW, EventTrace, RunConfig, load_trace, replay
-from .vocab import Sentence, SpecmtError, Vocabulary, load_corpus, read_corpus_lines, read_text, write_artifact
+from .trace import COMMIT, SPECULATE, WITHDRAW, Event, EventTrace, RunConfig, TraceError, load_trace, replay
+from .vocab import (
+    Sentence, SpecmtError, Vocabulary, load_corpus, read_corpus_lines, read_text, text_lines, write_artifact,
+)
 
 TRAIN_FRACTION = 0.9  # split by sentence index, fixed before anything else
 OOD_SEED_OFFSET = 1  # out-of-domain chain seed = task seed + 1
@@ -142,7 +144,7 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "fa
 def parse_config_text(text: str) -> dict[str, object]:
     """Parse the flat `key = value` format; '#' starts a comment."""
     out: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -522,15 +524,20 @@ def metrics_from_traces(
     Rows are sorted by policy, parameter, tau, predictor and sentence index,
     so the paired rows come in that order too. BLEU compares trace surfaces
     against the reference line selected by the trace's sentence index, when
-    references are given. Two traces of one run are an error.
+    references are given. Two traces of one run are an error, and so is a
+    trace file that does not parse or replay; every error names the file.
     """
     if not trace_paths:
         raise ExperimentError("no trace files")
     run_rows: list[dict] = []
     sources: dict[str, str | Path] = {}  # run_id -> trace file
     sentence_bleu_stats = None if reference_lines is None else _bleu_stats_memo(reference_lines)
+    known: dict[str, Event] = {}  # event lines already parsed, shared by this call's traces
     for path in trace_paths:
-        trace = load_trace(path)
+        try:
+            trace = load_trace(path, known)
+        except TraceError as exc:  # its message names the file
+            raise ExperimentError(str(exc)) from exc
         index = trace.run_config.sentence_index
         if reference_lines is not None and not 0 <= index < len(reference_lines):
             raise ExperimentError(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .vocab import (
     BOS_SURFACE, EOS_SURFACE, PHI_SURFACE, RESERVED_SURFACES, Sentence, SpecmtError, Vocabulary,
-    read_text, write_artifact,
+    read_text, text_lines, write_artifact,
 )
 
 
@@ -79,7 +79,7 @@ def load_lexicon(path: str | Path) -> tuple[Vocabulary, Lexicon]:
     index = {surface: token_id for token_id, surface in enumerate(RESERVED_SURFACES)}
     default: dict[int, int] = {}
     conditional: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(read_text(path, LexiconError).splitlines(), 1):
+    for lineno, raw in enumerate(text_lines(read_text(path, LexiconError)), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -196,14 +196,19 @@ def _event(obj: object) -> Event:
     raise TraceError(f"unknown event kind {obj['ev']!r}")
 
 
-def _parse_whole(text: str) -> EventTrace | None:
-    """One `json.loads` over the whole file as an array, or None when the
-    text is not in the writer's exact layout or anything in it is wrong.
+def _parse_whole(text: str, known: dict[str, Event]) -> EventTrace | None:
+    """One `json.loads` over the header and the event lines not in `known`,
+    as an array, or None when the text is not in the writer's exact layout
+    or anything in it is wrong.
 
-    The layout check makes the array's items the file's lines: every line
-    starts with "{" and ends with "}" and none is blank, and a raw newline
-    cannot sit inside a JSON string, so a line break can only fall between
-    two objects, and as many items as lines means one object per line.
+    `known` maps the exact text of an event line to its checked event; each
+    new line is parsed once, and new lines go into `known` only once every
+    item has passed its checks. The layout check makes the array's items
+    the lines joined: every line starts with "{" and ends with "}" and none
+    is blank, and a raw newline cannot sit inside a JSON string, so an
+    object spanning two lines would need a nested container, which no header
+    or event field can hold; as many items as lines then means one object
+    per line.
     """
     lines = text.count("\n")
     if (
@@ -211,16 +216,21 @@ def _parse_whole(text: str) -> EventTrace | None:
         or text.count("}\n") != lines or text.count("\n{") != lines - 1
     ):
         return None
+    rows = text[:-1].split("\n")
+    new = [row for row in dict.fromkeys(rows[1:]) if row not in known]
     try:
-        items = json.loads("[" + text[:-1].replace("\n", ",\n") + "]")
+        items = json.loads("[" + ",\n".join([rows[0], *new]) + "]")
     except (ValueError, RecursionError):
         return None
-    if len(items) != lines:
+    if len(items) != len(new) + 1:
         return None
     try:
-        return EventTrace(events=tuple(map(_event, items[1:])), run_config=_run_config(items[0]))
+        config = _run_config(items[0])
+        events = list(map(_event, items[1:]))
     except TraceError:
         return None
+    known.update(zip(new, events))
+    return EventTrace(events=tuple(map(known.__getitem__, rows[1:])), run_config=config)
 
 
 def _parse_lines(text: str) -> EventTrace:
@@ -248,22 +258,27 @@ def _parse_lines(text: str) -> EventTrace:
     return EventTrace(events=tuple(events), run_config=config)
 
 
-def parse_trace(text: str) -> EventTrace:
+def parse_trace(text: str, known: dict[str, Event] | None = None) -> EventTrace:
     """Parse the JSON Lines trace format (header object, then one event per line).
 
     A file in the writer's layout is parsed with one `json.loads` call; any
     other text is parsed line by line. Only a line feed ends a line (a
     carriage return before it is ignored), blank lines are skipped, and any
     problem raises TraceError naming the 1-based line.
+
+    Callers that parse many traces pass one `known` dict to all of them:
+    `metrics_from_traces` makes one per call, so `metrics` parses and checks
+    each distinct event line once per call. Every trace accepted and every
+    error is the same as without the dict.
     """
-    trace = _parse_whole(text)
+    trace = _parse_whole(text, {} if known is None else known)
     return trace if trace is not None else _parse_lines(text)
 
 
-def load_trace(path: str | Path) -> EventTrace:
+def load_trace(path: str | Path, known: dict[str, Event] | None = None) -> EventTrace:
     text = read_text(path, TraceError)
     try:
-        return parse_trace(text)
+        return parse_trace(text, known)
     except TraceError as exc:
         raise TraceError(f"{path}: {exc}") from None
 

@@ -35,12 +35,19 @@ class VocabularyError(SpecmtError, ValueError):
 
 
 def read_text(path: str | Path, error: type[SpecmtError]) -> str:
-    """The UTF-8 text of the file at `path`; a file that is not UTF-8 raises
-    `error` naming the path and the offset of the first bad byte."""
+    """The UTF-8 text of the file at `path`, line ends as the file has them;
+    a file that is not UTF-8 raises `error` naming the path and the offset
+    of the first bad byte."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of an input file's text: only a line feed ends a line, and
+    a carriage return before it is dropped. Line n of a file is item n - 1."""
+    return [line.removesuffix("\r") for line in text.split("\n")]
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ def build_vocabulary(corpus: Iterable[str]) -> Vocabulary:
 
 def read_corpus_lines(path: str | Path) -> list[str]:
     """Read a corpus file: UTF-8, one sentence per line, blank lines dropped."""
-    return [line.strip() for line in read_text(path, VocabularyError).splitlines() if line.strip()]
+    return [line.strip() for line in text_lines(read_text(path, VocabularyError)) if line.strip()]
 
 
 def write_artifact(path: str | Path, text: str) -> None:
@@ -148,7 +155,7 @@ def load_corpus(path: str | Path, vocab: Vocabulary) -> dict[int, Sentence]:
     file order, keyed by its 1-based line number (blank lines counted). An
     error names the file and that line."""
     sentences = {}
-    for lineno, line in enumerate(read_text(path, VocabularyError).splitlines(), 1):
+    for lineno, line in enumerate(text_lines(read_text(path, VocabularyError)), 1):
         if line.strip():
             try:
                 sentences[lineno] = encode_source(line, vocab)

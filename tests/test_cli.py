@@ -10,7 +10,7 @@ import pytest
 
 import specmt
 from specmt.cli import build_parser, main
-from specmt.experiment import SUMMARY_COLUMNS
+from specmt.experiment import SUMMARY_COLUMNS, ExperimentError, metrics_from_traces
 from specmt.vocab import load_corpus, read_corpus_lines
 
 
@@ -168,6 +168,49 @@ def test_metrics_from_trace_files(workspace, capsys):
         run_rows = list(csv.DictReader(handle))
     assert run_rows
     assert all(float(r["BLEU"]) == pytest.approx(1.0) for r in run_rows)
+
+
+def test_a_line_separator_in_a_reference_line_moves_no_other_line(tmp_path):
+    # a U+2028 in place of a space, read as a line end, would score every
+    # later sentence against the reference line before its own
+    out_dir = tmp_path / "traced"
+    assert run_cli(
+        "sweep", "--set", "n_sentences=60", "--set", "k_grid=2", "--set", "record_traces=true",
+        "--set", "predictors=oracle", "--out", out_dir,
+    ) == 0
+    references = out_dir / "data" / "references.txt"
+    separated = tmp_path / "separated.txt"
+    separated.write_text(references.read_text(encoding="utf-8").replace(" ", "\u2028", 1), encoding="utf-8")
+    runs = []
+    for n, path in enumerate((references, separated)):
+        out = tmp_path / f"m{n}"
+        assert run_cli("metrics", "--traces", out_dir / "traces", "--references", path, "--out", out) == 0
+        runs.append((out / "trace_runs.csv").read_bytes())
+    assert runs[0] == runs[1] and b",1.0," in runs[0]
+
+
+def test_a_bad_trace_after_good_ones_names_its_file_and_line(tmp_path, capsys):
+    # `metrics` parses each distinct event line once per call: a trace that
+    # shares all but one of its lines with the traces before it is still
+    # rejected, naming its own file and line
+    out_dir = tmp_path / "traced"
+    assert run_cli(
+        "sweep", "--set", "n_sentences=60", "--set", "k_grid=2", "--set", "tau_grid=0,1", "--set", "record_traces=true",
+        "--set", "predictors=oracle", "--out", out_dir,
+    ) == 0
+    traces = sorted((out_dir / "traces").rglob("*.jsonl"))
+    lines = traces[-1].read_text(encoding="utf-8").split("\n")
+    lineno = next(n for n, line in enumerate(lines, 1) if line.startswith('{"ev": "READ", "i": 1,'))
+    lines[lineno - 1] = lines[lineno - 1].replace('"i": 1,', '"i": "1",')
+    bad = out_dir / "traces" / "zz_bad.jsonl"  # sorted after the good traces
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    message = f"{bad}: line {lineno}: event key 'i' is not an int: '1'"
+    with pytest.raises(ExperimentError) as raised:
+        metrics_from_traces([*traces, bad])
+    assert str(raised.value) == message
+    capsys.readouterr()
+    assert run_cli("metrics", "--traces", out_dir / "traces", "--out", tmp_path / "m") == 2
+    assert capsys.readouterr().err == f"specmt: {message}\n"
 
 
 def test_sweep_and_metrics_compare_references_as_text(tmp_path, capsys):
@@ -367,6 +410,18 @@ ERROR_CASES = {
         ["sweep", "--set", "corpus={tmp}/oov.txt", "--set", "lexicon={tmp}/ab.tsv",
          "--set", "references={tmp}/oov.txt", "--out", "{tmp}/r"],
         "{tmp}/oov.txt: line 3: unknown token 'zzz'"),
+    "corpus line holding a form feed": (
+        ["train-lm", "--corpus", "{tmp}/form_feed.txt", "--lexicon", "{tmp}/ab.tsv", "--out", "{tmp}/lm.json"],
+        "{tmp}/form_feed.txt: line 3: unknown token 'zz'"),
+    "corpus line holding a line separator": (
+        ["lm-stats", "--model", "{tmp}/ab.json", "--corpus", "{tmp}/line_separator.txt"],
+        "{tmp}/line_separator.txt: line 2: unknown token 'zz'"),
+    "lexicon line holding a record separator": (
+        ["train-lm", "--corpus", "{tmp}/corpus.txt", "--lexicon", "{tmp}/record_separator.tsv",
+         "--out", "{tmp}/lm.json"],
+        "{tmp}/record_separator.tsv: line 2: expected 3 tab-separated columns"),
+    "config line holding a vertical tab": (["sweep", "--config", "{tmp}/vertical_tab.cfg", "--out", "{tmp}/s"],
+                                           "{tmp}/vertical_tab.cfg: config line 2: bad value for 'record_traces'"),
     "held-out token outside the model's vocabulary": (
         ["lm-stats", "--model", "{tmp}/ab.json", "--corpus", "{tmp}/oov.txt"],
         "{tmp}/oov.txt: line 3: unknown token 'zzz'"),
@@ -431,6 +486,11 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "reserved_target.tsv").write_text("a\t*\tA\nb\t*\t</s>\n")
     (tmp_path / "ab.txt").write_text("a b a\nb a\n" * 20)
     (tmp_path / "oov.txt").write_text("a b\n\nb zzz\n")
+    # only a line feed ends a line; these characters end one for `str.splitlines`
+    (tmp_path / "form_feed.txt").write_text("a b\nb\fa\nb zz\n")
+    (tmp_path / "line_separator.txt").write_text("a\u2028b\nb zz\n", encoding="utf-8")
+    (tmp_path / "record_separator.tsv").write_text("a\t*\tA\x1e\nb\tB\n")
+    (tmp_path / "vertical_tab.cfg").write_text("seed = 1\v\nrecord_traces = ture\n")
     (tmp_path / "target.txt").write_text("a b a\n" * 18 + "a b a B\nb a\n")
     (tmp_path / "unk.txt").write_text("a b\na <unk>\n" + "b a\n" * 18)
     (tmp_path / "blank.txt").write_text("\n \n")

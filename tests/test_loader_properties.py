@@ -1,7 +1,7 @@
 """Property tests of the file loaders: any text, and any bytes, read by
 `load_lexicon`, `load_corpus` or `load_ngram` gives a valid object or a
 `SpecmtError` whose message starts with the path. A lexicon or corpus error
-about one row also names its 1-based line.
+about one row also names its 1-based line, counted at line feeds only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ LEXICON_FILE_ERRORS = (
     "not UTF-8 at byte", "empty lexicon file", "lexicon has no default rules",
     "condition tokens without a default rule", "ambiguous tokens without a default rule",
 )
-ROW = re.compile(r"line \d+: ")
+ROW = re.compile(r"line (\d+): ")
 
 # text near each format, so that many examples get past the first checks
 SURFACES = ["a", "b", "A", "B", "z", "*", "#", "é", *RESERVED_SURFACES]
@@ -69,7 +69,10 @@ def path(tmp_path_factory):
 def load_or_error(load, path, data, file_errors=None):
     """`load(path)` over `data`, or None after checking the error's message:
     it starts with the path, and unless it is one of `file_errors` it names
-    a line (no line is asked of a loader whose `file_errors` is None)."""
+    a line (no line is asked of a loader whose `file_errors` is None). The
+    line named is the file's line N, `data` split at line feeds: the first
+    N lines alone give the same error, and the first N - 1 no error about a
+    line."""
     path.write_bytes(data)
     try:
         return load(path)
@@ -77,8 +80,25 @@ def load_or_error(load, path, data, file_errors=None):
         message = str(exc)
         assert message.startswith(f"{path}: "), message
         rest = message[len(f"{path}: "):]
-        assert file_errors is None or ROW.match(rest) or rest.startswith(file_errors), message
+        row = ROW.match(rest)
+        assert file_errors is None or row or rest.startswith(file_errors), message
+        if file_errors is not None and row:
+            lines = data.split(b"\n")
+            n = int(row.group(1))
+            assert n <= len(lines), message
+            assert _message(load, path, b"\n".join(lines[:n])) == message
+            assert not ROW.match(_message(load, path, b"\n".join(lines[:n - 1])).removeprefix(f"{path}: "))
         return None
+
+
+def _message(load, path, data):
+    """The message of the error `load` raises over `data`, or ""."""
+    path.write_bytes(data)
+    try:
+        load(path)
+    except SpecmtError as exc:
+        return str(exc)
+    return ""
 
 
 @settings(max_examples=150)
@@ -88,6 +108,8 @@ def load_or_error(load, path, data, file_errors=None):
 @example(b"c\t*\tC\nb\tc\tB\n")
 @example(b"a b\t*\tA\n")
 @example(b"a\t*\tA\nc\t*\tC D\n")
+@example(b"a\t*\tA\x1e\nb\tB\n")  # a record separator ends no line
+@example(b"a\t*\tA\rb\t*\t\n")  # nor does a lone carriage return
 def test_lexicon_loads_or_names_the_file(path, data):
     loaded = load_or_error(load_lexicon, path, data, LEXICON_FILE_ERRORS)
     if loaded is None:
@@ -106,6 +128,8 @@ def test_lexicon_loads_or_names_the_file(path, data):
 @given(contents(corpus_text))
 @example(b"a b\n\n<s> a\n")
 @example(b"a z\n")
+@example(b"a b\nb\x0ca\nb z\n")  # a form feed ends no line
+@example("a\u2028b\r\nb z\n".encode())  # nor does a line separator
 def test_corpus_loads_or_names_the_file_and_line(path, data):
     sentences = load_or_error(lambda p: load_corpus(p, VOCAB), path, data, ("not UTF-8 at byte",))
     if sentences is None:

@@ -3,9 +3,10 @@
 The writer must reproduce the `json.dumps` writer (frozen in `oracles.py`)
 byte for byte; the reader must map any text to an EventTrace or a
 TraceError naming a line, and its one-parse path must agree with the
-line-by-line parse on every input. `replay` must agree with the frozen
-row-building replay, the brute-force delays and the brute-force count of
-predicted source tokens on any event list.
+line-by-line parse on every input, also when traces share one cache of
+parsed lines. `replay` must agree with the frozen row-building replay, the
+brute-force delays and the brute-force count of predicted source tokens on
+any event list.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from specmt import Event, EventTrace, RunConfig, TraceError, parse_trace, replay  # noqa: E402
+from specmt import (  # noqa: E402
+    Event, EventTrace, ExperimentConfig, RunConfig, TraceError, parse_trace, replay, run_experiment,
+)
 from specmt.trace import EVENT_KINDS, _parse_lines  # noqa: E402
 from specmt.vocab import EOS_SURFACE, PHI_SURFACE  # noqa: E402
 from oracles import (  # noqa: E402
@@ -126,6 +129,73 @@ _near_lines = st.one_of(
 def test_one_parse_reader_agrees_with_line_by_line_parse(config, lines, newline, final_newline):
     text = newline.join([config.to_json(), *lines]) + (newline if final_newline else "")
     assert _outcome(parse_trace, text) == _outcome(_parse_lines, text)
+
+
+@pytest.fixture(scope="module")
+def sweep_texts(tmp_path_factory):
+    """The trace files of a small traced sweep: every grid point's runs,
+    baselines included, and the runs tau sharing relabelled."""
+    out = tmp_path_factory.mktemp("sweep")
+    config = ExperimentConfig(
+        n_sentences=30, k_grid=(1, 3), l_grid=(0.1,), tau_grid=(0.0, 0.5, 1.0), predictors=("indomain", "oracle"),
+        out_dir=str(out), record_traces=True,
+    )
+    assert run_experiment(config).ok
+    return [path.read_text(encoding="utf-8") for path in sorted((out / "traces").rglob("*.jsonl"))]
+
+
+def _parsed(parse, text):
+    """("trace", its repr) or ("error", the message); the repr tells an int
+    from a float and shows a NaN, which compares unequal to itself."""
+    try:
+        return "trace", repr(parse(text))
+    except TraceError as exc:
+        return "error", str(exc)
+
+
+# An object broken over two lines inside a nested container: both lines keep
+# the writer's layout, so after a line holding two objects the three lines,
+# read as one array, still have as many items as lines.
+_pair = st.lists(events.map(event_json), min_size=2, max_size=2).map(", ".join)
+_nested = events.map(lambda e: event_json(e)[:-1] + ', "x": [{}\n{}]}')
+_spanning = st.tuples(_pair, _nested).map("\n".join)
+_odd_lines = st.one_of(events.map(event_json), _pair, _nested, _spanning, _spanning, _near_lines)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_shared_cache_parses_every_text_as_it_parses_alone(sweep_texts, data):
+    """Texts parsed in turn with one `known` dict, as `metrics_from_traces`
+    parses its traces: engine traces, copies relabelled with another header,
+    and near-format texts made of event lines of an engine trace and of the
+    text before, plus one odd line. After a near-format text, each of its
+    lines not seen before is parsed alone under its header: as it is, so
+    that a line cached from a batch that failed is read again, and with a
+    space put before its first string value, which is another line with
+    another value."""
+    known: dict[str, Event] = {}
+    lines: list[str] = []  # the event lines of the text before
+    seen: set[str] = set()
+    for _ in range(data.draw(st.integers(1, 5))):
+        text = data.draw(st.sampled_from(sweep_texts))
+        header, body = text.split("\n", 1)
+        kind = data.draw(st.sampled_from(["engine", "relabelled", "near", "near"]))
+        if kind == "relabelled":
+            text = data.draw(run_configs).to_json() + "\n" + body
+        elif kind == "near":
+            header = data.draw(st.one_of(st.just(header), run_configs.map(RunConfig.to_json)))
+            rows = data.draw(st.lists(st.sampled_from(body.split("\n")[:-1] + lines), max_size=4))
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(_odd_lines))
+            newline = data.draw(st.sampled_from(["\n", "\n", "\r\n"]))
+            text = newline.join([header, *rows]) + data.draw(st.sampled_from(["", newline, newline]))
+        lines = [line for line in text.split("\n")[1:] if line]
+        new = [line for line in dict.fromkeys(lines) if line not in seen] if kind == "near" else []
+        seen.update(new)
+        alone_lines = (f"{header}\n{row}\n" for line in new for row in (line, line.replace('": "', '": " ', 1)))
+        for each in (text, *alone_lines):
+            alone = _parsed(_parse_lines, each)
+            assert _parsed(parse_trace, each) == alone
+            assert _parsed(lambda t: parse_trace(t, known), each) == alone
 
 
 def _replay_or_error(replay_trace, trace):
