@@ -142,8 +142,10 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "fa
 
 
 def parse_config_text(text: str) -> dict[str, object]:
-    """Parse the flat `key = value` format; '#' starts a comment."""
+    """Parse the flat `key = value` format; '#' starts a comment, and a key
+    may be set once."""
     out: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -151,6 +153,9 @@ def parse_config_text(text: str) -> dict[str, object]:
         if "=" not in line:
             raise ExperimentError(f"config line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ExperimentError(f"config line {lineno}: duplicate key {key!r} (set on line {set_on[key]})")
+        set_on[key] = lineno
         try:
             out[key] = coerce_config_value(key, value)
         except ExperimentError as exc:
@@ -327,8 +332,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     for run, row, final in kept.get((policy.rule, kind, index), ()):
                         if gates_alike(run.trace, run.trace.run_config.tau, tau):  # relabel the kept run
                             run = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
-                            row = {**row, "policy": policy.kind, "param": policy.param, "tau": tau,
-                                   "run_id": _run_id(run_config)}
+                            row = {**row, **_labels(run_config)}
                             break
                     else:
                         if baseline:
@@ -390,8 +394,11 @@ def _bleu_stats_memo(reference_lines: Sequence[str]):
     return cache(lambda index, final: bleu_stats(final, reference_lines[index].split()))
 
 
-def _run_id(cfg: RunConfig) -> str:
-    return f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}"
+def _labels(cfg: RunConfig) -> dict:
+    """The columns of a run's row that its trace header decides."""
+    run_id = f"{cfg.policy}-{cfg.param}-tau{cfg.tau}-{cfg.predictor}-{cfg.sentence_index:05d}"
+    return {"run_id": run_id, "policy": cfg.policy, "param": cfg.param, "tau": cfg.tau, "predictor": cfg.predictor,
+            "sentence_index": cfg.sentence_index}
 
 
 def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[str, ...]]:
@@ -404,11 +411,7 @@ def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[
     final, delays, source_length, counts, predicted = replay(trace)
     stats = None if sentence_bleu_stats is None else sentence_bleu_stats(cfg.sentence_index, final)
     return {
-        "run_id": _run_id(cfg),
-        "policy": cfg.policy,
-        "param": cfg.param,
-        "tau": cfg.tau,
-        "predictor": cfg.predictor,
+        **_labels(cfg),
         "I": source_length,
         "J": len(final),
         "W": counts[WITHDRAW],
@@ -417,7 +420,6 @@ def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[
         "AL": average_lagging(delays, source_length),
         "AWR": awr(counts[WITHDRAW], len(final)),
         "BLEU": "" if stats is None else bleu_from_stats(stats),
-        "sentence_index": cfg.sentence_index,
         "bleu_stats": stats,
         "predicted": predicted,
     }, final

@@ -10,6 +10,7 @@ the model's support.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,13 +43,13 @@ class NgramModel:
     prediction event space: EOS and every counted token, in ascending id
     order. `predict` returns the argmax over it, ties going to the smallest id.
 
-    `predict` computes the distribution after a context as one float64 vector
-    over `support`, from the vector of the context's one-shorter suffix: the
-    same IEEE operations, in the same order, as `probability` makes for each
-    token, so the argmax and its probability are bit for bit those of a scan
-    over the support. The vectors of contexts shorter than order - 1 are kept
-    in `_vectors`, and each full context's `Prediction` in `_cache`, as they
-    are asked for; neither changes any result.
+    The distribution after a context is one float64 vector, computed from the
+    vector of the context's one-shorter suffix, and `predict`, `probability`
+    and `evaluate` all read it. It holds one slot per support token, in
+    `support` order, and a last slot: the probability of any unseen token.
+    The vectors of contexts shorter than order - 1 are kept in `_vectors`,
+    and each full context's `Prediction` in `_cache`, as they are asked for;
+    neither changes any result.
     """
 
     order: int
@@ -58,7 +59,6 @@ class NgramModel:
     vocabulary: Vocabulary
     support: tuple[int, ...] = field(init=False)
     _totals: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
-    _unigram: dict[int, int] = field(init=False, repr=False, compare=False)
     _denominator: float = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
     _vectors: dict[tuple[int, ...], np.ndarray] = field(init=False, repr=False, compare=False)
@@ -69,7 +69,6 @@ class NgramModel:
         support = tuple(sorted({EOS}.union(*self.counts.values())))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "_totals", totals)
-        object.__setattr__(self, "_unigram", self.counts.get((), {}))
         object.__setattr__(self, "_denominator", totals.get((), 0) + self.alpha * len(support))
         object.__setattr__(self, "_position", {tok: n for n, tok in enumerate(support)})
         object.__setattr__(self, "_vectors", {})
@@ -85,36 +84,19 @@ class NgramModel:
 
     def probability(self, token: int, context: Sequence[int]) -> float:
         """Interpolated conditional probability of `token` after `context`."""
-        return self._prob(token, self._chain(self._context(context)))
-
-    def _chain(self, ctx: tuple[int, ...]) -> list[tuple[dict[int, int], int]]:
-        """(counts, total) of each suffix of `ctx` with a nonzero total, shortest first."""
-        chain = []
-        for k in range(len(ctx) - 1, -1, -1):
-            total = self._totals.get(ctx[k:], 0)
-            if total:
-                chain.append((self.counts[ctx[k:]], total))
-        return chain
-
-    def _prob(self, token: int, chain: list[tuple[dict[int, int], int]]) -> float:
-        """The add-alpha unigram, mixed at each level of `chain`, bottom up:
-        beta * maximum likelihood + (1 - beta) * the level below."""
-        p = (self._unigram.get(token, 0) + self.alpha) / self._denominator
-        for dist, total in chain:
-            p = self.beta * (dist.get(token, 0) / total) + (1.0 - self.beta) * p
-        return p
+        return float(self._vector(self._context(context))[self._position.get(token, len(self.support))])
 
     def _dense(self, ctx: tuple[int, ...]) -> np.ndarray:
-        """The counts after `ctx`, one per token of `support`, in its order."""
+        """The counts after `ctx` in `support` order, then a last slot never counted."""
         dist = self.counts.get(ctx, {})
         return np.bincount(
-            [self._position[tok] for tok in dist], weights=list(dist.values()), minlength=len(self.support)
+            [self._position[tok] for tok in dist], weights=list(dist.values()), minlength=len(self.support) + 1
         )
 
     def _vector(self, ctx: tuple[int, ...]) -> np.ndarray:
-        """`_prob` of every support token after `ctx`, as one vector: the
-        add-alpha unigram for the empty context, else the suffix's vector,
-        mixed with this context's maximum likelihood when it has a count."""
+        """The distribution after `ctx`: the add-alpha unigram for the empty
+        context, else the suffix's vector, mixed when `ctx` has a count as
+        beta * maximum likelihood + (1 - beta) * the suffix's."""
         p = self._vectors.get(ctx)
         if p is not None:
             return p
@@ -129,17 +111,18 @@ class NgramModel:
             self._vectors[ctx] = p
         return p
 
+    def _best(self, p: np.ndarray) -> Prediction:
+        """The first maximum of `p`; never its last slot, as no count is below zero."""
+        best = int(p.argmax())
+        return Prediction(self.support[best], float(p[best]))
+
     def predict(self, context: Sequence[int]) -> Prediction:
         """Most probable next token; ties break toward the smallest id."""
         ctx = self._context(context)
         cached = self._cache.get(ctx)
-        if cached is not None:
-            return cached
-        p = self._vector(ctx)
-        best = int(p.argmax())
-        result = Prediction(self.support[best], float(p[best]))
-        self._cache[ctx] = result
-        return result
+        if cached is None:
+            cached = self._cache[ctx] = self._best(self._vector(ctx))
+        return cached
 
     def evaluate(self, corpus: Iterable[Sentence]) -> dict[str, float]:
         """Perplexity and next-token accuracy over a held-out corpus.
@@ -150,20 +133,20 @@ class NgramModel:
         guess cannot make any output visible earlier), so it would only add
         noise to the quantity this model is used for.
         """
+        vector = functools.cache(self._vector)
         log_prob = 0.0
         correct = 0
         token_events = 0
         total = 0
         for sentence in corpus:
-            stream = list(sentence) + [EOS]
+            stream = (*sentence, EOS)
             for t, actual in enumerate(stream):
-                prefix = tuple(stream[:t])
-                log_prob += math.log(max(self.probability(actual, prefix), 1e-300))
+                p = vector(self._context(stream[:t]))
+                log_prob += math.log(max(p[self._position.get(actual, len(self.support))], 1e-300))
                 total += 1
                 if actual != EOS:
                     token_events += 1
-                    if self.predict(prefix).token == actual:
-                        correct += 1
+                    correct += self._best(p).token == actual
         if token_events == 0:
             raise PredictorError("empty evaluation corpus")
         return {

@@ -330,10 +330,10 @@ def replay(trace: EventTrace) -> Replay:
     the last row. A real READ(i, tok) is predicted when the last PREDICT(i,
     pred) before it has pred == tok. Raises TraceError for traces that
     violate the speculation protocol ("inconsistent trace"): a READ needs its
-    index and token, a PREDICT its index and guess, a SPECULATE its slot and
-    a WITHDRAW its corrected token, and every SPECULATE must be resolved by
-    exactly one COMMIT or WITHDRAW before END, so a trace that replays has
-    speculations = hits + withdrawals.
+    index and token and no end-of-source READ before it, a PREDICT its index
+    and guess, a SPECULATE its slot and a WITHDRAW its corrected token, and
+    every SPECULATE must be resolved by exactly one COMMIT or WITHDRAW before
+    END, so a trace that replays has speculations = hits + withdrawals.
     """
     visible: list[str] = []
     held: list[str] = []  # the visible output when the last row closed
@@ -345,6 +345,7 @@ def replay(trace: EventTrace) -> Replay:
     reads = 0
     guesses: dict[int, str | None] = {}  # the guess of the last PREDICT of each source index
     predicted = 0
+    source_ended = False
     ended = False
 
     for kind, i, j, tok, pred, _, old, new in trace.events:
@@ -356,7 +357,10 @@ def replay(trace: EventTrace) -> Replay:
             last_read = i
             if tok is None:
                 raise TraceError("inconsistent trace: READ without token")
-            if tok != EOS_SURFACE:
+            if source_ended:
+                raise TraceError("inconsistent trace: READ after end of source")
+            source_ended = tok == EOS_SURFACE
+            if not source_ended:
                 if reads > 0:
                     _close_row(visible, held, since, low, reads)
                     low = len(visible)

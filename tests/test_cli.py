@@ -420,6 +420,11 @@ ERROR_CASES = {
         ["train-lm", "--corpus", "{tmp}/corpus.txt", "--lexicon", "{tmp}/record_separator.tsv",
          "--out", "{tmp}/lm.json"],
         "{tmp}/record_separator.tsv: line 2: expected 3 tab-separated columns"),
+    "config key set twice": (["sweep", "--config", "{tmp}/twice.cfg", "--set", "seed=3", "--out", "{tmp}/s"],
+                             "{tmp}/twice.cfg: config line 2: duplicate key 'seed' (set on line 1)"),
+    "trace with a read after the end of source": (
+        ["metrics", "--traces", "{tmp}/late_read", "--out", "{tmp}/m"],
+        "{tmp}/late_read/00000.jsonl: inconsistent trace: READ after end of source"),
     "config line holding a vertical tab": (["sweep", "--config", "{tmp}/vertical_tab.cfg", "--out", "{tmp}/s"],
                                            "{tmp}/vertical_tab.cfg: config line 2: bad value for 'record_traces'"),
     "held-out token outside the model's vocabulary": (
@@ -491,6 +496,15 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "line_separator.txt").write_text("a\u2028b\nb zz\n", encoding="utf-8")
     (tmp_path / "record_separator.tsv").write_text("a\t*\tA\x1e\nb\tB\n")
     (tmp_path / "vertical_tab.cfg").write_text("seed = 1\v\nrecord_traces = ture\n")
+    (tmp_path / "twice.cfg").write_text("seed = 1\nseed = 2\n")
+    (tmp_path / "late_read").mkdir()
+    (tmp_path / "late_read" / "00000.jsonl").write_text("\n".join([
+        '{"policy": "none", "param": 0.0, "tau": 0.0, "predictor": "none", "corpus": "none", "seed": 0, '
+        '"sentence_index": 0}',
+        '{"ev": "READ", "i": 1, "tok": "a"}', '{"ev": "WRITE", "i": 1, "j": 1, "tok": "A"}',
+        '{"ev": "READ", "i": 2, "tok": "</s>"}', '{"ev": "READ", "i": 3, "tok": "b"}',
+        '{"ev": "WRITE", "i": 3, "j": 2, "tok": "B"}', '{"ev": "END"}', "",
+    ]))
     (tmp_path / "target.txt").write_text("a b a\n" * 18 + "a b a B\nb a\n")
     (tmp_path / "unk.txt").write_text("a b\na <unk>\n" + "b a\n" * 18)
     (tmp_path / "blank.txt").write_text("\n \n")

@@ -87,6 +87,10 @@ class TestConfig:
         with pytest.raises(ExperimentError, match="unknown key"):
             parse_config_text("not_a_key = 1")
 
+    def test_a_key_set_twice_names_both_lines(self):
+        with pytest.raises(ExperimentError, match=re.escape("config line 3: duplicate key 'seed' (set on line 1)")):
+            parse_config_text("seed = 1\n# the same key again\nseed = 2\n")
+
     def test_file_with_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("seed = 5\nk_grid = 1\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import pytest
@@ -17,7 +18,7 @@ from specmt import (
     train_ngram,
 )
 from specmt.vocab import BOS, EOS
-from oracles import full_scan_predict
+from oracles import _recursive_prob, full_scan_predict
 
 
 def _train(lines, order, alpha=0.1, beta=0.9):
@@ -134,6 +135,17 @@ class TestPredictionAtWidth:
             assert (got.token, got.probability.hex()) == (want[0], want[1].hex()), context
             assert type(got.probability) is float  # a NumPy scalar would take the trace writer's slow path
 
+    def test_probability_matches_the_recursive_definition_for_every_id(self, world):
+        # support, reserved and target-side ids alike: the vector's last slot
+        # is the probability of every token outside the support
+        model, contexts = world
+        ids = range(len(model.vocabulary))
+        assert len(ids) > len(model.support) + 100
+        for context in contexts[::10]:
+            ctx = model._context(context)
+            for tok in ids:
+                assert model.probability(tok, context).hex() == _recursive_prob(model, tok, ctx).hex(), (tok, context)
+
     def test_save_load_preserves_predictions(self, world, tmp_path):
         model, contexts = world
         model.save(tmp_path / "model.json")
@@ -141,6 +153,29 @@ class TestPredictionAtWidth:
         for context in contexts:
             got, want = loaded.predict(context), model.predict(context)
             assert (got.token, got.probability.hex()) == (want.token, want.probability.hex()), context
+
+
+class TestTiedUnigram:
+    """At alpha 1e20 every count vanishes beside alpha, so every unigram
+    entry ties, the last slot included: the argmax must still be a support
+    token, the first of the tie."""
+
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_predict_matches_full_scan(self, order):
+        spec = MarkovSourceSpec(vocab_size=12, transition_concentration=0.3, ambiguity_rate=0.3,
+                                min_length=3, max_length=8, seed=4)
+        data = generate(spec, 40)
+        model = train_ngram(data.sources[:30], order, alpha=1e20, vocabulary=data.vocabulary)
+        unigram = model._vector(())
+        assert unigram[-1] == unigram.max() == unigram[0]
+        ids = range(len(model.vocabulary))
+        contexts = [s[:t] for s in data.sources[30:] for t in range(len(s) + 1)]
+        contexts += [(tok,) * n for tok in ids for n in (1, 3)]
+        for context in contexts:
+            got = model.predict(context)
+            want = full_scan_predict(model, context)
+            assert (got.token, got.probability.hex()) == (want[0], want[1].hex()), context
+            assert got.token in model.support
 
 
 class TestHeldOutQuality:
@@ -158,6 +193,42 @@ class TestHeldOutQuality:
         assert stats_in["accuracy"] > stats_out["accuracy"]
         assert stats_in["accuracy"] - stats_out["accuracy"] > 0.1
         assert stats_in["perplexity"] < stats_out["perplexity"]
+
+    def test_evaluate_matches_the_recursive_definition_with_unseen_tokens(self):
+        # c and d are in the vocabulary but never counted: each reads the
+        # probability of a token outside the support
+        vocab = build_vocabulary(["a b c d"])
+        model = train_ngram([vocab.encode("a b"), vocab.encode("b a b")], 2, vocabulary=vocab)
+        held_out = [vocab.encode("a c d"), vocab.encode("d b a")]
+        log_prob, correct = 0.0, 0
+        for sentence in held_out:
+            stream = (*sentence, EOS)
+            for t, actual in enumerate(stream):
+                ctx = model._context(stream[:t])
+                log_prob += math.log(max(_recursive_prob(model, actual, ctx), 1e-300))
+                correct += actual != EOS and full_scan_predict(model, stream[:t])[0] == actual
+        stats = model.evaluate(held_out)
+        assert stats["perplexity"].hex() == math.exp(-log_prob / 8).hex()
+        assert stats == {"perplexity": stats["perplexity"], "accuracy": correct / 6, "events": 6.0}
+
+    @pytest.mark.parametrize("world, pinned", [
+        # a `short`-sized world: bigram trained on the first 90 of 100 sentences
+        (dict(vocab_size=24, kappa=0.1, ambiguity_rate=0.3, min_length=5, max_length=15, n=100, order=2, ood=False),
+         ("0x1.2c1fefb4f28a1p+2", "0x1.15b1e5f75270dp-1", "0x1.d800000000000p+6")),
+        # a `long`-sized world: trigram trained on 180 out-of-domain sentences
+        (dict(vocab_size=200, kappa=1.0, ambiguity_rate=0.5, min_length=40, max_length=80, n=200, order=3, ood=True),
+         ("0x1.61c06ceeef91cp+10", "0x1.5eb1be9658b37p-9", "0x1.75c0000000000p+10")),
+    ])
+    def test_evaluate_is_pinned_bit_for_bit(self, world, pinned):
+        spec = MarkovSourceSpec(vocab_size=world["vocab_size"], transition_concentration=world["kappa"],
+                                ambiguity_rate=world["ambiguity_rate"], min_length=world["min_length"],
+                                max_length=world["max_length"], seed=3)
+        data = generate(spec, world["n"])
+        split = world["n"] * 9 // 10
+        train = generate_out_of_domain_sources(spec, split, 1003) if world["ood"] else data.sources[:split]
+        model = train_ngram(train, world["order"], vocabulary=data.vocabulary)
+        stats = model.evaluate(data.sources[split:])
+        assert (stats["perplexity"].hex(), stats["accuracy"].hex(), stats["events"].hex()) == pinned
 
 
 class TestSerialization:

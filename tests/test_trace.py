@@ -86,6 +86,26 @@ class TestReplay:
         with pytest.raises(TraceError, match="READ indices"):
             replay(trace)
 
+    def test_no_read_after_the_end_of_source(self):
+        # without the check this replays to A B with I = 2
+        trace = _trace(
+            ev("READ", i=1, tok="a"), ev("WRITE", j=1, tok="A", i=1), ev("WRITE", j=2, tok="<phi>", i=1),
+            ev("READ", i=2, tok="</s>"), ev("READ", i=3, tok="b"), ev("WRITE", j=3, tok="B", i=3),
+            ev("END"),
+        )
+        with pytest.raises(TraceError, match="^inconsistent trace: READ after end of source$"):
+            replay(trace)
+
+    @pytest.mark.parametrize("late, message", [
+        (ev("READ", i=2, tok="b"), "READ indices not increasing"),
+        (ev("READ", i=3), "READ without token"),
+        (ev("READ", i=3, tok="</s>"), "READ after end of source"),
+    ])
+    def test_a_read_after_the_end_of_source_fails_its_own_checks_first(self, late, message):
+        trace = _trace(ev("READ", i=1, tok="a"), ev("READ", i=2, tok="</s>"), late, ev("END"))
+        with pytest.raises(TraceError, match=f"^inconsistent trace: {message}$"):
+            replay(trace)
+
     @pytest.mark.parametrize("events, message", [
         # a guess of nothing, then a token of nothing, is no prediction
         ((ev("PREDICT", i=1), ev("READ", i=1)), "PREDICT without index or guess"),

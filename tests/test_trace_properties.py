@@ -220,6 +220,9 @@ def _assert_replay_matches_rows(trace):
     assert all(1 <= delay <= len(rows) for delay in replayed.delays)
 
 
+_AFTER_LOOP = ("inconsistent trace: missing END", "inconsistent trace: no source reads")
+
+
 @settings(max_examples=200)
 @given(st.lists(events, max_size=12).map(tuple))
 # a read without a token, or a guess without one, is inconsistent; of two
@@ -227,8 +230,25 @@ def _assert_replay_matches_rows(trace):
 @example((Event("READ", i=1), Event("END")))
 @example((Event("PREDICT", i=1), Event("READ", i=1), Event("END")))
 @example((Event("PREDICT", i=1, pred="a"), Event("PREDICT", i=1, pred="b"), Event("READ", i=1, tok="b"), Event("END")))
+# a read after the end-of-source read: alone, after an error the frozen
+# replay raises first, and failing its own index check
+@example((Event("READ", i=1, tok=EOS_SURFACE), Event("READ", i=2, tok="b"), Event("END")))
+@example((Event("READ", i=1, tok=EOS_SURFACE), Event("COMMIT", j=1), Event("READ", i=2, tok="b"), Event("END")))
+@example((Event("READ", i=2, tok=EOS_SURFACE), Event("READ", i=1, tok="b"), Event("END")))
 def test_replay_agrees_with_the_frozen_replay_on_any_events(trace_events):
-    _assert_replay_matches_rows(EventTrace(events=trace_events))
+    """As on protocol traces, except that the frozen replay reads on after the
+    end-of-source READ. Where a READ c follows one, `replay` raises the error
+    the frozen replay raises inside its loop over the events up to c, or
+    else the one for a READ after the end of source."""
+    reads = [n for n, event in enumerate(trace_events) if event.ev == "READ"]
+    late = next((c for c in reads if any(trace_events[n].tok == EOS_SURFACE for n in reads if n < c)), None)
+    if late is None:
+        _assert_replay_matches_rows(EventTrace(events=trace_events))
+        return
+    # without END, the frozen replay raises on events[:c + 1]
+    frozen = _replay_or_error(snapshot_from_trace, EventTrace(events=trace_events[: late + 1]))
+    want = frozen if frozen not in _AFTER_LOOP else "inconsistent trace: READ after end of source"
+    assert _replay_or_error(replay, EventTrace(events=trace_events)) == want
 
 
 DECISIONS = ("A", "B", PHI_SURFACE, EOS_SURFACE)
