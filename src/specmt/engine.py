@@ -15,15 +15,16 @@ first decision. After the end-of-sequence arrives the remaining output is
 decoded autoregressively with no speculation.
 
 Tau only gates: `probability < tau` skips a speculation, and every token is
-predicted whatever tau is, so `gates_alike` tells when runs at two taus agree.
+predicted whatever tau is, so taus that gate its PREDICTs alike give one run.
 
 A run's result is its final output and its trace, the only record of what
 happened: the speculation, hit and withdrawal counts are read from it, and
 the delays come from its `replay`, which scoring does, not the engine.
 
-The loop costs little beyond its translator and predictor calls: events are
-built positionally, surfaces are read from the vocabulary's token tuple, and
-each read slices its prefix once, which the next step's speculation reuses.
+The loop costs little beyond its translator and predictor calls: it has no
+closure, so all it touches is local; events are built positionally, surfaces
+are read from the vocabulary's token tuple, and each read slices its prefix
+once, which the next step's speculation reuses.
 """
 
 from __future__ import annotations
@@ -57,12 +58,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise EngineError("tau must be in [0, 1]")
-
-
-def gates_alike(trace: EventTrace, tau: float, other: float) -> bool:
-    """Whether the gate decides every `PREDICT` of `trace` alike at `tau`
-    and at `other`: then a run at `tau` is also the run at `other`."""
-    return all((e.p < tau) == (e.p < other) for e in trace.events if e.ev == PREDICT)
 
 
 @dataclass(frozen=True)
@@ -132,42 +127,31 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
     events: list[Event] = []
     emit = events.append
     slot = 0
-    pending: tuple[int, int, int] | None = None  # (slot, decision, predicted token)
-
-    def speculate(prefix: Sentence) -> None:
-        """Predict the token after `prefix` and decode one decision against it."""
-        nonlocal slot, pending
-        basis = len(prefix)
-        token, probability = predictor.predict(prefix)
-        emit(_event((PREDICT, basis + 1, None, None, surfaces[token], probability, None, None)))
-        if probability < tau:
-            return
-        hypothesis_done = token == EOS
-        decision = step(prefix if hypothesis_done else prefix + (token,), len(out), hypothesis_done)
-        slot += 1
-        emit(_event((SPECULATE, basis, slot, surfaces[decision], None, None, None, None)))
-        pending = (slot, decision, token)
 
     prefix: Sentence = ()
     for i in range(1, src_len + 2):
+        speculated: int | None = None  # the decision speculated on the guess `token`
         if predictor is not None:
-            speculate(prefix)
+            token, probability = predictor.predict(prefix)
+            emit(_event((PREDICT, i, None, None, surfaces[token], probability, None, None)))
+            if not probability < tau:
+                guess_done = token == EOS
+                speculated = step(prefix if guess_done else prefix + (token,), len(out), guess_done)
+                slot += 1
+                emit(_event((SPECULATE, i - 1, slot, surfaces[speculated], None, None, None, None)))
         tok = source[i - 1] if i <= src_len else EOS
         emit(_event((READ, i, None, surfaces[tok], None, None, None, None)))
         done = tok == EOS
         prefix = source[:i]  # the whole source at the end-of-sequence read
 
         decision: int | None = None
-        if pending is not None:
-            pending_slot, pending_decision, predicted = pending
-            pending = None
-            if predicted == tok:
-                emit(_event((COMMIT, None, pending_slot, None, None, None, None, None)))
-                decision = pending_decision
+        if speculated is not None:  # resolved against the token read, at the speculation's slot
+            if token == tok:
+                emit(_event((COMMIT, None, slot, None, None, None, None, None)))
+                decision = speculated
             else:
                 decision = step(prefix, len(out), done)
-                emit(_event((WITHDRAW, None, pending_slot, None, None, None,
-                             surfaces[pending_decision], surfaces[decision])))
+                emit(_event((WITHDRAW, None, slot, None, None, None, surfaces[speculated], surfaces[decision])))
             if decision not in (PHI, EOS):
                 out.append(decision)
 

@@ -8,11 +8,13 @@ speculative point also gets a summary row, paired and aggregated by
 `summarize` exactly as `metrics` pairs trace files. A point stops at its
 first sentence that raises, and a failing baseline skips its policy.
 
-A policy decides by its `rule` alone, so a sentence reuses, relabelled, a
-kept run of the same (rule, predictor, sentence) that `gates_alike` finds
-gated alike at its tau, or else runs afresh. A run that did not raise is
-kept only while a later grid point could reuse it: a later tau of its
-policy, or a later policy of the same rule. Every output, traces included,
+A policy decides by its `rule` alone and tau only gates, so a sentence
+reuses, relabelled, a kept run of the same (rule, predictor, sentence) when
+none of its PREDICT probabilities lies between the two taus, the lower
+included (read once, when the run is kept, by `_tau_bounds`), or else
+runs afresh. A run that did not raise is kept only while a later grid point
+could reuse it: a later tau of its policy, or a later policy of the same
+rule. Every row, reused or not, is checked. Every output, traces included,
 is byte-identical to running each grid point on its own, and a fixed
 configuration gives byte-identical outputs on every run.
 """
@@ -23,13 +25,15 @@ import csv
 import io
 import json
 import shutil
-from dataclasses import dataclass, field, fields, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
-from .engine import EngineConfig, RunResult, gates_alike, run_baseline, run_speculative
+from .engine import EngineConfig, RunResult, run_baseline, run_speculative
 from .lexicon import Lexicon, load_lexicon
 from .markov import (
     GeneratedCorpus, MarkovSourceSpec, generate, generate_out_of_domain_sources, write_generated,
@@ -37,7 +41,7 @@ from .markov import (
 from .metrics import average_lagging, awr, bleu_from_stats, bleu_stats, sum_bleu_stats
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, check_parameters, train_ngram
-from .trace import COMMIT, SPECULATE, WITHDRAW, Event, EventTrace, RunConfig, TraceError, load_trace, replay
+from .trace import COMMIT, PREDICT, SPECULATE, WITHDRAW, Event, EventTrace, RunConfig, TraceError, load_trace, replay
 from .vocab import (
     Sentence, SpecmtError, Vocabulary, load_corpus, read_corpus_lines, read_text, text_lines, write_artifact,
 )
@@ -305,33 +309,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if data.generated is not None:
         write_generated(data.generated, out_dir / "data")
     result = ExperimentResult(out_dir=out_dir)
-    surface = data.vocabulary.surface
+    surface = data.vocabulary.tokens.__getitem__
     sentence_bleu_stats = _bleu_stats_memo(data.reference_lines)
     run_rows: list[dict] = []
     policies = config.policy_grid()
-    # (rule, predictor kind, sentence index) -> the scored runs kept for a later grid point
-    kept: dict[tuple[tuple, str, int], list[tuple[RunResult, dict, tuple[str, ...]]]] = {}
+    # (rule, predictor kind, sentence index) -> the scored runs kept for a later grid point, with their `_tau_bounds`
+    kept: dict[tuple[tuple, str, int], list[tuple[RunResult, dict, tuple[str, ...], float, float]]] = {}
     for n, policy in enumerate(policies):
         shared = policy.rule in {later.rule for later in policies[n + 1:]}  # a later policy may reuse its runs
         model = SimtModel(lexicon=data.lexicon, policy=policy, vocabulary=data.vocabulary)
-        tagged = RunConfig(policy=policy.kind, param=policy.param, corpus=data.corpus_id, seed=config.seed)
         baseline_outputs: list[Sentence] = []
         for tau, kind in [(0.0, "none"), *product(config.tau_grid, config.predictors)]:
             baseline, engine_config = kind == "none", EngineConfig(tau=tau)
             point = f"baseline {policy.describe()}" if baseline else f"{policy.describe()} tau={tau} predictor={kind}"
-            label = "baseline" if baseline else f"tau{tau}-{kind}"
-            trace_dir = out_dir / "traces" / f"{policy.kind}-{policy.param}-{label}"
-            if config.record_traces:
+            if config.record_traces:  # the directory is named only when traces are saved in it
+                label = "baseline" if baseline else f"tau{tau}-{kind}"
+                trace_dir = out_dir / "traces" / f"{policy.kind}-{policy.param}-{label}"
                 trace_dir.mkdir(parents=True, exist_ok=True)
             rows: list[dict] = []
             for i, source in enumerate(data.test_sources):
                 index = data.test_offset + i
-                where = f"{point}: sentence {index} (corpus line {data.test_lines[i]})"
-                run_config = replace(tagged, tau=tau, predictor=kind, sentence_index=index)
+                run_config = RunConfig(policy.kind, policy.param, tau, kind, data.corpus_id, config.seed, index)
                 try:
-                    for run, row, final in kept.get((policy.rule, kind, index), ()):
-                        if gates_alike(run.trace, run.trace.run_config.tau, tau):  # relabel the kept run
-                            run = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
+                    for run, row, final, low, high in kept.get((policy.rule, kind, index), ()):
+                        if low < tau <= high:  # the kept run gates alike at tau: relabel it
+                            if config.record_traces:
+                                run = RunResult(run.final_output, EventTrace(run.trace.events, run_config))
                             row = {**row, **_labels(run_config)}
                             break
                     else:
@@ -342,19 +345,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                             run = run_speculative(model, predictor, source, engine_config, run_config)
                         row, final = score_run(run.trace, sentence_bleu_stats)
                         if shared or not baseline and tau != config.tau_grid[-1]:
-                            kept.setdefault((policy.rule, kind, index), []).append((run, row, final))
+                            kept.setdefault((policy.rule, kind, index), []).append((run, row, final, *_tau_bounds(run)))
                 except Exception as exc:  # anything but the package's own errors is a bug: name its type
                     reason = exc if isinstance(exc, SpecmtError) else f"{type(exc).__name__}: {exc}"
-                    result.failures.append(f"{where}: {reason}")
+                    result.failures.append(f"{_where(point, data, i)}: {reason}")
                     break
                 if config.record_traces:
                     run.trace.save(trace_dir / f"{index:05d}.jsonl")
                 if baseline:
                     baseline_outputs.append(run.final_output)
                 elif run.final_output != baseline_outputs[i]:
-                    result.failures.append(f"{where}: speculative output differs")
+                    result.failures.append(f"{_where(point, data, i)}: speculative output differs")
                 if tuple(map(surface, run.final_output)) != final:
-                    result.failures.append(f"{where}: trace replays to another output")
+                    result.failures.append(f"{_where(point, data, i)}: trace replays to another output")
                 rows.append(row)
             if len(rows) == len(data.test_sources):
                 run_rows.extend(rows)
@@ -377,6 +380,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     write_artifact(out_dir / "meta.json", json.dumps(meta, indent=2, default=list) + "\n")  # last: marks a finished run
     return result
+
+
+def _tau_bounds(run: RunResult) -> tuple[float, float]:
+    """The bounds of the taus `other` that gate each PREDICT of `run` as its tau does, `low < other <= high`:
+    then no probability lies in [min(tau, other), max(tau, other))."""
+    probabilities = sorted([e.p for e in run.trace.events if e.ev == PREDICT])
+    k = bisect_left(probabilities, run.trace.run_config.tau)  # how many lie below tau
+    return probabilities[k - 1] if k else float("-inf"), probabilities[k] if k < len(probabilities) else float("inf")
+
+
+def _where(point: str, data: PreparedData, i: int) -> str:  # where test sentence i of a grid point failed
+    return f"{point}: sentence {data.test_offset + i} (corpus line {data.test_lines[i]})"
 
 
 def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, data: PreparedData):
@@ -468,7 +483,7 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(columns)
-    writer.writerows([row[col] for col in columns] for row in rows)
+    writer.writerows(map(itemgetter(*columns), rows))
     write_artifact(path, text.getvalue())
 
 

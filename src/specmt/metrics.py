@@ -44,7 +44,7 @@ def awr(withdrawals: int, target_length: int) -> float:
 
 
 def _ngrams(tokens: Sequence, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def _clipped_matches(hyp: Sequence, ref: Sequence, n: int) -> int:

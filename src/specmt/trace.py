@@ -28,6 +28,7 @@ WITHDRAW = "WITHDRAW"
 WRITE = "WRITE"
 END = "END"
 EVENT_KINDS = frozenset((READ, PREDICT, SPECULATE, COMMIT, WITHDRAW, WRITE, END))
+_INVISIBLE = frozenset((PHI_SURFACE, EOS_SURFACE))  # the decisions that write no token
 
 
 class TraceError(SpecmtError, ValueError):
@@ -293,21 +294,6 @@ class Replay(NamedTuple):
     predicted: int  # real source tokens that arrived as the last PREDICT of their index guessed
 
 
-def _close_row(visible: list[str], held: list[str], since: list[int], low: int, row: int) -> None:
-    """Bring `held` up to `visible` at the close of `row`, setting `since` to
-    `row` at each position whose token changed. Positions below `low` are
-    unchanged since the last close."""
-    del held[len(visible):], since[len(visible):]
-    for p in range(low, len(visible)):
-        tok = visible[p]
-        if p == len(held):
-            held.append(tok)
-            since.append(row)
-        elif held[p] != tok:
-            held[p] = tok
-            since[p] = row
-
-
 def replay(trace: EventTrace) -> Replay:
     """Replay a trace, in one pass over its events, into its `Replay`.
 
@@ -346,12 +332,20 @@ def replay(trace: EventTrace) -> Replay:
     guesses: dict[int, str | None] = {}  # the guess of the last PREDICT of each source index
     predicted = 0
     source_ended = False
-    ended = False
 
-    for kind, i, j, tok, pred, _, old, new in trace.events:
-        if ended:
-            raise TraceError("inconsistent trace: events after END")
+    # kinds are tested most frequent first; only a real READ after the first and END reach the row close
+    events = iter(trace.events)
+    for event in events:
+        kind = event.ev
+        if kind == WRITE:
+            tok = event.tok
+            if tok is None:
+                raise TraceError("inconsistent trace: WRITE without token")
+            if tok not in _INVISIBLE:
+                visible.append(tok)
+            continue
         if kind == READ:
+            i, tok = event.i, event.tok
             if i is None or i <= last_read:
                 raise TraceError("inconsistent trace: READ indices not increasing")
             last_read = i
@@ -360,30 +354,38 @@ def replay(trace: EventTrace) -> Replay:
             if source_ended:
                 raise TraceError("inconsistent trace: READ after end of source")
             source_ended = tok == EOS_SURFACE
-            if not source_ended:
-                if reads > 0:
-                    _close_row(visible, held, since, low, reads)
-                    low = len(visible)
-                reads += 1
-                if i in guesses and guesses[i] == tok:
-                    predicted += 1
-        elif kind in (WRITE, SPECULATE):
+            if source_ended:
+                continue
+            reads += 1
+            predicted += guesses.get(i) == tok
+            if reads == 1:
+                continue
+            row = reads - 1
+        elif kind == PREDICT:
+            if event.i is None or event.pred is None:
+                raise TraceError("inconsistent trace: PREDICT without index or guess")
+            guesses[event.i] = event.pred
+            continue
+        elif kind == SPECULATE:
+            j, tok = event.j, event.tok
             if tok is None:
-                raise TraceError(f"inconsistent trace: {kind} without token")
-            if kind == SPECULATE:
-                if j is None:
-                    raise TraceError("inconsistent trace: SPECULATE without slot")
-                if pending is not None:
-                    raise TraceError("inconsistent trace: nested speculation")
-                pending = (j, tok)
-            if tok not in (PHI_SURFACE, EOS_SURFACE):
+                raise TraceError("inconsistent trace: SPECULATE without token")
+            if j is None:
+                raise TraceError("inconsistent trace: SPECULATE without slot")
+            if pending is not None:
+                raise TraceError("inconsistent trace: nested speculation")
+            pending = (j, tok)
+            if tok not in _INVISIBLE:
                 visible.append(tok)
+            continue
         elif kind == COMMIT:
-            if pending is None or pending[0] != j:
+            if pending is None or pending[0] != event.j:
                 raise TraceError("inconsistent trace: COMMIT without speculation")
-            committed_slots.add(pending[0])
+            committed_slots.add(event.j)
             pending = None
+            continue
         elif kind == WITHDRAW:
+            j, old, new = event.j, event.old, event.new
             if j in committed_slots:
                 raise TraceError("inconsistent trace: WITHDRAW after COMMIT")
             if pending is None or pending[0] != j:
@@ -392,29 +394,38 @@ def replay(trace: EventTrace) -> Replay:
                 raise TraceError("inconsistent trace: withdrawn token mismatch")
             if new is None:
                 raise TraceError("inconsistent trace: WITHDRAW without corrected token")
-            if old not in (PHI_SURFACE, EOS_SURFACE):
+            if old not in _INVISIBLE:
                 if not visible or visible[-1] != old:
                     raise TraceError("inconsistent trace: withdrawn token not trailing")
                 visible.pop()
-                if len(visible) < low:
-                    low = len(visible)
-            if new not in (PHI_SURFACE, EOS_SURFACE):
+                low = min(low, len(visible))
+            if new not in _INVISIBLE:
                 visible.append(new)
             pending = None
-        elif kind == PREDICT:
-            if i is None or pred is None:
-                raise TraceError("inconsistent trace: PREDICT without index or guess")
-            guesses[i] = pred
+            continue
         elif kind == END:
             if pending is not None:
                 raise TraceError(f"inconsistent trace: speculation at slot {pending[0]} unresolved at END")
-            ended = True
+            row = reads
         else:
             raise TraceError(f"inconsistent trace: unknown event {kind!r}")
-
-    if not ended:
+        # close `row`: `since` becomes `row` where `held` differs from `visible`, at or above `low`
+        length = len(visible)
+        del held[length:], since[length:]
+        for p in range(low, len(held)):
+            if held[p] != visible[p]:
+                held[p] = visible[p]
+                since[p] = row
+        if length > len(held):
+            since += [row] * (length - len(held))
+            held += visible[len(held):]
+        low = length
+        if kind == END:
+            break
+    else:
         raise TraceError("inconsistent trace: missing END")
+    if next(events, None) is not None:
+        raise TraceError("inconsistent trace: events after END")
     if reads == 0:
         raise TraceError("inconsistent trace: no source reads")
-    _close_row(visible, held, since, low, reads)
     return Replay(tuple(visible), tuple(accumulate(since, max)), reads, trace.kind_counts(), predicted)

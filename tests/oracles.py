@@ -195,6 +195,12 @@ def brute_force_al(delays: Sequence[int], source_length: int) -> Fraction:
     return sum(Fraction(g) - Fraction((j - 1) * source_length, j_count) for j, g in enumerate(delays, 1)) / j_count
 
 
+def gates_alike(trace: EventTrace, tau: float, other: float) -> bool:
+    """Whether the gate `p < tau` decides every `PREDICT` of `trace` alike at
+    `tau` and at `other`: the sweep's rule for reusing a run at another tau."""
+    return all((e.p < tau) == (e.p < other) for e in trace.events if e.ev == PREDICT)
+
+
 def brute_force_predicted(trace: EventTrace) -> int:
     """Real source reads whose token the predictor guessed, from the
     definition: for each READ(i, tok) of a real token, look back for the
@@ -209,13 +215,25 @@ def brute_force_predicted(trace: EventTrace) -> int:
     return count
 
 
+def grams(seq, n) -> Counter:
+    """The n-grams of `seq`, one slice per position."""
+    return Counter(tuple(seq[k : k + n]) for k in range(len(seq) - n + 1))
+
+
+def brute_force_sentence_counts(hyp, ref) -> tuple[int, ...]:
+    """Clipped n-gram matches and hypothesis n-gram totals for n = 1..4, then
+    the two lengths, from `grams`: the layout of `bleu_stats`."""
+    counts: list[int] = []
+    for n in (1, 2, 3, 4):
+        hyp_grams, ref_grams = grams(hyp, n), grams(ref, n)
+        counts.append(sum(min(count, ref_grams.get(gram, 0)) for gram, count in hyp_grams.items()))
+        counts.append(max(0, len(hyp) - n + 1))
+    return (*counts, len(hyp), len(ref))
+
+
 def brute_force_bleu(hypotheses, references) -> float:
     """Corpus BLEU-4 straight from the definition: clipped counts per order,
     geometric mean as a fourth root of the product, brevity penalty last."""
-
-    def grams(seq, n):
-        return Counter(tuple(seq[k : k + n]) for k in range(len(seq) - n + 1))
-
     product = 1.0
     for n in (1, 2, 3, 4):
         clipped = 0

@@ -21,10 +21,11 @@ tokens their traces replay as predicted: a share equal to the n-gram
 model's own `evaluate` accuracy, 1 for the oracle, 0 for the always-wrong
 predictor, and none in a baseline trace.
 
-Two more pin what a sweep and a grid rely on: tau changes a run only
-through which of its (tau-independent) predictions clear it, and the
-adaptive policy with a latency weight of at most 0.1 runs exactly as
-wait-1. A third pins why every predictor gains alike at wait-k with k at
+Three more pin what a sweep and a grid rely on: tau changes a run only
+through which of its (tau-independent) predictions clear it, the sweep
+reuses a kept run at another tau exactly when the two taus gate its
+predictions alike (`oracles.gates_alike`), and the adaptive policy with a
+latency weight of at most 0.1 runs exactly as wait-1. A third pins why every predictor gains alike at wait-k with k at
 least 3: at tau 0, unless the predictor guesses the end of the sentence
 early, a speculative wait-k run has baseline wait-(k-1)'s delays, and on
 a source of at least k-1 tokens it withdraws only decisions it writes again
@@ -40,13 +41,14 @@ from __future__ import annotations
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from specmt import (  # noqa: E402
     AlwaysWrongPredictor,
     EngineConfig,
     Event,
+    EventTrace,
     Lexicon,
     OraclePredictor,
     PolicyConfig,
@@ -58,11 +60,13 @@ from specmt import (  # noqa: E402
     run_speculative,
     train_ngram,
 )
+from specmt.engine import RunResult  # noqa: E402
+from specmt.experiment import _tau_bounds  # noqa: E402
 from specmt.ngram import Prediction  # noqa: E402
 from specmt.trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE  # noqa: E402
 from specmt.vocab import EOS, EOS_SURFACE, RESERVED_SURFACES  # noqa: E402
 from oracles import (  # noqa: E402
-    brute_force_delays, frozen_run_baseline, frozen_run_speculative, snapshot_from_trace,
+    brute_force_delays, frozen_run_baseline, frozen_run_speculative, gates_alike, snapshot_from_trace,
 )
 
 
@@ -279,6 +283,31 @@ def test_tau_changes_a_run_only_through_the_gating_of_its_predictions(case):
         for tau in TAUS:
             gating = tuple(not p < tau for _, _, p in predicts[tau])  # the engine's gate
             assert by_gating.setdefault(gating, events[tau]) == events[tau]
+
+
+# probabilities that often repeat and often equal a tau, 0.0 and 1.0 among them
+gate_values = st.one_of(st.sampled_from([0.0, 1.0, 0.3, 0.5, 0.7, 5e-324, 1 - 2 ** -53]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=500)
+@given(st.lists(gate_values, max_size=12), gate_values, gate_values, st.data())
+@example([], 0.0, 1.0, None)
+@example([0.5], 0.5, 0.3, None)
+@example([0.5], 0.3, 0.5, None)
+@example([0.3, 0.3, 0.7], 0.7, 0.3, None)
+@example([0.0, 1.0], 0.0, 1.0, None)
+@example([0.0, 1.0], 1.0, 0.0, None)
+def test_the_sweep_reuses_a_run_exactly_when_its_predictions_gate_alike(probabilities, tau, other, data):
+    # the sweep keeps a run at `tau` with the `_tau_bounds` of its trace and
+    # reuses it at `other` when `low < other <= high`: exactly when no PREDICT
+    # probability lies in [min(tau, other), max(tau, other)), whichever tau is larger
+    if data is not None:
+        probabilities += data.draw(st.lists(st.sampled_from([tau, other]), max_size=3))
+    events = [Event(PREDICT, i=n, pred="a", p=p) for n, p in enumerate(probabilities, 1)]
+    trace = EventTrace(events=(*events, Event(READ, i=1, tok="a"), Event(END)), run_config=RunConfig(tau=tau))
+    low, high = _tau_bounds(RunResult((), trace))
+    assert (low < other <= high) == gates_alike(trace, tau, other)
+    assert (low < other <= high) == all((p < tau) == (p < other) for p in probabilities)
 
 
 @settings(max_examples=150)

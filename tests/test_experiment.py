@@ -500,6 +500,64 @@ class TestTauSharing:
         afresh = [110] if len(failing) == 2 else list(range(110, 120))
         assert [c.sentence_index for c in calls if c.param == 0.05] == afresh
 
+    def test_a_probability_equal_to_a_tau_decides_reuse(self, tmp_path, monkeypatch):
+        # taus that equal probabilities the in-domain model gives: at `tie`, the
+        # largest below 1.0, a run kept at 1.0 that predicted `tie` speculates
+        # there, so it is not reused; at `least`, the smallest, every run kept at
+        # 0.0 gates alike, so it is reused
+        calls = self._count_runs(monkeypatch)
+        config = _config(tmp_path, record_traces=True)
+        data = prepare_data(config)
+        model = experiment.build_predictors(config, data)["indomain"]
+        probabilities = {model.predict(source[:k]).probability
+                         for source in data.test_sources for k in range(len(source) + 1)}
+        tie, least = max(p for p in probabilities if p < 1.0), min(probabilities)
+        config = replace(config, tau_grid=(1.0, tie, 0.0, least))
+        assert run_experiment(config).ok
+        runs_text, summary_text, traces = independent_sweep(config)
+        out = Path(config.out_dir)
+        assert (out / "runs.csv").read_bytes() == runs_text.encode("utf-8")
+        assert (out / "summary.csv").read_bytes() == summary_text.encode("utf-8")
+        assert {
+            path.relative_to(out / "traces").as_posix(): path.read_bytes() for path in (out / "traces").rglob("*.jsonl")
+        } == traces
+        engine_runs = _engine_runs(parse_trace(text.decode("utf-8")) for text in traces.values())
+        assert len(calls) == sum(1 for run in engine_runs if run[1] != "none") < 2 * 12 * 4
+
+    @pytest.mark.parametrize("fault, problems", [
+        ("truncated source", ["speculative output differs"]),
+        ("output not replayed", ["speculative output differs", "trace replays to another output"]),
+    ])
+    def test_checks_run_on_every_reused_row(self, tmp_path, monkeypatch, fault, problems):
+        # the oracle's k=1 run of sentence 108 at tau 0 outputs what its
+        # baseline does not (and, in the second case, what its trace does not
+        # replay to); tau 0.5 and adaptive 0.05, of the same rule, reuse that
+        # run, and each of the four grid points fails on its own
+        calls = []
+        real_run_speculative = experiment.run_speculative
+
+        def faulty(model, predictor, source, engine_config, run_config):
+            calls.append(run_config)
+            if run_config.sentence_index != 108:
+                return real_run_speculative(model, predictor, source, engine_config, run_config)
+            if fault == "truncated source":
+                return real_run_speculative(model, OraclePredictor(source[:-1]), source[:-1], engine_config, run_config)
+            run = real_run_speculative(model, predictor, source, engine_config, run_config)
+            return replace(run, final_output=run.final_output[:-1])
+
+        monkeypatch.setattr(experiment, "run_speculative", faulty)
+        config = _config(tmp_path, k_grid=(1,), l_grid=(0.05,), tau_grid=(0.0, 0.5), predictors=("oracle",))
+        result = run_experiment(config)
+        points = ["wait_k(k=1) tau=0.0", "wait_k(k=1) tau=0.5",
+                  "adaptive(L=0.05, threshold=0.45) tau=0.0", "adaptive(L=0.05, threshold=0.45) tau=0.5"]
+        assert result.failures == [
+            f"{point} predictor=oracle: sentence 108 (corpus line 109): {problem}"
+            for point in points for problem in problems
+        ]
+        # one run per sentence serves all four grid points
+        assert [(c.param, c.tau, c.sentence_index) for c in calls] == [(1.0, 0.0, i) for i in range(108, 120)]
+        assert len(_read_csv(Path(config.out_dir) / "runs.csv")) == 12 * 6
+
     def test_a_run_that_raised_is_not_shared(self, tmp_path, monkeypatch):
         # the oracle's k=1 run of sentence 110 raises at tau 0: that grid point
         # fails there, and at tau 0.5 the sentence and those after it run again

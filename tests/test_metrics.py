@@ -16,7 +16,9 @@ from specmt import (
 )
 from specmt.metrics import bleu_from_stats, bleu_stats, sum_bleu_stats
 from conftest import make_model
-from oracles import brute_force_bleu, corpus_bleu, modified_precision, paired_bootstrap_pvalue
+from oracles import (
+    brute_force_bleu, brute_force_sentence_counts, corpus_bleu, modified_precision, paired_bootstrap_pvalue,
+)
 
 
 def trace_of_rows(*rows):
@@ -182,6 +184,17 @@ class TestBleu:
         assert bleu_stats(hyp, ref) == (4, 4, 2, 3, 1, 2, 0, 1, 4, 6)
         assert bleu_stats((), ref) == (0, 0, 0, 0, 0, 0, 0, 0, 0, 6)
         assert bleu_from_stats(bleu_stats((), ref)) == 0.0
+
+    @pytest.mark.parametrize("hyp, ref", [
+        ((), ()), ((), ("a",)), (("a",), ()), (("a",), ("a",)), (("a", "b"), ("b", "a")),
+        (("a", "b", "c"), ("a", "b", "c")), (("a",) * 7, ("a",) * 3), (("a", "b") * 4, ("b", "a") * 3),
+        (list("abcabcab"), tuple("cabcabca")), (tuple("the the cat sat".split()), "the cat sat on the mat".split()),
+    ])
+    def test_sentence_stats_are_the_clipped_slice_counts(self, hyp, ref):
+        # integer counts, exactly, whatever the length (empty, shorter than 4)
+        # and however often a token or an n-gram repeats; lists and tuples alike
+        assert bleu_stats(hyp, ref) == brute_force_sentence_counts(hyp, ref)
+        assert bleu_stats(hyp, hyp) == brute_force_sentence_counts(hyp, hyp)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(MetricsError):

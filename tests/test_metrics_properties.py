@@ -1,0 +1,30 @@
+"""Property test of BLEU's sentence statistics: `bleu_stats` gives exactly
+the clipped n-gram counts and totals that one slice per position gives
+(`oracles.brute_force_sentence_counts`), on any token lists."""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from specmt.metrics import bleu_stats  # noqa: E402
+from oracles import brute_force_sentence_counts  # noqa: E402
+
+# few distinct tokens, so n-grams repeat within and across the two sides
+sentences = st.lists(st.sampled_from(["a", "b", "c", "</s>", ""]), max_size=12)
+
+
+@settings(max_examples=400)
+@given(sentences, sentences)
+@example([], [])
+@example([], ["a"])
+@example(["a", "a", "a"], ["a"])
+@example(["a", "b", "a", "b", "a"], ["a", "b", "a", "b"])
+def test_sentence_stats_are_the_clipped_slice_counts(hyp, ref):
+    expected = brute_force_sentence_counts(hyp, ref)
+    assert bleu_stats(hyp, ref) == expected
+    assert bleu_stats(tuple(hyp), ref) == expected
+    assert all(type(value) is int for value in bleu_stats(hyp, ref))
