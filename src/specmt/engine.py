@@ -22,26 +22,22 @@ happened: the speculation, hit and withdrawal counts are read from it, and
 the delays come from its `replay`, which scoring does, not the engine.
 
 The loop costs little beyond its translator and predictor calls: it has no
-closure, so all it touches is local; events are built positionally, surfaces
-are read from the vocabulary's token tuple, and each read slices its prefix
-once, which the next step's speculation reuses.
+closure, so all it touches is local; each event is a plain tuple in `Event`
+field order, surfaces are read from the vocabulary's token tuple, and each
+read slices its prefix once, which the next step's speculation reuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .model import SimtModel
-from .trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE, Event, EventTrace, RunConfig
+from .trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE, EventTrace, RunConfig
 from .vocab import BOS, EOS, PHI, Sentence, SpecmtError
 
 
 class EngineError(SpecmtError, RuntimeError):
     pass
-
-
-_event = partial(tuple.__new__, Event)  # an Event from its eight fields, in order
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
     step = model.step
 
     out: list[int] = []
-    events: list[Event] = []
+    events: list[tuple] = []  # each in `Event` field order
     emit = events.append
     slot = 0
 
@@ -133,25 +129,25 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
         speculated: int | None = None  # the decision speculated on the guess `token`
         if predictor is not None:
             token, probability = predictor.predict(prefix)
-            emit(_event((PREDICT, i, None, None, surfaces[token], probability, None, None)))
+            emit((PREDICT, i, None, None, surfaces[token], probability, None, None))
             if not probability < tau:
                 guess_done = token == EOS
                 speculated = step(prefix if guess_done else prefix + (token,), len(out), guess_done)
                 slot += 1
-                emit(_event((SPECULATE, i - 1, slot, surfaces[speculated], None, None, None, None)))
+                emit((SPECULATE, i - 1, slot, surfaces[speculated], None, None, None, None))
         tok = source[i - 1] if i <= src_len else EOS
-        emit(_event((READ, i, None, surfaces[tok], None, None, None, None)))
+        emit((READ, i, None, surfaces[tok], None, None, None, None))
         done = tok == EOS
         prefix = source[:i]  # the whole source at the end-of-sequence read
 
         decision: int | None = None
         if speculated is not None:  # resolved against the token read, at the speculation's slot
             if token == tok:
-                emit(_event((COMMIT, None, slot, None, None, None, None, None)))
+                emit((COMMIT, None, slot, None, None, None, None, None))
                 decision = speculated
             else:
                 decision = step(prefix, len(out), done)
-                emit(_event((WITHDRAW, None, slot, None, None, None, surfaces[speculated], surfaces[decision])))
+                emit((WITHDRAW, None, slot, None, None, None, surfaces[speculated], surfaces[decision]))
             if decision not in (PHI, EOS):
                 out.append(decision)
 
@@ -160,7 +156,7 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
                 raise EngineError("runaway decode")
             decision = step(prefix, len(out), done)
             slot += 1
-            emit(_event((WRITE, i, slot, surfaces[decision], None, None, None, None)))
+            emit((WRITE, i, slot, surfaces[decision], None, None, None, None))
             if decision not in (PHI, EOS):
                 out.append(decision)
 
@@ -168,6 +164,6 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
             break
         if done:
             raise EngineError("policy requested a read past the end of source")
-    emit(_event((END, None, None, None, None, None, None, None)))
+    emit((END, None, None, None, None, None, None, None))
 
     return RunResult(tuple(out), EventTrace(events=tuple(events), run_config=run_config or RunConfig()))

@@ -41,7 +41,7 @@ from .markov import (
 from .metrics import average_lagging, awr, bleu_from_stats, bleu_stats, sum_bleu_stats
 from .model import PolicyConfig, SimtModel
 from .ngram import AlwaysWrongPredictor, NgramModel, OraclePredictor, check_parameters, train_ngram
-from .trace import COMMIT, PREDICT, SPECULATE, WITHDRAW, Event, EventTrace, RunConfig, TraceError, load_trace, replay
+from .trace import COMMIT, PREDICT, SPECULATE, WITHDRAW, EventTrace, RunConfig, TraceError, load_trace, replay
 from .vocab import (
     Sentence, SpecmtError, Vocabulary, load_corpus, read_corpus_lines, read_text, text_lines, write_artifact,
 )
@@ -310,7 +310,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         write_generated(data.generated, out_dir / "data")
     result = ExperimentResult(out_dir=out_dir)
     surface = data.vocabulary.tokens.__getitem__
-    sentence_bleu_stats = _bleu_stats_memo(data.reference_lines)
+    sentence_bleu = _bleu_stats_memo(data.reference_lines)
     run_rows: list[dict] = []
     policies = config.policy_grid()
     # (rule, predictor kind, sentence index) -> the scored runs kept for a later grid point, with their `_tau_bounds`
@@ -343,7 +343,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         else:
                             predictor = _predictor_for(kind, trained, source, data)
                             run = run_speculative(model, predictor, source, engine_config, run_config)
-                        row, final = score_run(run.trace, sentence_bleu_stats)
+                        row, final = score_run(run.trace, sentence_bleu)
                         if shared or not baseline and tau != config.tau_grid[-1]:
                             kept.setdefault((policy.rule, kind, index), []).append((run, row, final, *_tau_bounds(run)))
                 except Exception as exc:  # anything but the package's own errors is a bug: name its type
@@ -385,7 +385,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def _tau_bounds(run: RunResult) -> tuple[float, float]:
     """The bounds of the taus `other` that gate each PREDICT of `run` as its tau does, `low < other <= high`:
     then no probability lies in [min(tau, other), max(tau, other))."""
-    probabilities = sorted([e.p for e in run.trace.events if e.ev == PREDICT])
+    probabilities = sorted([e[5] for e in run.trace.events if e[0] == PREDICT])  # `p` of each PREDICT
     k = bisect_left(probabilities, run.trace.run_config.tau)  # how many lie below tau
     return probabilities[k - 1] if k else float("-inf"), probabilities[k] if k < len(probabilities) else float("inf")
 
@@ -403,10 +403,11 @@ def _predictor_for(kind: str, trained: dict[str, NgramModel], source: Sentence, 
 
 
 def _bleu_stats_memo(reference_lines: Sequence[str]):
-    """`bleu_stats(final, reference)`, with the reference the line of the run's
-    sentence index split on whitespace, counted once per `(index, final)`:
-    exact, as the key is all it depends on, and a sweep's outputs repeat."""
-    return cache(lambda index, final: bleu_stats(final, reference_lines[index].split()))
+    """`(stats, bleu_from_stats(stats))` for `stats = bleu_stats(final, reference)`, with the reference the line
+    of the run's sentence index split on whitespace, computed once per `(index, final)`: exact, as the key is all
+    they depend on, and a sweep's outputs repeat."""
+    return cache(lambda index, final: (stats := bleu_stats(final, reference_lines[index].split()),
+                                       bleu_from_stats(stats)))
 
 
 def _labels(cfg: RunConfig) -> dict:
@@ -416,15 +417,15 @@ def _labels(cfg: RunConfig) -> dict:
             "sentence_index": cfg.sentence_index}
 
 
-def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[str, ...]]:
+def score_run(trace: EventTrace, sentence_bleu=None) -> tuple[dict, tuple[str, ...]]:
     """Replay one run's trace into its `RUN_COLUMNS` row, plus its
     `sentence_index`, its `bleu_stats` and its `predicted` count, and return
-    the row with the final output the trace replays to. The statistics are
-    `sentence_bleu_stats(sentence_index, final)`; BLEU is left empty without
-    that lookup. An inconsistent trace raises `TraceError`."""
+    the row with the final output the trace replays to. The statistics and
+    BLEU are `sentence_bleu(sentence_index, final)`, left empty without that
+    lookup. An inconsistent trace raises `TraceError`."""
     cfg = trace.run_config
     final, delays, source_length, counts, predicted = replay(trace)
-    stats = None if sentence_bleu_stats is None else sentence_bleu_stats(cfg.sentence_index, final)
+    stats, bleu = (None, "") if sentence_bleu is None else sentence_bleu(cfg.sentence_index, final)
     return {
         **_labels(cfg),
         "I": source_length,
@@ -434,7 +435,7 @@ def score_run(trace: EventTrace, sentence_bleu_stats=None) -> tuple[dict, tuple[
         "H": counts[COMMIT],
         "AL": average_lagging(delays, source_length),
         "AWR": awr(counts[WITHDRAW], len(final)),
-        "BLEU": "" if stats is None else bleu_from_stats(stats),
+        "BLEU": bleu,
         "bleu_stats": stats,
         "predicted": predicted,
     }, final
@@ -548,8 +549,8 @@ def metrics_from_traces(
         raise ExperimentError("no trace files")
     run_rows: list[dict] = []
     sources: dict[str, str | Path] = {}  # run_id -> trace file
-    sentence_bleu_stats = None if reference_lines is None else _bleu_stats_memo(reference_lines)
-    known: dict[str, Event] = {}  # event lines already parsed, shared by this call's traces
+    sentence_bleu = None if reference_lines is None else _bleu_stats_memo(reference_lines)
+    known: dict[str, tuple] = {}  # event lines already parsed, shared by this call's traces
     for path in trace_paths:
         try:
             trace = load_trace(path, known)
@@ -561,7 +562,7 @@ def metrics_from_traces(
                 f"{path}: sentence_index {index} is outside the {len(reference_lines)} reference lines"
             )
         try:
-            row, _ = score_run(trace, sentence_bleu_stats)
+            row, _ = score_run(trace, sentence_bleu)
         except SpecmtError as exc:
             raise ExperimentError(f"{path}: {exc}") from exc
         if row["run_id"] in sources:

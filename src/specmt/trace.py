@@ -52,7 +52,7 @@ def _value(value: object) -> str:
     return json.dumps(value, ensure_ascii=False)
 
 
-def _event_parts(parts: list[str], event: Event) -> None:
+def _event_parts(parts: list[str], event: tuple) -> None:
     """Append one event's JSON line, keys in field order and None fields
     left out."""
     ev, i, j, tok, pred, p, old, new = event
@@ -75,7 +75,9 @@ def _event_parts(parts: list[str], event: Event) -> None:
 
 
 class Event(NamedTuple):
-    """One trace record.
+    """The fields of one trace record. In memory an event is a plain 8-tuple in
+    this order; `Event._make(event)` names its fields, and `Event(...)` builds
+    one by keyword that compares, hashes and serializes as that tuple does.
 
     Field use by kind:
       READ(i, tok)                  source token number i arrived (tok may be EOS)
@@ -120,7 +122,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class EventTrace:
-    events: tuple[Event, ...]
+    events: tuple[tuple, ...]  # each in `Event` field order
     run_config: RunConfig = field(default_factory=RunConfig)
 
     def kind_counts(self) -> Counter[str]:
@@ -169,8 +171,8 @@ def _run_config(obj: object) -> RunConfig:
     return RunConfig(**{key: value for key, value in obj.items() if value is not None})
 
 
-def _event(obj: object) -> Event:
-    """Build an event from a parsed JSON value, checking keys and types."""
+def _event(obj: object) -> tuple:
+    """Build an event tuple from a parsed JSON value, checking keys and types."""
     if type(obj) is dict:
         try:
             event = Event(**obj)
@@ -185,7 +187,7 @@ def _event(obj: object) -> Event:
                 and (p is None or type(p) is float or type(p) is int)
                 and (old is None or type(old) is str) and (new is None or type(new) is str)
             ):
-                return event
+                return ev, i, j, tok, pred, p, old, new
     # the slow path only explains what is wrong
     if type(obj) is not dict:
         raise TraceError("event is not a JSON object")
@@ -197,7 +199,7 @@ def _event(obj: object) -> Event:
     raise TraceError(f"unknown event kind {obj['ev']!r}")
 
 
-def _parse_whole(text: str, known: dict[str, Event]) -> EventTrace | None:
+def _parse_whole(text: str, known: dict[str, tuple]) -> EventTrace | None:
     """One `json.loads` over the header and the event lines not in `known`,
     as an array, or None when the text is not in the writer's exact layout
     or anything in it is wrong.
@@ -237,7 +239,7 @@ def _parse_whole(text: str, known: dict[str, Event]) -> EventTrace | None:
 def _parse_lines(text: str) -> EventTrace:
     """Line-by-line parse that names the first bad line."""
     config: RunConfig | None = None
-    events: list[Event] = []
+    events: list[tuple] = []
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
@@ -259,7 +261,7 @@ def _parse_lines(text: str) -> EventTrace:
     return EventTrace(events=tuple(events), run_config=config)
 
 
-def parse_trace(text: str, known: dict[str, Event] | None = None) -> EventTrace:
+def parse_trace(text: str, known: dict[str, tuple] | None = None) -> EventTrace:
     """Parse the JSON Lines trace format (header object, then one event per line).
 
     A file in the writer's layout is parsed with one `json.loads` call; any
@@ -276,7 +278,7 @@ def parse_trace(text: str, known: dict[str, Event] | None = None) -> EventTrace:
     return trace if trace is not None else _parse_lines(text)
 
 
-def load_trace(path: str | Path, known: dict[str, Event] | None = None) -> EventTrace:
+def load_trace(path: str | Path, known: dict[str, tuple] | None = None) -> EventTrace:
     text = read_text(path, TraceError)
     try:
         return parse_trace(text, known)
@@ -290,7 +292,7 @@ class Replay(NamedTuple):
     final: tuple[str, ...]  # the visible output at the end
     delays: tuple[int, ...]  # the finalization delay of each position of `final`
     source_length: int  # real source tokens read (the EOS arrival is not counted)
-    counts: Counter[str]  # events of each kind, as `EventTrace.kind_counts`
+    counts: Counter[str]  # events of each kind, equal to `EventTrace.kind_counts` (an absent kind reads 0)
     predicted: int  # real source tokens that arrived as the last PREDICT of their index guessed
 
 
@@ -330,22 +332,22 @@ def replay(trace: EventTrace) -> Replay:
     last_read = 0
     reads = 0
     guesses: dict[int, str | None] = {}  # the guess of the last PREDICT of each source index
-    predicted = 0
+    predicted = predicts = commits = withdrawals = 0
     source_ended = False
 
     # kinds are tested most frequent first; only a real READ after the first and END reach the row close
     events = iter(trace.events)
     for event in events:
-        kind = event.ev
+        kind = event[0]
         if kind == WRITE:
-            tok = event.tok
+            tok = event[3]
             if tok is None:
                 raise TraceError("inconsistent trace: WRITE without token")
             if tok not in _INVISIBLE:
                 visible.append(tok)
             continue
         if kind == READ:
-            i, tok = event.i, event.tok
+            i, tok = event[1], event[3]
             if i is None or i <= last_read:
                 raise TraceError("inconsistent trace: READ indices not increasing")
             last_read = i
@@ -362,12 +364,13 @@ def replay(trace: EventTrace) -> Replay:
                 continue
             row = reads - 1
         elif kind == PREDICT:
-            if event.i is None or event.pred is None:
+            if event[1] is None or event[4] is None:
                 raise TraceError("inconsistent trace: PREDICT without index or guess")
-            guesses[event.i] = event.pred
+            guesses[event[1]] = event[4]
+            predicts += 1
             continue
         elif kind == SPECULATE:
-            j, tok = event.j, event.tok
+            j, tok = event[2], event[3]
             if tok is None:
                 raise TraceError("inconsistent trace: SPECULATE without token")
             if j is None:
@@ -379,13 +382,14 @@ def replay(trace: EventTrace) -> Replay:
                 visible.append(tok)
             continue
         elif kind == COMMIT:
-            if pending is None or pending[0] != event.j:
+            if pending is None or pending[0] != event[2]:
                 raise TraceError("inconsistent trace: COMMIT without speculation")
-            committed_slots.add(event.j)
+            committed_slots.add(event[2])
+            commits += 1
             pending = None
             continue
         elif kind == WITHDRAW:
-            j, old, new = event.j, event.old, event.new
+            j, old, new = event[2], event[6], event[7]
             if j in committed_slots:
                 raise TraceError("inconsistent trace: WITHDRAW after COMMIT")
             if pending is None or pending[0] != j:
@@ -402,6 +406,7 @@ def replay(trace: EventTrace) -> Replay:
             if new not in _INVISIBLE:
                 visible.append(new)
             pending = None
+            withdrawals += 1
             continue
         elif kind == END:
             if pending is not None:
@@ -428,4 +433,8 @@ def replay(trace: EventTrace) -> Replay:
         raise TraceError("inconsistent trace: events after END")
     if reads == 0:
         raise TraceError("inconsistent trace: no source reads")
-    return Replay(tuple(visible), tuple(accumulate(since, max)), reads, trace.kind_counts(), predicted)
+    # every SPECULATE was resolved once and one END closed the run, so every other event is a WRITE
+    counts = Counter({READ: reads + source_ended, PREDICT: predicts, SPECULATE: commits + withdrawals,
+                      COMMIT: commits, WITHDRAW: withdrawals, END: 1})
+    counts[WRITE] = len(trace.events) - sum(counts.values())
+    return Replay(tuple(visible), tuple(accumulate(since, max)), reads, counts, predicted)

@@ -119,7 +119,7 @@ def read_corpus_lines(path: str | Path) -> list[str]:
 
 
 def write_artifact(path: str | Path, text: str) -> None:
-    """Write `text` as a new file at `path`: unlink any old file, then create.
+    """Write `text` as a new file at `path`: create it, or else unlink the old one and create it.
 
     Every file the package writes goes through here. Truncating or renaming
     over a file that holds data makes ext4 (with its default `auto_da_alloc`)
@@ -127,10 +127,13 @@ def write_artifact(path: str | Path, text: str) -> None:
     a new inode costs neither. Artifacts are regenerable, so the crash guard
     that flush gives is not needed.
     """
-    path = Path(path)
-    path.unlink(missing_ok=True)
-    with path.open("x", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        handle = open(path, "xb")
+    except FileExistsError:  # a directory stays: unlinking it raises
+        Path(path).unlink()
+        handle = open(path, "xb")
+    with handle:
+        handle.write(text.encode("utf-8"))
 
 
 def write_corpus_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -52,6 +52,7 @@ def event_json(event: Event) -> str:
 def dumps_event_json(event: Event) -> str:
     """An event line as the package wrote it with `json.dumps`: keys in field
     order, None fields left out, non-ASCII text kept as is."""
+    event = Event._make(event)
     payload: dict[str, object] = {"ev": event.ev}
     for key in ("i", "j", "tok", "pred", "p", "old", "new"):
         value = getattr(event, key)
@@ -99,7 +100,7 @@ def snapshot_from_trace(trace: EventTrace) -> tuple[tuple[str, ...], ...]:
     reads = 0
     ended = False
 
-    for event in trace.events:
+    for event in map(Event._make, trace.events):
         kind = event.ev
         if ended:
             raise TraceError("inconsistent trace: events after END")
@@ -198,7 +199,7 @@ def brute_force_al(delays: Sequence[int], source_length: int) -> Fraction:
 def gates_alike(trace: EventTrace, tau: float, other: float) -> bool:
     """Whether the gate `p < tau` decides every `PREDICT` of `trace` alike at
     `tau` and at `other`: the sweep's rule for reusing a run at another tau."""
-    return all((e.p < tau) == (e.p < other) for e in trace.events if e.ev == PREDICT)
+    return all((e.p < tau) == (e.p < other) for e in map(Event._make, trace.events) if e.ev == PREDICT)
 
 
 def brute_force_predicted(trace: EventTrace) -> int:
@@ -207,9 +208,10 @@ def brute_force_predicted(trace: EventTrace) -> int:
     last PREDICT of index i before it and count the read when that
     PREDICT's guess is tok."""
     count = 0
-    for n, event in enumerate(trace.events):
+    events = [Event._make(e) for e in trace.events]
+    for n, event in enumerate(events):
         if event.ev == READ and event.tok != EOS_SURFACE:
-            guesses = [e.pred for e in trace.events[:n] if e.ev == PREDICT and e.i == event.i]
+            guesses = [e.pred for e in events[:n] if e.ev == PREDICT and e.i == event.i]
             if guesses and guesses[-1] == event.tok:
                 count += 1
     return count
@@ -315,10 +317,11 @@ def speculation_eligible_positions(baseline_trace: EventTrace) -> int:
     step, for read steps 2..I: the first step's speculation cannot land
     before row 1, and decisions after the end-of-source read gain nothing.
     """
-    src_len = sum(1 for e in baseline_trace.events if e.ev == READ and e.tok != EOS_SURFACE)
+    events = [Event._make(e) for e in baseline_trace.events]
+    src_len = sum(1 for e in events if e.ev == READ and e.tok != EOS_SURFACE)
     eligible = 0
     step_decided = False
-    for event in baseline_trace.events:
+    for event in events:
         if event.ev == "READ":
             step_decided = False
         elif event.ev == "WRITE":
@@ -544,7 +547,8 @@ def independent_sweep(config: ExperimentConfig) -> tuple[str, str, dict[str, byt
     bytes by its path under traces/. Assumes no run fails."""
     data = prepare_data(config)
     trained = build_predictors(config, data)
-    stats = cache(lambda index, final: bleu_stats(final, data.reference_lines[index].split()))
+    stats = cache(lambda index, final: (s := bleu_stats(final, data.reference_lines[index].split()),
+                                        bleu_from_stats(s)))
     rows: list[dict] = []
     traces: dict[str, bytes] = {}
 

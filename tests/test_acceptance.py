@@ -16,6 +16,7 @@ import pytest
 from specmt import (
     AlwaysWrongPredictor,
     EngineConfig,
+    Event,
     MarkovSourceSpec,
     OraclePredictor,
     PolicyConfig,
@@ -195,7 +196,7 @@ def test_criterion_5_withdrawal_accounting(world):
                 for name, predictor in _predictors(world, source).items():
                     for tau in taus:
                         result = run_speculative(model, predictor, source, EngineConfig(tau=tau))
-                        events = result.trace.events
+                        events = [Event._make(e) for e in result.trace.events]
                         predictions = {e.i: e.pred for e in events if e.ev == "PREDICT"}
                         speculated = {e.i + 1 for e in events if e.ev == "SPECULATE"}
                         reads = {e.i: e.tok for e in events if e.ev == "READ"}

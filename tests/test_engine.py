@@ -7,6 +7,7 @@ from specmt import (
     AlwaysWrongPredictor,
     EngineConfig,
     EngineError,
+    Event,
     OraclePredictor,
     PolicyConfig,
     average_lagging,
@@ -123,7 +124,7 @@ class TestSpeculative:
         gated = run_speculative(model, predictor, source, EngineConfig(tau=1.0))
         assert gated.speculations == 0
         assert gated.final_output == baseline.final_output
-        stripped = tuple(e for e in gated.trace.events if e.ev != "PREDICT")
+        stripped = tuple(e for e in map(Event._make, gated.trace.events) if e.ev != "PREDICT")
         assert stripped == baseline.trace.events
 
     def test_phi_speculation_commits_without_output(self, toy):
@@ -131,7 +132,7 @@ class TestSpeculative:
         model = make_model(vocab, lexicon, PolicyConfig.wait_k(3))
         source = (ids["a"], ids["b"], ids["c"], ids["d"])
         result = run_speculative(model, OraclePredictor(source), source)
-        spec_events = [e for e in result.trace.events if e.ev == "SPECULATE"]
+        spec_events = [e for e in map(Event._make, result.trace.events) if e.ev == "SPECULATE"]
         assert any(e.tok == PHI_SURFACE for e in spec_events)
         assert result.withdrawals == 0
         baseline = run_baseline(model, source)
@@ -147,9 +148,10 @@ class TestSpeculative:
                 model = make_model(vocab, lexicon, policy)
                 result = run_speculative(model, predictor, source, EngineConfig(tau=0.0))
                 # recount mispredictions from the trace itself
-                predictions = {e.i: e.pred for e in result.trace.events if e.ev == "PREDICT"}
-                speculated = {e.i + 1 for e in result.trace.events if e.ev == "SPECULATE"}
-                reads = {e.i: e.tok for e in result.trace.events if e.ev == "READ"}
+                events = [Event._make(e) for e in result.trace.events]
+                predictions = {e.i: e.pred for e in events if e.ev == "PREDICT"}
+                speculated = {e.i + 1 for e in events if e.ev == "SPECULATE"}
+                reads = {e.i: e.tok for e in events if e.ev == "READ"}
                 misses = sum(
                     1 for i in speculated if i in reads and predictions[i] != reads[i]
                 )

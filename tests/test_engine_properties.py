@@ -199,7 +199,7 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
         assert replayed.delays == brute_force_delays(rows)
         assert replayed.source_length == len(rows) == len(source)
 
-        for event in result.trace.events:
+        for event in map(Event._make, result.trace.events):
             used = {name for name in Event._fields[1:] if getattr(event, name) is not None}
             assert used == FIELDS_BY_KIND[event.ev], event
 
@@ -277,7 +277,8 @@ def test_tau_changes_a_run_only_through_the_gating_of_its_predictions(case):
     for source in sources:
         events = {tau: run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau)).trace.events
                   for tau in TAUS}
-        predicts = {tau: [(e.i, e.pred, e.p) for e in run if e.ev == PREDICT] for tau, run in events.items()}
+        predicts = {tau: [(e.i, e.pred, e.p) for e in map(Event._make, run) if e.ev == PREDICT]
+                    for tau, run in events.items()}
         assert all(predicts[tau] == predicts[0.0] for tau in TAUS)
         by_gating: dict[tuple[bool, ...], tuple] = {}
         for tau in TAUS:
@@ -340,10 +341,11 @@ def test_speculative_wait_k_from_3_runs_as_baseline_wait_k_minus_1(case):
                         vocabulary=model.vocabulary)
     for source in sources:
         trace = run_speculative(model, predictor_for(source), source, EngineConfig(tau=0.0)).trace
-        if any(e.ev == PREDICT and e.pred == EOS_SURFACE and e.i <= len(source) for e in trace.events):
+        events = [Event._make(e) for e in trace.events]
+        if any(e.ev == PREDICT and e.pred == EOS_SURFACE and e.i <= len(source) for e in events):
             continue
         if len(source) >= model.policy.k - 1:
-            assert all(e.old == e.new for e in trace.events if e.ev == WITHDRAW)
+            assert all(e.old == e.new for e in events if e.ev == WITHDRAW)
         assert replay(trace).delays == replay(run_baseline(shorter, source).trace).delays
 
 

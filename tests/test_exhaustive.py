@@ -23,7 +23,7 @@ from itertools import product
 import pytest
 
 from specmt import (
-    EngineConfig, Lexicon, PolicyConfig, SimtModel, Vocabulary, average_lagging, run_baseline, run_speculative,
+    EngineConfig, Event, Lexicon, PolicyConfig, SimtModel, Vocabulary, average_lagging, run_baseline, run_speculative,
 )
 from specmt.trace import PREDICT, SPECULATE, WITHDRAW, EventTrace, replay
 from specmt.vocab import EOS
@@ -79,7 +79,7 @@ def check_replay(trace: EventTrace, source: tuple[int, ...]) -> None:
 
 def speculated(trace: EventTrace) -> list[bool]:
     """Whether each PREDICT of `trace` is followed by a SPECULATE."""
-    events = trace.events
+    events = [Event._make(e) for e in trace.events]
     return [events[n + 1].ev == SPECULATE for n, event in enumerate(events) if event.ev == PREDICT]
 
 
@@ -144,7 +144,7 @@ def test_equal_rules_run_alike_and_speculation_keeps_the_output():
                     ):
                         assert replay(run.trace).delays == wait_2_delays, (source, predictor.guesses)
                         if length >= 2:
-                            assert all(e.old == e.new for e in run.trace.events if e.ev == WITHDRAW)
+                            assert all(e.old == e.new for e in map(Event._make, run.trace.events) if e.ev == WITHDRAW)
     per_source = sum(2**n * len(runs((A,) * n)) for n in range(1, MAX_LENGTH + 1))
     assert total == len(MODELS) * per_source
     assert checked == len({policy.rule for policy in POLICIES}) * per_source

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from specmt import (
-    ExperimentConfig, OraclePredictor, PolicyConfig, SimtModel, experiment, gen_corpus, load_config, load_trace,
+    Event, ExperimentConfig, OraclePredictor, PolicyConfig, SimtModel, experiment, gen_corpus, load_config, load_trace,
     metrics_from_traces, parse_trace, plot_data, replay, run_baseline, run_experiment, run_speculative,
 )
 from specmt import trace as trace_module
@@ -309,6 +309,29 @@ class TestScoreOnce:
         assert len(calls) == len(outputs)
         assert len(run_rows) == len(traces)
 
+    def test_bleu_computed_once_per_sentence_and_output(self, tmp_path, monkeypatch):
+        calls = []
+        real = experiment.bleu_from_stats
+
+        def counted(stats):
+            calls.append(stats)
+            return real(stats)
+
+        monkeypatch.setattr(experiment, "bleu_from_stats", counted)
+        config = _config(tmp_path, record_traces=True, predictors=("indomain", "oracle"), tau_grid=(0.0, 0.5))
+        result = run_experiment(config)
+        assert result.ok
+        out = Path(config.out_dir)
+        traces = [load_trace(path) for path in sorted((out / "traces").rglob("*.jsonl"))]
+        outputs = {(t.run_config.sentence_index, replay(t).final) for t in traces}
+        # one value per distinct (sentence, output) for the rows, and one per summary row
+        assert len(calls) == len(outputs) + len(result.summary_rows) < len(traces)
+
+        calls.clear()
+        references = read_corpus_lines(out / "data" / "references.txt")
+        _, paired = metrics_from_traces(sorted((out / "traces").rglob("*.jsonl")), references)
+        assert len(calls) == len(outputs) + len(paired)
+
     def test_differing_output_is_scored_on_its_own(self, tmp_path, monkeypatch):
         # a speculative run that drops its last source token: its output
         # differs from the baseline's, and its BLEU must count that output
@@ -412,7 +435,7 @@ def _engine_runs(traces) -> set[tuple]:
     for trace in traces:
         cfg = trace.run_config
         policy = PolicyConfig.wait_k(int(cfg.param)) if cfg.policy == "wait_k" else PolicyConfig.adaptive(cfg.param)
-        gating = tuple(not event.p < cfg.tau for event in trace.events if event.ev == "PREDICT")
+        gating = tuple(not event.p < cfg.tau for event in map(Event._make, trace.events) if event.ev == "PREDICT")
         runs.add((policy.rule, cfg.predictor, cfg.sentence_index, gating))
     return runs
 

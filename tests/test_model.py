@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from specmt import LexiconError, ModelError, PolicyConfig, load_lexicon, save_lexicon
+from specmt import Event, LexiconError, ModelError, PolicyConfig, load_lexicon, save_lexicon
 from specmt.model import adaptive_threshold
 from specmt.vocab import EOS, PHI
 from conftest import make_model
@@ -80,7 +80,7 @@ class TestAdaptive:
                 model = make_model(vocab, lexicon, PolicyConfig.adaptive(weight))
                 trace = run_baseline(model, source).trace
                 phi_counts.append(
-                    sum(1 for e in trace.events if e.ev == "WRITE" and e.tok == "<phi>")
+                    sum(1 for e in map(Event._make, trace.events) if e.ev == "WRITE" and e.tok == "<phi>")
                 )
             assert phi_counts == sorted(phi_counts)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specmt import (
+    AlwaysWrongPredictor,
     Event,
     EventTrace,
     OraclePredictor,
@@ -19,7 +20,9 @@ from specmt import (
     run_baseline,
     replay,
     run_speculative,
+    train_ngram,
 )
+from specmt.experiment import score_run
 from conftest import make_model
 from oracles import dumps_event_json, dumps_run_config_json, event_json, snapshot_from_trace
 
@@ -228,7 +231,7 @@ class TestSerialization:
         trace = result.trace
         replayed = replay(trace)
         assert replayed.source_length == 2
-        kinds = [e.ev for e in trace.events]
+        kinds = [Event._make(e).ev for e in trace.events]
         assert kinds.count("SPECULATE") == replayed.counts["SPECULATE"] == result.speculations == 3
         assert kinds.count("COMMIT") == replayed.counts["COMMIT"] == result.hits == 3
         assert kinds.count("WITHDRAW") == replayed.counts["WITHDRAW"] == result.withdrawals == 0
@@ -377,3 +380,44 @@ class TestCounts:
             ev("WITHDRAW", j=1, old="A", new="B"), ev("END"),
         )
         assert trace.kind_counts() == {"READ": 2, "SPECULATE": 1, "WITHDRAW": 1, "END": 1}
+
+
+class TestPlainTuples:
+    """Every event the engine and the reader build is a plain tuple in
+    `Event` field order; `Event._make` names its fields."""
+
+    @staticmethod
+    def _runs(toy):
+        vocab, lexicon, ids = toy
+        source = (ids["a"], ids["b"], ids["c"], ids["d"])
+        bigram = train_ngram([vocab.encode(line) for line in ("a b c d", "b c a", "d d b c")], 2, vocabulary=vocab)
+        predictors = (OraclePredictor(source), bigram, AlwaysWrongPredictor(source, vocab, lexicon.default))
+        for policy in (PolicyConfig.wait_k(1), PolicyConfig.wait_k(2), PolicyConfig.adaptive(0.5)):
+            model = make_model(vocab, lexicon, policy)
+            yield run_baseline(model, source)
+            for predictor in predictors:
+                yield run_speculative(model, predictor, source)
+
+    def test_engine_and_reader_build_plain_tuples(self, toy):
+        kinds = set()
+        for result in self._runs(toy):
+            text = result.trace.serialize()
+            # the one-parse path, the line-by-line path, and a shared cache of parsed lines
+            known: dict[str, tuple] = {}
+            parsed = [parse_trace(text), parse_trace(text.replace("\n", "\r\n")), parse_trace(text, known),
+                      parse_trace(text, known)]
+            for trace in (result.trace, *parsed):
+                assert trace.events
+                for event in trace.events:
+                    assert type(event) is tuple and event == Event(*event)
+                    kinds.add(Event._make(event).ev)
+            assert all(trace == result.trace for trace in parsed)
+        assert kinds == {"READ", "PREDICT", "SPECULATE", "COMMIT", "WITHDRAW", "WRITE", "END"}
+
+    def test_a_kind_absent_from_the_trace_counts_zero(self, toy):
+        for result in self._runs(toy):
+            replayed = replay(result.trace)
+            assert replayed.counts == result.trace.kind_counts()
+            row, _ = score_run(result.trace)
+            for kind, column in (("WITHDRAW", "W"), ("SPECULATE", "S"), ("COMMIT", "H")):
+                assert row[column] == replayed.counts[kind] == [e[0] for e in result.trace.events].count(kind)

@@ -69,6 +69,19 @@ def test_writer_matches_json_dumps_and_round_trips(trace):
     assert parse_trace(text) == trace
 
 
+@settings(max_examples=300)
+@given(traces)
+def test_plain_tuple_events_replay_serialize_and_parse_as_events_do(trace):
+    plain = EventTrace(events=tuple(map(tuple, trace.events)), run_config=trace.run_config)
+    assert plain == trace and hash(plain) == hash(trace)
+    text = trace.serialize()
+    assert plain.serialize() == text
+    assert _replay_or_error(replay, plain) == _replay_or_error(replay, trace)
+    parsed = parse_trace(text)
+    assert parsed == plain == trace
+    assert all(type(event) is tuple for event in parsed.events)
+
+
 @given(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
 def test_non_finite_numbers_are_spelled_as_json_dumps_does(value):
     event = Event("PREDICT", i=1, pred="a", p=value)

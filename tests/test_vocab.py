@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from specmt import Vocabulary, VocabularyError, build_vocabulary
@@ -11,6 +13,7 @@ from specmt.vocab import (
     encode_source,
     load_corpus,
     read_corpus_lines,
+    write_artifact,
     write_corpus_lines,
 )
 
@@ -86,3 +89,20 @@ def test_load_corpus_names_line_of_reserved_marker(tmp_path):
     with pytest.raises(VocabularyError) as raised:
         load_corpus(path, build_vocabulary(["a"]))
     assert str(raised.value).startswith(f"{path}: line 3: reserved marker")
+
+
+def test_write_artifact_creates_a_new_file_each_time(tmp_path):
+    path = tmp_path / "out.txt"
+    write_artifact(path, "first\r\n\u00e9\n")
+    assert path.read_bytes() == "first\r\n\u00e9\n".encode("utf-8")  # no newline translation
+    os.link(path, tmp_path / "side")
+    write_artifact(str(path), "second\n")
+    assert path.read_bytes() == b"second\n"
+    assert (tmp_path / "side").read_bytes() == "first\r\n\u00e9\n".encode("utf-8")  # the old inode is left alone
+
+
+def test_write_artifact_over_a_directory_raises(tmp_path):
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        write_artifact(tmp_path / "dir", "text\n")
+    assert (tmp_path / "dir").is_dir()
