@@ -29,7 +29,9 @@ read slices its prefix once, which the next step's speculation reuses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import SimtModel
 from .trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE, EventTrace, RunConfig
@@ -63,17 +65,21 @@ class RunResult:
     final_output: Sentence
     trace: EventTrace
 
+    @cached_property
+    def _counts(self) -> Counter[str]:
+        return self.trace.kind_counts()
+
     @property
     def speculations(self) -> int:
-        return self.trace.kind_counts()[SPECULATE]
+        return self._counts[SPECULATE]
 
     @property
     def hits(self) -> int:
-        return self.trace.kind_counts()[COMMIT]
+        return self._counts[COMMIT]
 
     @property
     def withdrawals(self) -> int:
-        return self.trace.kind_counts()[WITHDRAW]
+        return self._counts[WITHDRAW]
 
 
 def run_baseline(

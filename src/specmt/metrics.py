@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import repeat
+from operator import sub, truediv
 from typing import Iterable, Sequence
 
 from .vocab import SpecmtError
@@ -30,8 +32,7 @@ def average_lagging(delays: Sequence[int], source_length: int) -> float:
         raise MetricsError("empty source")
     j_count = len(delays)
     rate = j_count / source_length
-    total = sum(delays[j - 1] - (j - 1) / rate for j in range(1, j_count + 1))
-    return total / j_count
+    return sum(map(sub, delays, map(truediv, range(j_count), repeat(rate)))) / j_count
 
 
 def awr(withdrawals: int, target_length: int) -> float:

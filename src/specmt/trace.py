@@ -304,11 +304,13 @@ def replay(trace: EventTrace) -> Replay:
     issued before token i+1 arrived included, and the last row is the final
     output. The delay of position j is the smallest row i such that every row
     from i onward agrees with the final output on every position up to j (a
-    row too short to hold a position disagrees at it). Replay builds no rows:
-    for each position it keeps the row since which the position has held its
-    token, comparing only when a row closes and only from the lowest position
-    popped since the last close, so a token withdrawn and written again inside
-    one row is no change. The delays are the running maximum of those rows.
+    row too short to hold a position disagrees at it). Replay builds no rows.
+    Next to the visible output it keeps, for each position, the row since
+    which the position has held its token: a pushed token gets the open row,
+    unless this row popped the same token from the same position, in which
+    case it gets back the row it had then, so a token withdrawn and written
+    again inside one row is no change. A row close only forgets this row's
+    pops. The delays are the running maximum of those rows.
 
     Replay rules: WRITE and SPECULATE of a real token append it to the visible
     output; PHI and EOS decisions are invisible. A WITHDRAW removes the
@@ -324,9 +326,9 @@ def replay(trace: EventTrace) -> Replay:
     END, so a trace that replays has speculations = hits + withdrawals.
     """
     visible: list[str] = []
-    held: list[str] = []  # the visible output when the last row closed
-    since: list[int] = []  # since[p]: the row since which position p has held held[p]
-    low = 0  # lowest position popped since the last row close
+    since: list[int] = []  # since[p]: the row since which position p has held visible[p]
+    popped: dict[tuple[int, str], int] = {}  # (position, token) -> its `since`, for each pop in the open row
+    row = 1  # the open row: max(reads, 1)
     pending: tuple[int, str] | None = None  # (slot, decision) awaiting resolution
     committed_slots: set[int] = set()
     last_read = 0
@@ -335,7 +337,7 @@ def replay(trace: EventTrace) -> Replay:
     predicted = predicts = commits = withdrawals = 0
     source_ended = False
 
-    # kinds are tested most frequent first; only a real READ after the first and END reach the row close
+    # kinds are tested most frequent first
     events = iter(trace.events)
     for event in events:
         kind = event[0]
@@ -344,9 +346,9 @@ def replay(trace: EventTrace) -> Replay:
             if tok is None:
                 raise TraceError("inconsistent trace: WRITE without token")
             if tok not in _INVISIBLE:
+                since.append(popped.get((len(visible), tok), row) if popped else row)
                 visible.append(tok)
-            continue
-        if kind == READ:
+        elif kind == READ:
             i, tok = event[1], event[3]
             if i is None or i <= last_read:
                 raise TraceError("inconsistent trace: READ indices not increasing")
@@ -356,19 +358,15 @@ def replay(trace: EventTrace) -> Replay:
             if source_ended:
                 raise TraceError("inconsistent trace: READ after end of source")
             source_ended = tok == EOS_SURFACE
-            if source_ended:
-                continue
-            reads += 1
-            predicted += guesses.get(i) == tok
-            if reads == 1:
-                continue
-            row = reads - 1
+            if not source_ended:  # the first real READ closes no row, but its row is row 1 too
+                reads = row = reads + 1
+                predicted += guesses.get(i) == tok
+                popped.clear()
         elif kind == PREDICT:
             if event[1] is None or event[4] is None:
                 raise TraceError("inconsistent trace: PREDICT without index or guess")
             guesses[event[1]] = event[4]
             predicts += 1
-            continue
         elif kind == SPECULATE:
             j, tok = event[2], event[3]
             if tok is None:
@@ -379,15 +377,14 @@ def replay(trace: EventTrace) -> Replay:
                 raise TraceError("inconsistent trace: nested speculation")
             pending = (j, tok)
             if tok not in _INVISIBLE:
+                since.append(popped.get((len(visible), tok), row) if popped else row)
                 visible.append(tok)
-            continue
         elif kind == COMMIT:
             if pending is None or pending[0] != event[2]:
                 raise TraceError("inconsistent trace: COMMIT without speculation")
             committed_slots.add(event[2])
             commits += 1
             pending = None
-            continue
         elif kind == WITHDRAW:
             j, old, new = event[2], event[6], event[7]
             if j in committed_slots:
@@ -402,31 +399,18 @@ def replay(trace: EventTrace) -> Replay:
                 if not visible or visible[-1] != old:
                     raise TraceError("inconsistent trace: withdrawn token not trailing")
                 visible.pop()
-                low = min(low, len(visible))
+                popped[len(visible), old] = since.pop()
             if new not in _INVISIBLE:
+                since.append(popped.get((len(visible), new), row) if popped else row)
                 visible.append(new)
             pending = None
             withdrawals += 1
-            continue
         elif kind == END:
             if pending is not None:
                 raise TraceError(f"inconsistent trace: speculation at slot {pending[0]} unresolved at END")
-            row = reads
+            break
         else:
             raise TraceError(f"inconsistent trace: unknown event {kind!r}")
-        # close `row`: `since` becomes `row` where `held` differs from `visible`, at or above `low`
-        length = len(visible)
-        del held[length:], since[length:]
-        for p in range(low, len(held)):
-            if held[p] != visible[p]:
-                held[p] = visible[p]
-                since[p] = row
-        if length > len(held):
-            since += [row] * (length - len(held))
-            held += visible[len(held):]
-        low = length
-        if kind == END:
-            break
     else:
         raise TraceError("inconsistent trace: missing END")
     if next(events, None) is not None:
@@ -434,7 +418,9 @@ def replay(trace: EventTrace) -> Replay:
     if reads == 0:
         raise TraceError("inconsistent trace: no source reads")
     # every SPECULATE was resolved once and one END closed the run, so every other event is a WRITE
-    counts = Counter({READ: reads + source_ended, PREDICT: predicts, SPECULATE: commits + withdrawals,
-                      COMMIT: commits, WITHDRAW: withdrawals, END: 1})
-    counts[WRITE] = len(trace.events) - sum(counts.values())
+    speculations = commits + withdrawals
+    counts: Counter[str] = Counter.__new__(Counter)
+    dict.update(counts, ((READ, reads + source_ended), (PREDICT, predicts), (SPECULATE, speculations),
+                         (COMMIT, commits), (WITHDRAW, withdrawals), (END, 1),
+                         (WRITE, len(trace.events) - reads - source_ended - predicts - 2 * speculations - 1)))
     return Replay(tuple(visible), tuple(accumulate(since, max)), reads, counts, predicted)

@@ -196,6 +196,15 @@ def brute_force_al(delays: Sequence[int], source_length: int) -> Fraction:
     return sum(Fraction(g) - Fraction((j - 1) * source_length, j_count) for j, g in enumerate(delays, 1)) / j_count
 
 
+def frozen_average_lagging(delays: Sequence[int], source_length: int) -> float:
+    """`metrics.average_lagging` as it was written with a generator, frozen as
+    the float bits the package's AL must keep."""
+    j_count = len(delays)
+    rate = j_count / source_length
+    total = sum(delays[j - 1] - (j - 1) / rate for j in range(1, j_count + 1))
+    return total / j_count
+
+
 def gates_alike(trace: EventTrace, tau: float, other: float) -> bool:
     """Whether the gate `p < tau` decides every `PREDICT` of `trace` alike at
     `tau` and at `other`: the sweep's rule for reusing a run at another tau."""

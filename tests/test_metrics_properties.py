@@ -1,6 +1,8 @@
-"""Property test of BLEU's sentence statistics: `bleu_stats` gives exactly
-the clipped n-gram counts and totals that one slice per position gives
-(`oracles.brute_force_sentence_counts`), on any token lists."""
+"""Property tests of the metrics: `bleu_stats` gives exactly the clipped
+n-gram counts and totals that one slice per position gives
+(`oracles.brute_force_sentence_counts`), on any token lists; and
+`average_lagging` gives the float bits of the generator form frozen in
+`oracles.frozen_average_lagging`, on any delays and source length."""
 
 from __future__ import annotations
 
@@ -10,8 +12,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from specmt.metrics import bleu_stats  # noqa: E402
-from oracles import brute_force_sentence_counts  # noqa: E402
+from specmt.metrics import average_lagging, bleu_stats  # noqa: E402
+from oracles import brute_force_sentence_counts, frozen_average_lagging  # noqa: E402
 
 # few distinct tokens, so n-grams repeat within and across the two sides
 sentences = st.lists(st.sampled_from(["a", "b", "c", "</s>", ""]), max_size=12)
@@ -28,3 +30,14 @@ def test_sentence_stats_are_the_clipped_slice_counts(hyp, ref):
     assert bleu_stats(hyp, ref) == expected
     assert bleu_stats(tuple(hyp), ref) == expected
     assert all(type(value) is int for value in bleu_stats(hyp, ref))
+
+
+@settings(max_examples=400)
+@given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=200), st.integers(1, 10 ** 6))
+@example([3, 4, 5, 5, 5], 5)
+@example([1] * 7, 3)
+@example([10 ** 6] * 3, 7)
+def test_average_lagging_keeps_the_frozen_bits(delays, source_length):
+    expected = frozen_average_lagging(delays, source_length).hex()
+    assert average_lagging(delays, source_length).hex() == expected
+    assert average_lagging(tuple(delays), source_length).hex() == expected

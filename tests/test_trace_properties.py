@@ -267,6 +267,10 @@ def test_replay_agrees_with_the_frozen_replay_on_any_events(trace_events):
 DECISIONS = ("A", "B", PHI_SURFACE, EOS_SURFACE)
 
 
+def _trace(*events):
+    return EventTrace(events=(*events, Event("END")))
+
+
 @st.composite
 def protocol_traces(draw):
     """Traces that keep the speculation protocol, over two visible tokens.
@@ -315,10 +319,56 @@ def protocol_traces(draw):
         resolve()
         decide(i)
     resolve()
-    return EventTrace(events=(*events, Event("END")))
+    return _trace(*events)
 
 
 @settings(max_examples=300)
 @given(protocol_traces())
+# a silent withdrawal of a token held at the last close, written again a row later, in the same row, or
+# speculated again in the same row
+@example(_trace(
+    Event("READ", i=1, tok="s1"), Event("SPECULATE", j=1, tok="A", i=1), Event("READ", i=2, tok="s2"),
+    Event("WITHDRAW", j=1, old="A", new=PHI_SURFACE), Event("READ", i=3, tok="s3"), Event("WRITE", j=2, tok="A", i=3),
+))
+@example(_trace(
+    Event("READ", i=1, tok="s1"), Event("SPECULATE", j=1, tok="A", i=1), Event("READ", i=2, tok="s2"),
+    Event("WITHDRAW", j=1, old="A", new=PHI_SURFACE), Event("WRITE", j=2, tok="A", i=2), Event("READ", i=3, tok="s3"),
+))
+@example(_trace(
+    Event("READ", i=1, tok="s1"), Event("SPECULATE", j=1, tok="A", i=1), Event("READ", i=2, tok="s2"),
+    Event("WITHDRAW", j=1, old="A", new=PHI_SURFACE), Event("SPECULATE", j=2, tok="A", i=2),
+    Event("READ", i=3, tok="s3"), Event("COMMIT", j=2),
+))
+# one position popped twice in one row, pushed again first with another token, then with the held one
+@example(_trace(
+    Event("READ", i=1, tok="s1"), Event("SPECULATE", j=1, tok="A", i=1), Event("READ", i=2, tok="s2"),
+    Event("WITHDRAW", j=1, old="A", new=PHI_SURFACE), Event("SPECULATE", j=2, tok="B", i=2),
+    Event("WITHDRAW", j=2, old="B", new="A"), Event("READ", i=3, tok="s3"),
+))
+# a pop of a position first pushed in the open row
+@example(_trace(
+    Event("READ", i=1, tok="s1"), Event("READ", i=2, tok="s2"), Event("WRITE", j=1, tok="C", i=2),
+    Event("SPECULATE", j=2, tok="A", i=2), Event("WITHDRAW", j=2, old="A", new="B"), Event("READ", i=3, tok="s3"),
+))
+# a speculation made before the first READ and withdrawn after it
+@example(_trace(
+    Event("SPECULATE", j=1, tok="A", i=0), Event("READ", i=1, tok="s1"), Event("WITHDRAW", j=1, old="A", new="B"),
+    Event("READ", i=2, tok="s2"),
+))
+# a withdrawal after the end-of-source READ of a token held at the last close, corrected or written again;
+# and one before it, whose token comes back after it
+@example(_trace(
+    Event("READ", i=1, tok="s1"), Event("WRITE", j=1, tok="C", i=1), Event("SPECULATE", j=2, tok="A", i=1),
+    Event("READ", i=2, tok="s2"), Event("READ", i=3, tok=EOS_SURFACE), Event("WITHDRAW", j=2, old="A", new="B"),
+))
+@example(_trace(
+    Event("READ", i=1, tok="s1"), Event("SPECULATE", j=1, tok="A", i=1), Event("READ", i=2, tok="s2"),
+    Event("READ", i=3, tok=EOS_SURFACE), Event("WITHDRAW", j=1, old="A", new="A"),
+))
+@example(_trace(
+    Event("READ", i=1, tok="s1"), Event("SPECULATE", j=1, tok="A", i=1), Event("READ", i=2, tok="s2"),
+    Event("WITHDRAW", j=1, old="A", new=PHI_SURFACE), Event("READ", i=3, tok=EOS_SURFACE),
+    Event("WRITE", j=2, tok="A", i=2),
+))
 def test_replay_agrees_with_the_frozen_replay_on_protocol_traces(trace):
     _assert_replay_matches_rows(trace)
