@@ -22,9 +22,11 @@ happened: the speculation, hit and withdrawal counts are read from it, and
 the delays come from its `replay`, which scoring does, not the engine.
 
 The loop costs little beyond its translator and predictor calls: it has no
-closure, so all it touches is local; each event is a plain tuple in `Event`
-field order, surfaces are read from the vocabulary's token tuple, and each
-read slices its prefix once, which the next step's speculation reuses.
+closure, so all it touches is local, `step` and `predict` included, bound
+once per run; each event is a plain tuple in `Event` field order, surfaces
+are read from the vocabulary's token tuple, and each read slices its prefix
+once, or on a hit reuses the guessed prefix, which equals that slice; the
+next step's prediction and speculation reuse it.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
     limit = 2 * src_len + 8
     surfaces = model.vocabulary.tokens
     step = model.step
+    predict = predictor.predict if predictor is not None else None
 
     out: list[int] = []
     events: list[tuple] = []  # each in `Event` field order
@@ -133,25 +136,29 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
     prefix: Sentence = ()
     for i in range(1, src_len + 2):
         speculated: int | None = None  # the decision speculated on the guess `token`
-        if predictor is not None:
-            token, probability = predictor.predict(prefix)
+        if predict is not None:
+            token, probability = predict(prefix)
             emit((PREDICT, i, None, None, surfaces[token], probability, None, None))
             if not probability < tau:
                 guess_done = token == EOS
-                speculated = step(prefix if guess_done else prefix + (token,), len(out), guess_done)
+                guessed = prefix if guess_done else prefix + (token,)
+                speculated = step(guessed, len(out), guess_done)
                 slot += 1
                 emit((SPECULATE, i - 1, slot, surfaces[speculated], None, None, None, None))
         tok = source[i - 1] if i <= src_len else EOS
         emit((READ, i, None, surfaces[tok], None, None, None, None))
         done = tok == EOS
-        prefix = source[:i]  # the whole source at the end-of-sequence read
 
         decision: int | None = None
-        if speculated is not None:  # resolved against the token read, at the speculation's slot
+        if speculated is None:
+            prefix = source[:i]  # the whole source at the end-of-sequence read
+        else:  # resolved against the token read, at the speculation's slot
             if token == tok:
+                prefix = guessed  # a hit guessed source[:i]
                 emit((COMMIT, None, slot, None, None, None, None, None))
                 decision = speculated
             else:
+                prefix = source[:i]
                 decision = step(prefix, len(out), done)
                 emit((WITHDRAW, None, slot, None, None, None, surfaces[speculated], surfaces[decision]))
             if decision not in (PHI, EOS):

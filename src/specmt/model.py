@@ -17,6 +17,7 @@ from predicted prefixes whenever the prediction turns out to be correct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .lexicon import Lexicon
 from .vocab import EOS, PHI, Sentence, SpecmtError, Vocabulary
@@ -89,11 +90,25 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class SimtModel:
-    """Stateless translator: the full decision is a function of step() arguments."""
+    """Stateless translator: the full decision is a function of step() arguments.
+
+    What `step` reads is fixed at construction: the wait-k `k` of the
+    policy's rule, or None for write-when-settled, and the lexicon's bound
+    `settled` and `translate`, which keep the one translation rule.
+    """
 
     lexicon: Lexicon
     policy: PolicyConfig
     vocabulary: Vocabulary
+    _k: int | None = field(init=False, repr=False, compare=False)
+    _settled: Callable[[Sentence, int], bool] = field(init=False, repr=False, compare=False)
+    _translate: Callable[[Sentence, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kind, k = self.policy.rule
+        object.__setattr__(self, "_k", k if kind == WAIT_K else None)
+        object.__setattr__(self, "_settled", self.lexicon.settled)
+        object.__setattr__(self, "_translate", self.lexicon.translate)
 
     def step(self, source_prefix: Sentence, written: int, source_done: bool = False) -> int:
         """One incremental decision given the visible source prefix and the
@@ -109,11 +124,9 @@ class SimtModel:
         if source_done:
             if pos > len(source_prefix):
                 return EOS
-        else:
-            kind, k = self.policy.rule
-            if kind == WAIT_K:
-                if len(source_prefix) < written + k:
-                    return PHI
-            elif pos > len(source_prefix) or not self.lexicon.settled(source_prefix, pos):
+        elif self._k is not None:
+            if len(source_prefix) < written + self._k:
                 return PHI
-        return self.lexicon.translate(source_prefix, pos)
+        elif pos > len(source_prefix) or not self._settled(source_prefix, pos):
+            return PHI
+        return self._translate(source_prefix, pos)

@@ -118,7 +118,9 @@ class NgramModel:
 
     def predict(self, context: Sequence[int]) -> Prediction:
         """Most probable next token; ties break toward the smallest id."""
-        ctx = self._context(context)
+        need = self.order - 1
+        # a context with order - 1 tokens needs no padding, so its tail is the key
+        ctx = tuple(context[-need:]) if 0 < need <= len(context) else self._context(context)
         cached = self._cache.get(ctx)
         if cached is None:
             cached = self._cache[ctx] = self._best(self._vector(ctx))
@@ -257,38 +259,45 @@ def _model_from_payload(payload: object) -> NgramModel:
 
 
 class OraclePredictor:
-    """Always predicts the true next source token; the speculation upper bound."""
+    """Always predicts the true next source token; the speculation upper bound.
+
+    `predict` indexes guesses built once: one per source position, then EOS
+    for any longer context.
+    """
 
     def __init__(self, source: Sentence):
-        self._source = tuple(source)
+        self._guesses = tuple(Prediction(token, 1.0) for token in (*source, EOS))
 
+    # each scripted predictor defines its own `predict` rather than inheriting
+    # one, so that wrapping the class attribute reaches every call
     def predict(self, context: Sequence[int]) -> Prediction:
-        i = len(context)
-        if i < len(self._source):
-            return Prediction(self._source[i], 1.0)
-        return Prediction(EOS, 1.0)
+        try:
+            return self._guesses[len(context)]
+        except IndexError:
+            return self._guesses[-1]
 
 
 class AlwaysWrongPredictor:
     """Predicts a fixed source token guaranteed to differ from the truth.
 
-    Adversarial lower bound: every speculation is withdrawn. The fixed token
-    is the lowest of `source_ids` not equal to the true next token, so the
-    speculative decode always has a lexicon rule to apply. Pass the ids the
-    lexicon has rules for (its `default` keys); the default, the
-    vocabulary's regular ids, fits a generated vocabulary, where the source
-    tokens come first.
+    Adversarial lower bound: every speculation is withdrawn. The guess is
+    the lowest of `source_ids` unless that is the true next token, then the
+    second lowest distinct one, so the speculative decode always has a
+    lexicon rule to apply. Pass the ids the lexicon has rules for (its
+    `default` keys); the default, the vocabulary's regular ids, fits a
+    generated vocabulary, where the source tokens come first. Its guesses
+    are built once, as the oracle's are.
     """
 
     def __init__(self, source: Sentence, vocab: Vocabulary, source_ids: Iterable[int] | None = None):
-        ids = vocab.regular_ids if source_ids is None else sorted(source_ids)
+        ids = sorted(set(vocab.regular_ids if source_ids is None else source_ids))
         if len(ids) < 2:
-            raise PredictorError("vocabulary too small for an always-wrong predictor")
-        self._source = tuple(source)
-        self._first, self._second = ids[0], ids[1]
+            raise PredictorError("vocabulary too small for an always-wrong predictor: it needs two distinct ids")
+        lowest, first, second = ids[0], Prediction(ids[0], 1.0), Prediction(ids[1], 1.0)
+        self._guesses = tuple(first if truth != lowest else second for truth in (*source, EOS))
 
     def predict(self, context: Sequence[int]) -> Prediction:
-        i = len(context)
-        true_next = self._source[i] if i < len(self._source) else EOS
-        wrong = self._first if true_next != self._first else self._second
-        return Prediction(wrong, 1.0)
+        try:
+            return self._guesses[len(context)]
+        except IndexError:
+            return self._guesses[-1]

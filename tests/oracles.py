@@ -25,7 +25,7 @@ from specmt.experiment import (
 from specmt.markov import GeneratedCorpus, MarkovSourceSpec, _build_vocab_and_lexicon
 from specmt.metrics import MetricsError, bleu_from_stats, bleu_stats, sum_bleu_stats
 from specmt.model import WAIT_K, SimtModel, adaptive_threshold
-from specmt.ngram import AlwaysWrongPredictor, OraclePredictor
+from specmt.ngram import AlwaysWrongPredictor, OraclePredictor, Prediction
 from specmt.trace import (
     COMMIT,
     END,
@@ -518,6 +518,47 @@ def frozen_step(model: SimtModel, source_prefix: Sentence, written: int, source_
     return model.lexicon.translate(source_prefix, pos)
 
 
+class FrozenStepModel:
+    """A translator deciding by `frozen_step` over a model's lexicon and policy."""
+
+    def __init__(self, model: SimtModel):
+        self.vocabulary = model.vocabulary
+        self._model = model
+
+    def step(self, source_prefix: Sentence, written: int, source_done: bool = False) -> int:
+        return frozen_step(self._model, source_prefix, written, source_done)
+
+
+# The scripted predictors as they were before they built their guesses once
+# per sentence: each call compares the context's length with the source and
+# builds its `Prediction`. Frozen as the references that indexing prebuilt
+# guesses must equal. The always-wrong one assumes distinct `source_ids`.
+
+
+class FrozenOraclePredictor:
+    def __init__(self, source: Sentence):
+        self._source = tuple(source)
+
+    def predict(self, context: Sequence[int]) -> Prediction:
+        i = len(context)
+        if i < len(self._source):
+            return Prediction(self._source[i], 1.0)
+        return Prediction(EOS, 1.0)
+
+
+class FrozenAlwaysWrongPredictor:
+    def __init__(self, source: Sentence, vocab, source_ids=None):
+        ids = vocab.regular_ids if source_ids is None else sorted(source_ids)
+        self._source = tuple(source)
+        self._first, self._second = ids[0], ids[1]
+
+    def predict(self, context: Sequence[int]) -> Prediction:
+        i = len(context)
+        true_next = self._source[i] if i < len(self._source) else EOS
+        wrong = self._first if true_next != self._first else self._second
+        return Prediction(wrong, 1.0)
+
+
 def _recursive_prob(model, token, ctx):
     """`NgramModel`'s interpolated probability as it was computed before the
     backoff chain was built once per context: recursing from the full context
@@ -546,6 +587,17 @@ def full_scan_predict(model, context):
         if p > best_p:
             best_tok, best_p = tok, p
     return best_tok, best_p
+
+
+class FullScanPredictor:
+    """An n-gram model's predictions by `full_scan_predict`, as a predictor."""
+
+    def __init__(self, model):
+        self.vocabulary = model.vocabulary
+        self._model = model
+
+    def predict(self, context: Sequence[int]) -> Prediction:
+        return Prediction(*full_scan_predict(self._model, context))
 
 
 def independent_sweep(config: ExperimentConfig) -> tuple[str, str, dict[str, bytes]]:

@@ -6,7 +6,8 @@ source sentence and a scripted predictor that hits or misses by a drawn bit
 string. A miss guesses end-of-sequence, a source token absent from the
 sentence, or another source token. For every case:
 
-- the engine's traces are byte-identical to the frozen engine's;
+- the engine's traces are byte-identical to the frozen engine's, which
+  decides by `oracles.frozen_step`;
 - the speculative output equals the baseline output;
 - each trace replays to its output, and its delays match the brute-force
   definition over the frozen snapshot matrix;
@@ -16,7 +17,8 @@ sentence, or another source token. For every case:
 
 A second property runs both engines with each shipped predictor, a trained
 n-gram model, the oracle and the always-wrong predictor, and asks for the
-same traces and output. A third counts, over the same runs, the source
+same traces and output; the frozen engine runs the frozen copies of the
+predictors in `oracles.py` (the full scan for the n-gram model). A third counts, over the same runs, the source
 tokens their traces replay as predicted: a share equal to the n-gram
 model's own `evaluate` accuracy, 1 for the oracle, 0 for the always-wrong
 predictor, and none in a baseline trace.
@@ -31,9 +33,15 @@ early, a speculative wait-k run has baseline wait-(k-1)'s delays, and on
 a source of at least k-1 tokens it withdraws only decisions it writes again
 unchanged.
 
-The last two pin the one translation rule in `Lexicon`: a settled position's
+Two more pin the one translation rule in `Lexicon`: a settled position's
 translation holds however the prefix grows, and wait-k with k at least the
 source length writes the whole-sentence translation.
+
+Two others pin what the engine calls: `SimtModel.step` and the scripted
+predictors' `predict` equal their frozen copies on any prefix, written count
+and context length, errors included; and counting wrappers put on the
+classes, as the benchmark's spans are, see one translator call per WRITE,
+SPECULATE and WITHDRAW event and one predictor call per PREDICT event.
 """
 
 from __future__ import annotations
@@ -62,11 +70,13 @@ from specmt import (  # noqa: E402
 )
 from specmt.engine import RunResult  # noqa: E402
 from specmt.experiment import _tau_bounds  # noqa: E402
-from specmt.ngram import Prediction  # noqa: E402
+from specmt.lexicon import LexiconError  # noqa: E402
+from specmt.ngram import NgramModel, Prediction  # noqa: E402
 from specmt.trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE  # noqa: E402
 from specmt.vocab import EOS, EOS_SURFACE, RESERVED_SURFACES  # noqa: E402
 from oracles import (  # noqa: E402
-    brute_force_delays, frozen_run_baseline, frozen_run_speculative, gates_alike, snapshot_from_trace,
+    FrozenAlwaysWrongPredictor, FrozenOraclePredictor, FrozenStepModel, FullScanPredictor, brute_force_delays,
+    frozen_run_baseline, frozen_run_speculative, frozen_step, gates_alike, snapshot_from_trace,
 )
 
 
@@ -181,11 +191,11 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
         counting, ScriptedPredictor(vocab, ids, source, script), source, EngineConfig(tau=tau), config
     )
 
-    frozen_output, frozen_trace = frozen_run_baseline(model, source, config)
+    frozen_output, frozen_trace = frozen_run_baseline(FrozenStepModel(model), source, config)
     assert baseline.trace.serialize() == frozen_trace.serialize()
     assert baseline.final_output == frozen_output
     frozen_output, frozen_trace = frozen_run_speculative(
-        model, ScriptedPredictor(vocab, ids, source, script), source, EngineConfig(tau=tau), config
+        FrozenStepModel(model), ScriptedPredictor(vocab, ids, source, script), source, EngineConfig(tau=tau), config
     )
     assert speculative.trace.serialize() == frozen_trace.serialize()
     assert speculative.final_output == frozen_output
@@ -232,18 +242,106 @@ def shipped_cases(draw, policies=policies):
     return model, predictor_for, sources, tau, kind
 
 
+def frozen_predictor(model, predictor_for, kind, source):
+    """The frozen copy of a shipped predictor for `source`: for an n-gram
+    model, its predictions by the full scan."""
+    if kind == "oracle":
+        return FrozenOraclePredictor(source)
+    if kind == "always_wrong":
+        return FrozenAlwaysWrongPredictor(source, model.vocabulary, model.lexicon.default)
+    return FullScanPredictor(predictor_for(source))
+
+
 @settings(max_examples=150)
 @given(shipped_cases())
 def test_engine_matches_frozen_engine_with_shipped_predictors(case):
+    # the frozen side is the frozen engine, `frozen_step` and the frozen
+    # predictors, so no code it runs is the package's
     model, predictor_for, sources, tau, kind = case
     config = RunConfig(policy=model.policy.kind, param=model.policy.param, tau=tau, predictor=kind)
     for source in sources:
         result = run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau), config)
         frozen_output, frozen_trace = frozen_run_speculative(
-            model, predictor_for(source), source, EngineConfig(tau=tau), config
+            FrozenStepModel(model), frozen_predictor(model, predictor_for, kind, source), source,
+            EngineConfig(tau=tau), config,
         )
         assert result.trace.serialize() == frozen_trace.serialize()
         assert result.final_output == frozen_output
+
+
+def outcome(decide, *args):
+    """A decision, or the class and message of the `LexiconError` it raised."""
+    try:
+        return decide(*args)
+    except LexiconError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(worlds(), st.data())
+def test_step_and_the_scripted_predictors_equal_their_frozen_copies(world, data):
+    # both rules (wait-k 1-9, and settled from an adaptive policy), real and
+    # guessed prefixes, every written count up to two past the prefix, both
+    # source_done values, and sometimes a token the lexicon has no rule for
+    vocab, lexicon, ids = world
+    policy = data.draw(st.one_of(
+        st.integers(min_value=1, max_value=9).map(PolicyConfig.wait_k),
+        st.sampled_from((0.05, 0.1, 0.3, 0.5, 1.0)).map(PolicyConfig.adaptive),
+    ))
+    model = SimtModel(lexicon=lexicon, policy=policy, vocabulary=vocab)
+    source = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
+    if data.draw(st.booleans()):
+        unruled = [t for t in range(len(vocab)) if t not in lexicon.default]  # reserved and target ids
+        source[data.draw(st.integers(0, len(source) - 1))] = data.draw(st.sampled_from(unruled))
+    source = tuple(source)
+    guesses = data.draw(st.lists(st.sampled_from(ids), min_size=len(source) + 1, max_size=len(source) + 1))
+    prefixes = [source[:n] for n in range(len(source) + 1)] + [source[:n] + (g,) for n, g in enumerate(guesses)]
+    for prefix in prefixes:
+        for written in range(len(prefix) + 3):
+            for done in (False, True):
+                assert outcome(model.step, prefix, written, done) == outcome(
+                    frozen_step, model, prefix, written, done
+                ), (prefix, written, done)
+
+    context = source + tuple(data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2)))
+    pairs = [
+        (OraclePredictor(source), FrozenOraclePredictor(source)),
+        (AlwaysWrongPredictor(source, vocab), FrozenAlwaysWrongPredictor(source, vocab)),
+        (AlwaysWrongPredictor(source, vocab, lexicon.default),
+         FrozenAlwaysWrongPredictor(source, vocab, lexicon.default)),
+    ]
+    for predictor, frozen in pairs:
+        for n in range(len(context) + 1):
+            got = predictor.predict(context[:n])
+            assert got == frozen.predict(context[:n]) and type(got) is Prediction, (type(predictor), n)
+
+
+@settings(max_examples=100)
+@given(shipped_cases())
+def test_class_level_wrappers_see_every_translator_and_predictor_call(case):
+    # the benchmark counts translator and predictor calls by wrapping these
+    # methods on their classes, so the engine must call through them once
+    # per event that records a call
+    model, predictor_for, sources, tau, _ = case
+    calls = {"step": 0, "predict": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, name in ((SimtModel, "step"), (NgramModel, "predict"), (OraclePredictor, "predict"),
+                          (AlwaysWrongPredictor, "predict")):
+            patch.setattr(cls, name, counting(name, vars(cls)[name]))
+        for source in sources:
+            calls.update(step=0, predict=0)
+            kinds = run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau)).trace.kind_counts()
+            assert calls == {"step": kinds[WRITE] + kinds[SPECULATE] + kinds[WITHDRAW], "predict": kinds[PREDICT]}
+            calls.update(step=0, predict=0)
+            kinds = run_baseline(model, source).trace.kind_counts()
+            assert calls == {"step": kinds[WRITE], "predict": 0}
 
 
 @settings(max_examples=150)

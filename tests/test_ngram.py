@@ -320,3 +320,16 @@ class TestFixedPredictors:
         assert guesses == [b, a, b, a, a]
         with pytest.raises(PredictorError, match="too small"):
             AlwaysWrongPredictor(source, vocab, source_ids=(a,))
+
+    def test_always_wrong_guesses_from_two_distinct_ids(self):
+        # a repeated lowest id is not a second guess: where the truth is that
+        # id, the guess must be the next distinct one
+        vocab = build_vocabulary(["a b c"])
+        a, b, c = (vocab.lookup(s) for s in "abc")
+        source = (a, b, a)
+        wrong = AlwaysWrongPredictor(source, vocab, source_ids=(a, a, c, b, c))
+        assert [wrong.predict(source[:i]) for i in range(len(source) + 1)] == [(b, 1.0), (a, 1.0), (b, 1.0), (a, 1.0)]
+        with pytest.raises(PredictorError, match="too small.*two distinct ids"):
+            AlwaysWrongPredictor(source, vocab, source_ids=(a, a))
+        with pytest.raises(PredictorError, match="too small"):
+            AlwaysWrongPredictor(source, vocab, source_ids=())
