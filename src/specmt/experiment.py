@@ -315,6 +315,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     policies = config.policy_grid()
     # (rule, predictor kind, sentence index) -> the scored runs kept for a later grid point, with their `_tau_bounds`
     kept: dict[tuple[tuple, str, int], list[tuple[RunResult, dict, tuple[str, ...], float, float]]] = {}
+    lines: dict[tuple, str] = {}  # event -> its trace line, shared by this call's saved traces
     for n, policy in enumerate(policies):
         shared = policy.rule in {later.rule for later in policies[n + 1:]}  # a later policy may reuse its runs
         model = SimtModel(lexicon=data.lexicon, policy=policy, vocabulary=data.vocabulary)
@@ -351,7 +352,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     result.failures.append(f"{_where(point, data, i)}: {reason}")
                     break
                 if config.record_traces:
-                    run.trace.save(trace_dir / f"{index:05d}.jsonl")
+                    run.trace.save(trace_dir / f"{index:05d}.jsonl", lines)
                 if baseline:
                     baseline_outputs.append(run.final_output)
                 elif run.final_output != baseline_outputs[i]:

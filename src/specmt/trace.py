@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, filterfalse, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -74,6 +74,13 @@ def _event_parts(parts: list[str], event: tuple) -> None:
     parts.append("}\n")
 
 
+def _event_line(event: tuple) -> str:
+    """One event's JSON line, its newline included."""
+    parts: list[str] = []
+    _event_parts(parts, event)
+    return "".join(parts)
+
+
 class Event(NamedTuple):
     """The fields of one trace record. In memory an event is a plain 8-tuple in
     this order; `Event._make(event)` names its fields, and `Event(...)` builds
@@ -129,25 +136,43 @@ class EventTrace:
         """Number of events of each kind, in one pass."""
         return Counter(map(itemgetter(0), self.events))
 
-    def serialize(self) -> str:
+    def serialize(self, lines: dict[tuple, str] | None = None) -> str:
         """The JSON Lines file: the header, then one line per event, with
-        keys in a fixed order; byte-identical to `json.dumps` of each line."""
+        keys in a fixed order; byte-identical to `json.dumps` of each line.
+
+        `lines`, when given, maps each event already encoded to its line, and
+        gains the events of this trace it lacks, so a writer that passes one
+        dict to many traces encodes each distinct event once. Only
+        `run_experiment` shares one, and only within one call: equal tuples
+        can hold unequal JSON (`1 == 1.0 == True`, `0.0 == -0.0`), so a dict
+        shared across arbitrary traces could give an event another event's
+        bytes. A sweep's engine events cannot hit this, because their
+        indices are ints and their probabilities are its predictors' floats.
+        """
         parts = [self.run_config.to_json(), "\n"]
-        for event in self.events:
-            _event_parts(parts, event)
+        if lines is None:
+            for event in self.events:
+                _event_parts(parts, event)
+            return "".join(parts)
+        for event in filterfalse(lines.__contains__, self.events):
+            lines[event] = _event_line(event)
+        parts += map(lines.__getitem__, self.events)
         return "".join(parts)
 
-    def save(self, path: str | Path) -> None:
-        write_artifact(path, self.serialize())
+    def save(self, path: str | Path, lines: dict[tuple, str] | None = None) -> None:
+        """Write `serialize(lines)` as a new file at `path`."""
+        write_artifact(path, self.serialize(lines))
 
 
 # the types of each header key, from `RunConfig`'s annotations; a float field also takes an int
 _HEADER_TYPES = {key: (int, float) if kind is float else (kind,) for key, kind in get_type_hints(RunConfig).items()}
+# the types of each event key, in `Event` field order; any key may also be null
 _EVENT_TYPES: dict[str, tuple[type, ...]] = {
     "ev": (str,), "i": (int,), "j": (int,), "tok": (str,), "pred": (str,),
     "p": (int, float), "old": (str,), "new": (str,),
 }
 _TYPE_NAMES = {(str,): "a string", (int,): "an int", (int, float): "a number"}
+_EVENT_COLUMNS = tuple((key, frozenset((*types, type(None)))) for key, types in _EVENT_TYPES.items())
 
 
 def _field_problem(obj: dict, types: dict[str, tuple[type, ...]], what: str) -> str | None:
@@ -171,24 +196,30 @@ def _run_config(obj: object) -> RunConfig:
     return RunConfig(**{key: value for key, value in obj.items() if value is not None})
 
 
+def _events(items: list) -> list[tuple] | None:
+    """The event tuple of each parsed JSON value, or None when any of them
+    is not a valid event. The values are checked a field at a time, not one
+    at a time: all are objects, no key is outside `_EVENT_TYPES`, each
+    field's column holds only its types and null, and every kind is known."""
+    if not set(map(type, items)) <= {dict} or not _EVENT_TYPES.keys() >= set().union(*items):
+        return None
+    columns = []
+    for key, allowed in _EVENT_COLUMNS:
+        column = list(map(dict.get, items, repeat(key)))
+        if not set(map(type, column)) <= allowed:
+            return None
+        columns.append(column)
+    if not set(columns[0]) <= EVENT_KINDS:  # a missing or null "ev" reads None
+        return None
+    return list(zip(*columns))
+
+
 def _event(obj: object) -> tuple:
-    """Build an event tuple from a parsed JSON value, checking keys and types."""
-    if type(obj) is dict:
-        try:
-            event = Event(**obj)
-        except TypeError:  # unknown key, or no "ev"
-            pass
-        else:
-            ev, i, j, tok, pred, p, old, new = event
-            if (
-                type(ev) is str and ev in EVENT_KINDS
-                and (i is None or type(i) is int) and (j is None or type(j) is int)
-                and (tok is None or type(tok) is str) and (pred is None or type(pred) is str)
-                and (p is None or type(p) is float or type(p) is int)
-                and (old is None or type(old) is str) and (new is None or type(new) is str)
-            ):
-                return ev, i, j, tok, pred, p, old, new
-    # the slow path only explains what is wrong
+    """Build an event tuple from a parsed JSON value, checking keys and types
+    as `_events` does, or raise TraceError saying what is wrong."""
+    events = _events([obj])
+    if events is not None:
+        return events[0]
     if type(obj) is not dict:
         raise TraceError("event is not a JSON object")
     problem = _field_problem(obj, _EVENT_TYPES, "event")
@@ -204,23 +235,26 @@ def _parse_whole(text: str, known: dict[str, tuple]) -> EventTrace | None:
     as an array, or None when the text is not in the writer's exact layout
     or anything in it is wrong.
 
-    `known` maps the exact text of an event line to its checked event; each
-    new line is parsed once, and new lines go into `known` only once every
-    item has passed its checks. The layout check makes the array's items
-    the lines joined: every line starts with "{" and ends with "}" and none
-    is blank, and a raw newline cannot sit inside a JSON string, so an
-    object spanning two lines would need a nested container, which no header
-    or event field can hold; as many items as lines then means one object
-    per line.
+    `known` maps the exact text of an event line to its checked event. The
+    lines not in it are parsed (a line that repeats within this text at
+    each repetition, which engine traces seldom hold), checked together by
+    `_events` a field at a time, and go into `known` only once every item
+    has passed.
+
+    The layout check makes the array's items the lines joined, in two
+    passes: the text starts with "{" and ends with "}" and a line feed, and
+    there are as many "}\n{" as line breaks between its rows, so every
+    line feed sits between "}" and "{" and no line is blank. A raw newline
+    cannot sit inside a JSON string, so an object spanning two lines would
+    need a nested container, which no header or event field can hold; as
+    many items as lines then means one object per line.
     """
-    lines = text.count("\n")
-    if (
-        not lines or text[0] != "{" or text[-1] != "\n"
-        or text.count("}\n") != lines or text.count("\n{") != lines - 1
-    ):
+    if text[:1] != "{" or text[-2:] != "}\n":
         return None
     rows = text[:-1].split("\n")
-    new = [row for row in dict.fromkeys(rows[1:]) if row not in known]
+    if text.count("}\n{") != len(rows) - 1:
+        return None
+    new = list(filterfalse(known.__contains__, rows[1:]))
     try:
         items = json.loads("[" + ",\n".join([rows[0], *new]) + "]")
     except (ValueError, RecursionError):
@@ -229,17 +263,23 @@ def _parse_whole(text: str, known: dict[str, tuple]) -> EventTrace | None:
         return None
     try:
         config = _run_config(items[0])
-        events = list(map(_event, items[1:]))
     except TraceError:
+        return None
+    events = _events(items[1:])
+    if events is None:
         return None
     known.update(zip(new, events))
     return EventTrace(events=tuple(map(known.__getitem__, rows[1:])), run_config=config)
 
 
 def _parse_lines(text: str) -> EventTrace:
-    """Line-by-line parse that names the first bad line."""
+    """Line-by-line parse that names the first bad line. The event lines
+    before the first line that does not parse are checked together by
+    `_events`; only when that check fails are they checked one `_event`
+    call at a time, to name the first bad one."""
     config: RunConfig | None = None
-    events: list[tuple] = []
+    numbered: list[tuple[int, object]] = []  # (line number, parsed value) of each event line
+    malformed: TraceError | None = None  # the first line that does not parse, or a bad header
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
@@ -253,9 +293,19 @@ def _parse_lines(text: str) -> EventTrace:
             if config is None:
                 config = _run_config(obj)
             else:
-                events.append(_event(obj))
+                numbered.append((lineno, obj))
         except TraceError as exc:
-            raise TraceError(f"line {lineno}: {exc}") from None
+            malformed = TraceError(f"line {lineno}: {exc}")
+            break
+    events = _events([obj for _, obj in numbered])
+    if events is None:
+        for lineno, obj in numbered:
+            try:
+                _event(obj)
+            except TraceError as exc:
+                raise TraceError(f"line {lineno}: {exc}") from None
+    if malformed is not None:
+        raise malformed
     if config is None:
         raise TraceError("line 1: empty trace file, no header")
     return EventTrace(events=tuple(events), run_config=config)
@@ -264,10 +314,13 @@ def _parse_lines(text: str) -> EventTrace:
 def parse_trace(text: str, known: dict[str, tuple] | None = None) -> EventTrace:
     """Parse the JSON Lines trace format (header object, then one event per line).
 
-    A file in the writer's layout is parsed with one `json.loads` call; any
-    other text is parsed line by line. Only a line feed ends a line (a
-    carriage return before it is ignored), blank lines are skipped, and any
-    problem raises TraceError naming the 1-based line.
+    A file in the writer's layout is parsed with one `json.loads` call, and
+    its new event lines are checked together, a field at a time; any other
+    text, and any text that fails that check, is parsed line by line, and
+    its event lines are checked together too, then one at a time only to
+    name the first bad one. Only a line feed ends a line (a carriage return
+    before it is ignored), blank lines are skipped, and any problem raises
+    TraceError naming the 1-based line.
 
     Callers that parse many traces pass one `known` dict to all of them:
     `metrics_from_traces` makes one per call, so `metrics` parses and checks

@@ -39,7 +39,8 @@ def read_text(path: str | Path, error: type[SpecmtError]) -> str:
     a file that is not UTF-8 raises `error` naming the path and the offset
     of the first bad byte."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
 

@@ -273,6 +273,19 @@ class TestReaderErrors:
             parse_trace(text)
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("third, fourth, message", [
+        ('{"ev": "JUMP"}', '{"ev": ', "line 3: unknown event kind 'JUMP'"),
+        ('{"ev": ', '{"ev": "JUMP"}', "line 3: malformed JSON"),
+        ('{"ev": "READ", "i": "2"}', '{"ev": "END", "x": 0}', "line 3: event key 'i' is not an int"),
+        ('{"ev": "END"}', '{"ev": "END", "x": 0}', "line 4: unknown event key 'x'"),
+        ('{"ev": "END"}', "[", "line 4: malformed JSON"),
+    ], ids=["kind-then-json", "json-then-kind", "type-then-key", "good-then-key", "good-then-json"])
+    def test_the_first_bad_line_is_named(self, third, fourth, message):
+        text = "\n".join([HEADER, '{"ev": "READ", "i": 1, "tok": "a"}', third, fourth, '{"ev": "END"}']) + "\n"
+        with pytest.raises(TraceError) as info:
+            parse_trace(text)
+        assert str(info.value).startswith(message)
+
     @pytest.mark.parametrize("header, message", [
         ("[]", "header is not a JSON object"),
         ('{"policy": "wait_k", "colour": "red"}', "unknown header key 'colour'"),

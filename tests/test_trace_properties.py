@@ -1,10 +1,12 @@
 """Property tests of the trace writer, reader and replay.
 
 The writer must reproduce the `json.dumps` writer (frozen in `oracles.py`)
-byte for byte; the reader must map any text to an EventTrace or a
-TraceError naming a line, and its one-parse path must agree with the
-line-by-line parse on every input, also when traces share one cache of
-parsed lines. `replay` must agree with the frozen row-building replay, the
+byte for byte, also when engine traces share one dict of encoded lines; the
+reader must map any text to an EventTrace or a TraceError naming a line, and
+its one-parse path must agree with the line-by-line parse on every input,
+also when traces share one cache of parsed lines. Its check of all new lines
+at once must agree with the check of each line, and both with the event
+rules written out here. `replay` must agree with the frozen row-building replay, the
 brute-force delays and the brute-force count of predicted source tokens on
 any event list.
 """
@@ -20,13 +22,15 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from specmt import (  # noqa: E402
-    Event, EventTrace, ExperimentConfig, RunConfig, TraceError, parse_trace, replay, run_experiment,
+    EngineConfig, Event, EventTrace, ExperimentConfig, RunConfig, TraceError, parse_trace, replay,
+    run_baseline, run_experiment, run_speculative,
 )
-from specmt.trace import EVENT_KINDS, _parse_lines  # noqa: E402
+from specmt.trace import EVENT_KINDS, _event, _events, _parse_lines  # noqa: E402
 from specmt.vocab import EOS_SURFACE, PHI_SURFACE  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_delays, brute_force_predicted, dumps_event_json, dumps_serialize, event_json, snapshot_from_trace,
 )
+from test_engine_properties import ScriptedPredictor, cases  # noqa: E402
 
 SPECIAL = [
     "</s>", "<phi>", "<s>", "<unk>", '"', "\\", '\\"', "\n", "\r\n", "\t", "\x00", "\x1f", "\x7f",
@@ -209,6 +213,134 @@ def test_a_shared_cache_parses_every_text_as_it_parses_alone(sweep_texts, data):
             alone = _parsed(_parse_lines, each)
             assert _parsed(parse_trace, each) == alone
             assert _parsed(lambda t: parse_trace(t, known), each) == alone
+
+
+# JSON values near an event: objects whose keys are the eight fields and one
+# unknown key, with values of every JSON type (NaN, the infinities and -0.0
+# among the floats), and the same values outside an object.
+_field_values = st.one_of(
+    st.none(), st.booleans(), ints, st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1, 1.0]),
+    surfaces, st.sampled_from(sorted(EVENT_KINDS)),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_event_objects = events.map(lambda e: json.loads(event_json(e)))
+_json_values = st.one_of(
+    _event_objects,
+    st.builds(lambda obj, key, value: {**obj, key: value}, _event_objects, st.sampled_from(Event._fields), _field_values),
+    st.builds(lambda obj, value: {**obj, "x": value}, _event_objects, _field_values),
+    st.dictionaries(st.sampled_from([*Event._fields, "x"]), _field_values, max_size=9),
+    _field_values,
+)
+# the event rules as the `Event` docstring states them, written out apart from the reader
+_FIELD_TYPES = {"ev": (str,), "i": (int,), "j": (int,), "tok": (str,), "pred": (str,), "p": (int, float),
+                "old": (str,), "new": (str,)}
+
+
+def _is_event(value) -> bool:
+    return (
+        type(value) is dict and set(value) <= set(_FIELD_TYPES)
+        and type(value.get("ev")) is str and value["ev"] in EVENT_KINDS
+        and all(v is None or type(v) in _FIELD_TYPES[key] for key, v in value.items())
+    )
+
+
+def _checked(value):
+    """`_event(value)`, or None when it raises TraceError."""
+    try:
+        return _event(value)
+    except TraceError:
+        return None
+
+
+@settings(max_examples=500)
+@given(st.lists(_json_values, max_size=6))
+def test_the_bulk_event_check_agrees_with_the_check_of_each_value(values):
+    """`_events` gives `[_event(v) for v in values]` when every call succeeds
+    and rejects the list otherwise; `_event` accepts exactly the values that
+    follow the event rules, as their fields in `Event` order. Reprs tell an
+    int from a float and show a NaN, which compares unequal to itself."""
+    each = [_checked(value) for value in values]
+    for value, event in zip(values, each):
+        assert (event is not None) == _is_event(value), value
+        if event is not None:
+            assert repr(event) == repr(tuple(value.get(key) for key in Event._fields))
+    bulk = _events(values)
+    if any(event is None for event in each):
+        assert bulk is None
+    else:
+        assert repr(bulk) == repr(each)
+
+
+_BAD_VALUES = ["3", 1.5, True, None, [1], {}, -0.0, float("nan"), "READ", "JUMP", ""]
+
+
+@st.composite
+def _altered(draw, text):
+    """`text` with one event line altered and written back in the writer's
+    layout: a field given another value or type, an unknown key, another
+    kind (known or not), or "ev" taken out."""
+    header, *rows = text[:-1].split("\n")
+    n = draw(st.integers(0, len(rows) - 1))
+    obj = json.loads(rows[n])
+    change = draw(st.sampled_from(["type", "key", "kind", "no ev"]))
+    if change == "type":
+        obj[draw(st.sampled_from(Event._fields))] = draw(st.sampled_from(_BAD_VALUES))
+    elif change == "key":
+        obj[draw(st.sampled_from(["x", "EV", "seed"]))] = draw(st.sampled_from(_BAD_VALUES))
+    elif change == "kind":
+        obj["ev"] = draw(st.sampled_from([*sorted(EVENT_KINDS), "write", "JUMP", ""]))
+    else:
+        del obj["ev"]
+    rows[n] = json.dumps(obj, ensure_ascii=False)
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_an_altered_line_parses_as_the_line_by_line_parse_reads_it(sweep_texts, data):
+    """Engine traces, some with one line altered, parsed in turn with one
+    `known` dict: each gives the trace or the TraceError message that
+    `_parse_lines` gives."""
+    known: dict[str, tuple] = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        text = data.draw(st.sampled_from(sweep_texts))
+        if data.draw(st.booleans()):
+            text = data.draw(_altered(text))
+        assert _parsed(lambda t: parse_trace(t, known), text) == _parsed(_parse_lines, text)
+
+
+@settings(max_examples=200)
+@given(st.lists(cases(), min_size=1, max_size=4))
+def test_a_shared_line_dict_serializes_engine_traces_as_json_dumps_does(drawn):
+    """Baseline and speculative engine traces serialized in turn with one
+    dict of encoded lines, as `run_experiment` saves a sweep's traces: each
+    text equals the text without the dict and the `json.dumps` writer's."""
+    lines: dict[tuple, str] = {}
+    written: set[tuple] = set()
+    for model, ids, source, script, tau in drawn:
+        config = RunConfig(policy=model.policy.kind, param=model.policy.param, tau=tau, predictor="scripted")
+        predictor = ScriptedPredictor(model.vocabulary, ids, source, script)
+        for run in (run_baseline(model, source, config),
+                    run_speculative(model, predictor, source, EngineConfig(tau=tau), config)):
+            text = run.trace.serialize(lines)
+            assert text == run.trace.serialize() == dumps_serialize(run.trace)
+            written.update(run.trace.events)
+    assert lines.keys() == written
+    assert all(line == dumps_event_json(event) + "\n" for event, line in lines.items())
+
+
+def test_without_a_dict_each_event_gets_its_own_json_dumps_bytes():
+    """Equal tuples can hold unequal JSON: `1 == 1.0 == True` and `0.0 ==
+    -0.0`. Without a dict of encoded lines, each event is encoded alone."""
+    trace = EventTrace(events=(
+        Event("PREDICT", i=1, pred="a", p=1), Event("PREDICT", i=1, pred="a", p=1.0),
+        Event("PREDICT", i=1, pred="a", p=True), Event("PREDICT", i=1, pred="a", p=0.0),
+        Event("PREDICT", i=1, pred="a", p=-0.0),
+    ))
+    lines = trace.serialize().split("\n")[1:-1]
+    assert lines == [dumps_event_json(event) for event in trace.events]
+    assert [line.rsplit(" ", 1)[1] for line in lines] == ["1}", "1.0}", "true}", "0.0}", "-0.0}"]
 
 
 def _replay_or_error(replay_trace, trace):
