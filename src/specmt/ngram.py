@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,13 +45,13 @@ class NgramModel:
     prediction event space: EOS and every counted token, in ascending id
     order. `predict` returns the argmax over it, ties going to the smallest id.
 
-    The distribution after a context is one float64 vector, computed from the
-    vector of the context's one-shorter suffix, and `predict`, `probability`
-    and `evaluate` all read it. It holds one slot per support token, in
-    `support` order, and a last slot: the probability of any unseen token.
-    The vectors of contexts shorter than order - 1 are kept in `_vectors`,
-    and each full context's `Prediction` in `_cache`, as they are asked for;
-    neither changes any result.
+    The distribution after a context is one float64 vector that `predict`,
+    `probability` and `evaluate` read: a slot per support token, in `support`
+    order, then the probability of any unseen token. A vector costs its
+    context's counts on top of its one-shorter suffix's, which an uncounted
+    context shares. `_vectors` keeps those of contexts shorter than order - 1,
+    and `_cache` the `Prediction` of each full context asked for and of its
+    longest counted suffix; neither changes any result.
     """
 
     order: int
@@ -58,18 +60,13 @@ class NgramModel:
     counts: dict[tuple[int, ...], dict[int, int]]
     vocabulary: Vocabulary
     support: tuple[int, ...] = field(init=False)
-    _totals: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
-    _denominator: float = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
     _vectors: dict[tuple[int, ...], np.ndarray] = field(init=False, repr=False, compare=False)
     _cache: dict[tuple[int, ...], Prediction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        totals = {ctx: sum(dist.values()) for ctx, dist in self.counts.items()}
         support = tuple(sorted({EOS}.union(*self.counts.values())))
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_totals", totals)
-        object.__setattr__(self, "_denominator", totals.get((), 0) + self.alpha * len(support))
         object.__setattr__(self, "_position", {tok: n for n, tok in enumerate(support)})
         object.__setattr__(self, "_vectors", {})
         object.__setattr__(self, "_cache", {})
@@ -86,27 +83,27 @@ class NgramModel:
         """Interpolated conditional probability of `token` after `context`."""
         return float(self._vector(self._context(context))[self._position.get(token, len(self.support))])
 
-    def _dense(self, ctx: tuple[int, ...]) -> np.ndarray:
-        """The counts after `ctx` in `support` order, then a last slot never counted."""
-        dist = self.counts.get(ctx, {})
-        return np.bincount(
-            [self._position[tok] for tok in dist], weights=list(dist.values()), minlength=len(self.support) + 1
-        )
-
     def _vector(self, ctx: tuple[int, ...]) -> np.ndarray:
         """The distribution after `ctx`: the add-alpha unigram for the empty
         context, else the suffix's vector, mixed when `ctx` has a count as
-        beta * maximum likelihood + (1 - beta) * the suffix's."""
+        beta * maximum likelihood + (1 - beta) * the suffix's. Each counted
+        token's term is added at its slot: to alpha, or to (1 - beta) * the suffix's."""
         p = self._vectors.get(ctx)
         if p is not None:
             return p
+        dist = self.counts.get(ctx, {})
+        total = sum(dist.values())
         if not ctx:
-            p = (self._dense(ctx) + self.alpha) / self._denominator
+            p = np.full(len(self.support) + 1, self.alpha)
+            for tok, count in dist.items():
+                p[self._position[tok]] += count
+            p /= total + self.alpha * len(self.support)
+        elif total:
+            p = (1.0 - self.beta) * self._vector(ctx[1:])
+            for tok, count in dist.items():
+                p[self._position[tok]] += self.beta * (count / total)
         else:
             p = self._vector(ctx[1:])
-            total = self._totals.get(ctx, 0)
-            if total:
-                p = self.beta * (self._dense(ctx) / total) + (1.0 - self.beta) * p
         if len(ctx) < self.order - 1:
             self._vectors[ctx] = p
         return p
@@ -123,7 +120,11 @@ class NgramModel:
         ctx = tuple(context[-need:]) if 0 < need <= len(context) else self._context(context)
         cached = self._cache.get(ctx)
         if cached is None:
-            cached = self._cache[ctx] = self._best(self._vector(ctx))
+            known = ctx
+            while known and known not in self.counts:
+                known = known[1:]
+            cached = self._cache.get(known) or self._best(self._vector(known))
+            self._cache[ctx] = self._cache[known] = cached
         return cached
 
     def evaluate(self, corpus: Iterable[Sentence]) -> dict[str, float]:
@@ -188,19 +189,22 @@ def check_parameters(order: int, alpha: float, beta: float) -> None:
 def train_ngram(
     corpus: Sequence[Sentence], order: int, alpha: float = 0.1, beta: float = 0.9, *, vocabulary: Vocabulary
 ) -> NgramModel:
-    """Count n-grams of every order up to `order` with BOS padding and an EOS terminal."""
+    """Count n-grams of every order up to `order` with BOS padding and an EOS terminal, one
+    `Counter` per order. BOS, EOS or PHI in a sentence, or an id the vocabulary lacks, raises."""
     check_parameters(order, alpha, beta)
     if not corpus:
         raise PredictorError("empty corpus")
+    streams = [(BOS,) * (order - 1) + tuple(sentence) + (EOS,) for sentence in corpus]
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for sentence in corpus:
-        stream = (BOS,) * (order - 1) + tuple(sentence) + (EOS,)
-        for t in range(order - 1, len(stream)):
-            token = stream[t]
-            for width in range(order):
-                ctx = stream[t - width : t]
-                counts.setdefault(ctx, {}).setdefault(token, 0)
-                counts[ctx][token] += 1
+    for width in range(order):
+        # each gram is `width` context tokens and the token after them, never a BOS pad
+        views = ([stream[k:] for stream in streams] for k in range(order - 1 - width, order))
+        for gram, count in Counter(chain.from_iterable(map(zip, *views))).items():
+            counts.setdefault(gram[:-1], {})[gram[-1]] = count
+    # one EOS per sentence, and every other counted id UNK or a regular one
+    if counts[()].keys() - range(UNK, len(vocabulary)) != {EOS} or counts[()][EOS] != len(corpus):
+        n, token = next((n, t) for n, sentence in enumerate(corpus) for t in sentence if not UNK <= t < len(vocabulary))
+        raise PredictorError(f"sentence {n}: token id {token} is a reserved marker or missing from the vocabulary")
     return NgramModel(order=order, alpha=alpha, beta=beta, counts=counts, vocabulary=vocabulary)
 
 

@@ -559,6 +559,21 @@ class FrozenAlwaysWrongPredictor:
         return Prediction(wrong, 1.0)
 
 
+def frozen_train_ngram(corpus, order):
+    """`train_ngram`'s counts as it made them before it counted each order in
+    one pass: every token of every BOS-padded stream, at every width."""
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for sentence in corpus:
+        stream = (BOS,) * (order - 1) + tuple(sentence) + (EOS,)
+        for t in range(order - 1, len(stream)):
+            token = stream[t]
+            for width in range(order):
+                ctx = stream[t - width : t]
+                counts.setdefault(ctx, {}).setdefault(token, 0)
+                counts[ctx][token] += 1
+    return counts
+
+
 def _recursive_prob(model, token, ctx):
     """`NgramModel`'s interpolated probability as it was computed before the
     backoff chain was built once per context: recursing from the full context

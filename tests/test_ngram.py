@@ -17,7 +17,7 @@ from specmt import (
     load_ngram,
     train_ngram,
 )
-from specmt.vocab import BOS, EOS
+from specmt.vocab import BOS, EOS, PHI, UNK
 from oracles import _recursive_prob, full_scan_predict
 
 
@@ -59,6 +59,23 @@ class TestTraining:
             train_ngram(corpus, 1, beta=1.0, vocabulary=vocab)
         with pytest.raises(PredictorError):
             train_ngram([], 1, vocabulary=vocab)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("bad", [99, 6, -1, BOS, EOS, PHI])
+    def test_ids_the_model_cannot_count_are_named(self, order, bad):
+        # a 6-token vocabulary: the four reserved ids, then a and b (ids 4 and 5);
+        # a counted 99 would be predicted, and neither the engine nor `save` could spell it
+        vocab = build_vocabulary(["a b"])
+        corpus = [(4, 5), (), (4, 5, bad), (bad,)]
+        with pytest.raises(PredictorError, match=rf"^sentence 2: token id {bad} "):
+            train_ngram(corpus, order, vocabulary=vocab)
+
+    def test_unk_is_counted(self):
+        # `load_corpus` lets a literal <unk> through, so training must count it
+        vocab = build_vocabulary(["a b"])
+        model = train_ngram([(4, UNK, 5), (UNK,)], 2, vocabulary=vocab)
+        assert model.counts[()] == {4: 1, 5: 1, UNK: 2, EOS: 2}
+        assert model.predict((4,)).token == UNK
 
 
 class TestPrediction:
