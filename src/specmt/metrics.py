@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from operator import sub, truediv
 from typing import Iterable, Sequence
 
@@ -44,24 +44,27 @@ def awr(withdrawals: int, target_length: int) -> float:
     return withdrawals / target_length
 
 
-def _ngrams(tokens: Sequence, n: int) -> Counter:
-    return Counter(zip(*(tokens[k:] for k in range(n))))
-
-
-def _clipped_matches(hyp: Sequence, ref: Sequence, n: int) -> int:
-    ref_counts = _ngrams(ref, n)
-    return sum(min(count, ref_counts[gram]) for gram, count in _ngrams(hyp, n).items())
+def _gram_counts(t: Sequence) -> Counter:
+    """Every n-gram of `t`, n = 1..4, in one count: orders differ in tuple length."""
+    return Counter(chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]), zip(t, t[1:], t[2:], t[3:])))
 
 
 def bleu_stats(hyp: Sequence, ref: Sequence) -> tuple[int, ...]:
     """BLEU sufficient statistics of one sentence pair: clipped n-gram
     matches and hypothesis n-gram totals for n = 1..4, then the hypothesis
-    and reference lengths. Corpus statistics are the element-wise sum."""
-    stats: list[int] = []
-    for n in range(1, 5):
-        stats += (_clipped_matches(hyp, ref, n), max(len(hyp) - n + 1, 0))
-    stats += (len(hyp), len(ref))
-    return tuple(stats)
+    and reference lengths. Corpus statistics are the element-wise sum.
+    One count per side holds all four orders; order n's matches are its total
+    less the excess of its hypothesis grams over the reference's counts. An
+    output equal to its reference matches its totals and is not counted."""
+    hyp, ref = tuple(hyp), tuple(ref)
+    totals = [max(len(hyp) - n, 0) for n in range(4)]
+    excess = [0, 0, 0, 0]
+    if hyp != ref:
+        in_ref = _gram_counts(ref).get
+        for gram, count in _gram_counts(hyp).items():
+            if (over := count - in_ref(gram, 0)) > 0:
+                excess[len(gram) - 1] += over
+    return (*chain.from_iterable(zip(map(sub, totals, excess), totals)), len(hyp), len(ref))
 
 
 def sum_bleu_stats(stats: Iterable[Sequence[int]]) -> tuple[int, ...]:

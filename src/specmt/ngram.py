@@ -15,15 +15,15 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, dropwhile
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .vocab import (
-    BOS, EOS, FIRST_REGULAR, RESERVED_SURFACES, UNK, UNK_SURFACE, Sentence, SpecmtError, Vocabulary, read_text,
-    write_artifact,
+    BOS, BOS_SURFACE, EOS, EOS_SURFACE, FIRST_REGULAR, PHI_SURFACE, RESERVED_SURFACES, UNK, UNK_SURFACE, Sentence,
+    SpecmtError, Vocabulary, read_text, write_artifact,
 )
 
 
@@ -240,6 +240,7 @@ def _model_from_payload(payload: object) -> NgramModel:
     if not isinstance(entries, list):
         raise PredictorError("counts must be a list")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
+    markers = (BOS_SURFACE, EOS_SURFACE, PHI_SURFACE)
     for n, entry in enumerate(entries):
         if not (
             isinstance(entry, list) and len(entry) == 3
@@ -253,6 +254,13 @@ def _model_from_payload(payload: object) -> NgramModel:
             raise PredictorError(f"counts entry {n}: token {unknown[0]!r} missing from vocabulary")
         ctx = tuple(vocabulary.lookup(s) for s in ctx_surfaces)
         tok = vocabulary.lookup(tok_surface)
+        # training counts EOS but never BOS or PHI, and puts no marker in a context but its leading BOS padding
+        if tok_surface in (BOS_SURFACE, PHI_SURFACE):
+            raise PredictorError(f"counts entry {n}: counted token {tok_surface!r} is a marker training never counts")
+        marker = next((s for s in dropwhile(BOS_SURFACE.__eq__, ctx_surfaces) if s in markers), None)
+        if marker is not None:
+            raise PredictorError(f"counts entry {n}: context holds {marker!r}; training puts no marker in a context "
+                                 f"but its leading {BOS_SURFACE!r} padding")
         if tok in counts.get(ctx, ()):
             raise PredictorError(f"counts entry {n}: duplicate entry")
         counts.setdefault(ctx, {})[tok] = count

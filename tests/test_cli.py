@@ -433,6 +433,9 @@ ERROR_CASES = {
     "predictor JSON without tokens": (
         ["lm-stats", "--model", "{tmp}/order_only.json", "--corpus", "{tmp}/corpus.txt"],
         "{tmp}/order_only.json: expected an object with keys order, alpha, beta, tokens and counts"),
+    "predictor counts a marker": (
+        ["lm-stats", "--model", "{tmp}/marker.json", "--corpus", "{tmp}/corpus.txt"],
+        "{tmp}/marker.json: counts entry 0: counted token '<phi>' is a marker training never counts"),
     "sweep corpus target token": (
         ["sweep", "--set", "corpus={tmp}/target.txt", "--set", "lexicon={tmp}/ab.tsv",
          "--set", "references={tmp}/target.txt", "--out", "{tmp}/r"],
@@ -487,6 +490,10 @@ def test_errors_print_one_line_and_exit_2(tmp_path, capsys, case):
     (tmp_path / "ambiguous.tsv").write_text("b\tc\tB\nc\t*\tC\n")
     (tmp_path / "ab.json").write_text(
         '{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": [[[], "a", 1]]}'
+    )
+    (tmp_path / "marker.json").write_text(
+        '{"order": 1, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], '
+        '"counts": [[[], "<phi>", 5], [[], "a", 1], [[], "<s>", 9]]}'
     )
     (tmp_path / "reserved_target.tsv").write_text("a\t*\tA\nb\t*\t</s>\n")
     (tmp_path / "ab.txt").write_text("a b a\nb a\n" * 20)

@@ -1,6 +1,7 @@
 """Property tests of the metrics: `bleu_stats` gives exactly the clipped
 n-gram counts and totals that one slice per position gives
-(`oracles.brute_force_sentence_counts`), on any token lists; and
+(`oracles.brute_force_sentence_counts`), on any token lists and on a
+reference a few edits away from the hypothesis, or equal to it; and
 `average_lagging` gives the float bits of the generator form frozen in
 `oracles.frozen_average_lagging`, on any delays and source length."""
 
@@ -30,6 +31,33 @@ def test_sentence_stats_are_the_clipped_slice_counts(hyp, ref):
     assert bleu_stats(hyp, ref) == expected
     assert bleu_stats(tuple(hyp), ref) == expected
     assert all(type(value) is int for value in bleu_stats(hyp, ref))
+
+
+@st.composite
+def edited_pairs(draw):
+    """`(hyp, ref)` with `ref` equal to `hyp` or `hyp` after one to three
+    substitutions, insertions or deletions, each side a list or a tuple: the
+    shape of a sweep's output against its reference."""
+    hyp = draw(sentences)
+    ref = list(hyp)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["substitute", "insert", "delete"] if ref else ["insert"]))
+        at = draw(st.integers(0, len(ref) if edit == "insert" else len(ref) - 1))
+        if edit == "delete":
+            del ref[at]
+        else:
+            ref[at:at + (edit == "substitute")] = [draw(st.sampled_from(["a", "b", "c", "</s>", ""]))]
+    return draw(st.sampled_from([list, tuple]))(hyp), draw(st.sampled_from([list, tuple]))(ref)
+
+
+@settings(max_examples=400)
+@given(edited_pairs())
+@example((("a", "b", "a"), ["a", "b", "a"]))
+@example((["a", "b", "a"], ("a", "b", "b")))
+@example((["a", "b", "c", "a"], ["a", "b", "c", "a", "a"]))
+def test_sentence_stats_of_an_edited_reference_are_the_clipped_slice_counts(pair):
+    hyp, ref = pair
+    assert bleu_stats(hyp, ref) == brute_force_sentence_counts(hyp, ref)
 
 
 @settings(max_examples=400)

@@ -301,6 +301,32 @@ class TestSerialization:
         with pytest.raises(PredictorError, match=f"^{re.escape(str(path))}: .*{message}"):
             load_ngram(path)
 
+    @pytest.mark.parametrize("order, entries, message", [
+        (1, '[[[], "<phi>", 5], [[], "a", 1], [[], "<s>", 9]]',
+         "counts entry 0: counted token '<phi>' is a marker training never counts"),
+        (1, '[[[], "a", 1], [[], "<s>", 9]]', "counts entry 1: counted token '<s>' is a marker training never counts"),
+        (2, '[[["</s>"], "a", 1]]', "counts entry 0: context holds '</s>'; training puts no marker"),
+        (2, '[[[], "a", 1], [["<phi>"], "a", 1]]', "counts entry 1: context holds '<phi>'; training puts no marker"),
+        (3, '[[["a", "<s>"], "b", 1]]', "counts entry 0: context holds '<s>'; training puts no marker"),
+        (3, '[[["<s>", "</s>"], "b", 1]]', "counts entry 0: context holds '</s>'; training puts no marker"),
+        (3, '[[["<s>", "<s>"], "a", 1], [["<s>", "a"], "<phi>", 1]]',
+         "counts entry 1: counted token '<phi>' is a marker"),
+    ])
+    def test_load_rejects_markers_where_training_puts_none(self, tmp_path, order, entries, message):
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"order": {order}, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": {entries}}}')
+        with pytest.raises(PredictorError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_ngram(path)
+
+    def test_load_accepts_padding_eos_and_unk_where_training_puts_them(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"order": 3, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": ['
+                        '[["<s>", "<s>"], "a", 1], [["<s>", "a"], "</s>", 1], [["<s>"], "<unk>", 2], '
+                        '[["<unk>", "b"], "<unk>", 1], [[], "</s>", 1], [[], "a", 3]]}')
+        model = load_ngram(path)
+        assert model.counts[(BOS, BOS)] == {4: 1} and model.counts[(BOS, 4)] == {EOS: 1}
+        assert model.counts[(BOS,)] == {UNK: 2} and model.counts[(UNK, 5)] == {UNK: 1}
+
     def test_load_rejects_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_bytes(b'{"order": 2, \xff}')
