@@ -549,9 +549,10 @@ def metrics_from_traces(
     if not trace_paths:
         raise ExperimentError("no trace files")
     run_rows: list[dict] = []
-    sources: dict[str, str | Path] = {}  # run_id -> trace file
+    sources: dict[tuple, str | Path] = {}  # run -> trace file
     sentence_bleu = None if reference_lines is None else _bleu_stats_memo(reference_lines)
     known: dict[str, tuple] = {}  # event lines already parsed, shared by this call's traces
+    labels = itemgetter("policy", "param", "tau", "predictor", "sentence_index")  # a row's run, in sort order
     for path in trace_paths:
         try:
             trace = load_trace(path, known)
@@ -566,11 +567,13 @@ def metrics_from_traces(
             row, _ = score_run(trace, sentence_bleu)
         except SpecmtError as exc:
             raise ExperimentError(f"{path}: {exc}") from exc
-        if row["run_id"] in sources:
-            raise ExperimentError(f"{path} and {sources[row['run_id']]} both hold run {row['run_id']}")
-        sources[row["run_id"]] = path
+        # param and tau compared as numbers, as `summarize` groups them (1 == 1.0), and every NaN as one value
+        run = tuple("NaN" if value != value else value for value in labels(row))
+        if run in sources:
+            raise ExperimentError(f"{path} and {sources[run]} both hold run {row['run_id']}")
+        sources[run] = path
         run_rows.append(row)
-    run_rows.sort(key=lambda r: (r["policy"], float(r["param"]), float(r["tau"]), r["predictor"], r["sentence_index"]))
+    run_rows.sort(key=labels)
     return run_rows, summarize(run_rows)
 
 

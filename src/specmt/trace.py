@@ -16,7 +16,7 @@ from itertools import accumulate, filterfalse, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .vocab import EOS_SURFACE, PHI_SURFACE, SpecmtError, read_text, write_artifact
 
@@ -164,13 +164,15 @@ class EventTrace:
         write_artifact(path, self.serialize(lines))
 
 
-# the types of each header key, from `RunConfig`'s annotations; a float field also takes an int
-_HEADER_TYPES = {key: (int, float) if kind is float else (kind,) for key, kind in get_type_hints(RunConfig).items()}
-# the types of each event key, in `Event` field order; any key may also be null
-_EVENT_TYPES: dict[str, tuple[type, ...]] = {
-    "ev": (str,), "i": (int,), "j": (int,), "tok": (str,), "pred": (str,),
-    "p": (int, float), "old": (str,), "new": (str,),
-}
+def _key_types(cls: type) -> dict[str, tuple[type, ...]]:
+    """The types of each key, from the annotations of `cls` in field order:
+    `X | None` means X, and a float field also takes an int."""
+    kinds = {key: (get_args(hint) or (hint,))[0] for key, hint in get_type_hints(cls).items()}
+    return {key: (int, float) if kind is float else (kind,) for key, kind in kinds.items()}
+
+
+_HEADER_TYPES = _key_types(RunConfig)
+_EVENT_TYPES = _key_types(Event)  # any header or event key may also be null
 _TYPE_NAMES = {(str,): "a string", (int,): "an int", (int, float): "a number"}
 _EVENT_COLUMNS = tuple((key, frozenset((*types, type(None)))) for key, types in _EVENT_TYPES.items())
 
@@ -214,26 +216,23 @@ def _events(items: list) -> list[tuple] | None:
     return list(zip(*columns))
 
 
-def _event(obj: object) -> tuple:
-    """Build an event tuple from a parsed JSON value, checking keys and types
-    as `_events` does, or raise TraceError saying what is wrong."""
-    events = _events([obj])
-    if events is not None:
-        return events[0]
+def _event_problem(obj: object) -> str:
+    """What is wrong with a parsed JSON value that `_events([obj])` rejects."""
     if type(obj) is not dict:
-        raise TraceError("event is not a JSON object")
+        return "event is not a JSON object"
     problem = _field_problem(obj, _EVENT_TYPES, "event")
     if problem is not None:
-        raise TraceError(problem)
+        return problem
     if "ev" not in obj:
-        raise TraceError("event without 'ev'")
-    raise TraceError(f"unknown event kind {obj['ev']!r}")
+        return "event without 'ev'"
+    return f"unknown event kind {obj['ev']!r}"
 
 
 def _parse_whole(text: str, known: dict[str, tuple]) -> EventTrace | None:
-    """One `json.loads` over the header and the event lines not in `known`,
-    as an array, or None when the text is not in the writer's exact layout
-    or anything in it is wrong.
+    """The trace of a text in the writer's exact layout, from one
+    `json.loads` over the header and the event lines not in `known`, as an
+    array, or None when the layout differs or anything in it is wrong. It
+    is the only code that builds an EventTrace from text.
 
     `known` maps the exact text of an event line to its checked event. The
     lines not in it are parsed (a line that repeats within this text at
@@ -272,63 +271,47 @@ def _parse_whole(text: str, known: dict[str, tuple]) -> EventTrace | None:
     return EventTrace(events=tuple(map(known.__getitem__, rows[1:])), run_config=config)
 
 
-def _parse_lines(text: str) -> EventTrace:
-    """Line-by-line parse that names the first bad line. The event lines
-    before the first line that does not parse are checked together by
-    `_events`; only when that check fails are they checked one `_event`
-    call at a time, to name the first bad one."""
-    config: RunConfig | None = None
-    numbered: list[tuple[int, object]] = []  # (line number, parsed value) of each event line
-    malformed: TraceError | None = None  # the first line that does not parse, or a bad header
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"malformed JSON: {exc.msg} at column {exc.colno}") from None
-            except (ValueError, RecursionError) as exc:
-                raise TraceError(f"malformed JSON: {exc}") from None
-            if config is None:
-                config = _run_config(obj)
-            else:
-                numbered.append((lineno, obj))
-        except TraceError as exc:
-            malformed = TraceError(f"line {lineno}: {exc}")
-            break
-    events = _events([obj for _, obj in numbered])
-    if events is None:
-        for lineno, obj in numbered:
-            try:
-                _event(obj)
-            except TraceError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from None
-    if malformed is not None:
-        raise malformed
-    if config is None:
-        raise TraceError("line 1: empty trace file, no header")
-    return EventTrace(events=tuple(events), run_config=config)
-
-
 def parse_trace(text: str, known: dict[str, tuple] | None = None) -> EventTrace:
     """Parse the JSON Lines trace format (header object, then one event per line).
 
-    A file in the writer's layout is parsed with one `json.loads` call, and
-    its new event lines are checked together, a field at a time; any other
-    text, and any text that fails that check, is parsed line by line, and
-    its event lines are checked together too, then one at a time only to
-    name the first bad one. Only a line feed ends a line (a carriage return
-    before it is ignored), blank lines are skipped, and any problem raises
-    TraceError naming the 1-based line.
+    Only `_parse_whole` accepts a trace: first the text as it is, so a file
+    in the writer's layout costs one `json.loads` call; then, once, the text
+    in that layout, with blank lines dropped and each kept line stripped of
+    the spaces, tabs and carriage returns that JSON ignores around a value
+    (no other character) and ended by a line feed. Only a line feed ends a
+    line. A text both tries reject is read line by line, each line parsed
+    alone, only to raise the TraceError naming the first bad 1-based line.
 
     Callers that parse many traces pass one `known` dict to all of them:
     `metrics_from_traces` makes one per call, so `metrics` parses and checks
     each distinct event line once per call. Every trace accepted and every
     error is the same as without the dict.
     """
-    trace = _parse_whole(text, {} if known is None else known)
-    return trace if trace is not None else _parse_lines(text)
+    known = {} if known is None else known
+    trace = _parse_whole(text, known)
+    if trace is None:
+        kept = (line.strip(" \t\r") + "\n" for line in text.split("\n") if line.strip())
+        trace = _parse_whole("".join(kept), known)
+    if trace is not None:
+        return trace
+    header = True  # the first line that is not blank is the header
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if header:
+                _run_config(obj)
+                header = False
+            elif _events([obj]) is None:
+                raise TraceError(_event_problem(obj))
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"line {lineno}: malformed JSON: {exc.msg} at column {exc.colno}") from None
+        except TraceError as exc:  # before ValueError, its base
+            raise TraceError(f"line {lineno}: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            raise TraceError(f"line {lineno}: malformed JSON: {exc}") from None
+    raise TraceError("line 1: empty trace file, no header")  # no line is bad, so none is a header
 
 
 def load_trace(path: str | Path, known: dict[str, tuple] | None = None) -> EventTrace:

@@ -82,6 +82,94 @@ def dumps_serialize(trace: EventTrace) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# The trace reader's line-by-line parse as it was when CRLF files, blank
+# lines and bad lines went through it, frozen as the reference for every trace
+# `parse_trace` accepts and every TraceError it raises: each line parsed alone,
+# each value checked alone against the key types written out here.
+_FROZEN_HEADER_TYPES = {
+    "policy": (str,), "param": (int, float), "tau": (int, float), "predictor": (str,), "corpus": (str,),
+    "seed": (int,), "sentence_index": (int,),
+}
+_FROZEN_EVENT_TYPES = {
+    "ev": (str,), "i": (int,), "j": (int,), "tok": (str,), "pred": (str,), "p": (int, float), "old": (str,),
+    "new": (str,),
+}
+_FROZEN_TYPE_NAMES = {(str,): "a string", (int,): "an int", (int, float): "a number"}
+
+
+def _frozen_field_problem(obj: dict, types: dict, what: str) -> str | None:
+    for key, value in obj.items():
+        if key not in types:
+            return f"unknown {what} key {key!r}"
+        if value is not None and type(value) not in types[key]:
+            return f"{what} key {key!r} is not {_FROZEN_TYPE_NAMES[types[key]]}: {value!r}"
+    return None
+
+
+def _frozen_run_config(obj: object) -> RunConfig:
+    if type(obj) is not dict:
+        raise TraceError("header is not a JSON object")
+    if "ev" in obj:
+        raise TraceError("missing header line")
+    problem = _frozen_field_problem(obj, _FROZEN_HEADER_TYPES, "header")
+    if problem is not None:
+        raise TraceError(problem)
+    return RunConfig(**{key: value for key, value in obj.items() if value is not None})
+
+
+def frozen_event(obj: object) -> tuple:
+    """The event tuple of a parsed JSON value, its fields in `Event` order,
+    or TraceError saying what is wrong with it."""
+    if type(obj) is not dict:
+        raise TraceError("event is not a JSON object")
+    problem = _frozen_field_problem(obj, _FROZEN_EVENT_TYPES, "event")
+    if problem is not None:
+        raise TraceError(problem)
+    if "ev" not in obj:
+        raise TraceError("event without 'ev'")
+    if obj["ev"] not in (READ, PREDICT, SPECULATE, COMMIT, WITHDRAW, WRITE, END):
+        raise TraceError(f"unknown event kind {obj['ev']!r}")
+    return tuple(obj.get(key) for key in _FROZEN_EVENT_TYPES)
+
+
+def frozen_parse_lines(text: str) -> EventTrace:
+    """Parse a trace one line at a time, naming the first bad 1-based line.
+    Only a line feed ends a line, and blank lines are skipped. The events
+    before the first line that does not parse, or a bad header, are checked
+    before that line is named."""
+    config: RunConfig | None = None
+    numbered: list[tuple[int, object]] = []  # (line number, parsed value) of each event line
+    malformed: TraceError | None = None  # the first line that does not parse, or a bad header
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"malformed JSON: {exc.msg} at column {exc.colno}") from None
+            except (ValueError, RecursionError) as exc:
+                raise TraceError(f"malformed JSON: {exc}") from None
+            if config is None:
+                config = _frozen_run_config(obj)
+            else:
+                numbered.append((lineno, obj))
+        except TraceError as exc:
+            malformed = TraceError(f"line {lineno}: {exc}")
+            break
+    events = []
+    for lineno, obj in numbered:
+        try:
+            events.append(frozen_event(obj))
+        except TraceError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
+    if malformed is not None:
+        raise malformed
+    if config is None:
+        raise TraceError("line 1: empty trace file, no header")
+    return EventTrace(events=tuple(events), run_config=config)
+
+
 def snapshot_from_trace(trace: EventTrace) -> tuple[tuple[str, ...], ...]:
     """The snapshot matrix of a trace, one row per real source read: row i
     (1-based) is the visible, PHI-free output in force after source token i

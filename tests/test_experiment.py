@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from specmt import (
-    Event, ExperimentConfig, OraclePredictor, PolicyConfig, SimtModel, experiment, gen_corpus, load_config, load_trace,
-    metrics_from_traces, parse_trace, plot_data, replay, run_baseline, run_experiment, run_speculative,
+    Event, ExperimentConfig, OraclePredictor, PolicyConfig, RunConfig, SimtModel, experiment, gen_corpus,
+    load_config, load_trace, metrics_from_traces, parse_trace, plot_data, replay, run_baseline, run_experiment,
+    run_speculative,
 )
 from specmt import trace as trace_module
 from specmt.engine import EngineError
@@ -736,6 +737,41 @@ class TestTraceMetrics:
         with pytest.raises(ExperimentError) as raised:
             metrics_from_traces(traces)
         assert str(raised.value) == f"{second} and {first} both hold run wait_k-2.0-tau0.0-none-00054"
+
+    def test_a_header_that_spells_a_number_as_an_int_names_the_same_run(self, tmp_path):
+        # `summarize` groups 1 with 1.0, so without the check three traces would make one grid point of two runs
+        config = _config(tmp_path, record_traces=True, n_sentences=20, k_grid=(1,), predictors=("oracle",))
+        assert run_experiment(config).ok
+        traces = sorted((Path(config.out_dir) / "traces").rglob("*.jsonl"))
+        first = next(path for path in traces if path.parent.name == "wait_k-1.0-tau0.0-oracle")
+        text = first.read_text(encoding="utf-8")
+        for n, (old, new) in enumerate([('"param": 1.0', '"param": 1'), ('"tau": 0.0', '"tau": 0'),
+                                        ('"tau": 0.0', '"tau": -0.0')]):
+            copy = tmp_path / f"copy{n}.jsonl"
+            copy.write_text(text.replace(old, new, 1), encoding="utf-8")
+            run_id = f"wait_k-{1 if n == 0 else 1.0}-tau{(0.0, 0, -0.0)[n]}-oracle-{first.stem}"
+            with pytest.raises(ExperimentError) as raised:
+                metrics_from_traces([*traces, copy])
+            assert str(raised.value) == f"{copy} and {first} both hold run {run_id}"
+        # two copies with identical headers, NaN included, are one run too
+        nan = [tmp_path / "nan0.jsonl", tmp_path / "nan1.jsonl"]
+        for path in nan:
+            path.write_text(text.replace('"param": 1.0', '"param": NaN', 1), encoding="utf-8")
+        with pytest.raises(ExperimentError) as raised:
+            metrics_from_traces(nan)
+        assert str(raised.value) == f"{nan[1]} and {nan[0]} both hold run wait_k-nan-tau0.0-oracle-{first.stem}"
+
+    def test_a_param_past_the_float_range_is_sorted_as_a_number(self, tmp_path):
+        lines = ['{"ev": "READ", "i": 1, "tok": "a"}', '{"ev": "WRITE", "j": 1, "tok": "b", "i": 1}',
+                 '{"ev": "READ", "i": 2, "tok": "</s>"}', '{"ev": "WRITE", "j": 2, "tok": "</s>", "i": 1}',
+                 '{"ev": "END"}']
+        paths = []
+        for param in (10 ** 400, 2, 10 ** 400 + 1):
+            paths.append(tmp_path / f"{len(paths)}.jsonl")
+            header = RunConfig(policy="wait_k", param=param).to_json()
+            paths[-1].write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        run_rows, _ = metrics_from_traces(paths)
+        assert [row["param"] for row in run_rows] == [2, 10 ** 400, 10 ** 400 + 1]
 
     def test_paired_requires_baselines(self, tmp_path):
         config = _config(tmp_path, record_traces=True, predictors=("oracle",), k_grid=(2,))

@@ -262,10 +262,14 @@ class TestReaderErrors:
         ('{"ev": "COMMIT", "j": false}', "'j' is not an int"),
         ('{"ev": "PREDICT", "i": 1, "pred": "a", "p": "0.5"}', "'p' is not a number"),
         ('{"ev": "PREDICT", "i": 1, "pred": "a", "p": true}', "'p' is not a number"),
+        # JSON ignores only spaces, tabs and line breaks around a value
+        ('\x0c{"ev": "END"}', "malformed JSON"),
+        ('{"ev": "END"}\xa0', "malformed JSON"),
+        ('\ufeff{"ev": "END"}', "malformed JSON"),
     ], ids=[
         "truncated", "two-objects", "array", "string", "unknown-key", "no-ev", "unknown-kind", "ev-int",
         "tok-int", "pred-list", "old-bool", "new-object", "i-float", "i-bool", "j-string", "j-bool",
-        "p-string", "p-bool",
+        "p-string", "p-bool", "form-feed", "no-break-space", "byte-order-mark",
     ])
     def test_bad_event_line_is_named(self, line, message):
         text = "\n".join([HEADER, '{"ev": "READ", "i": 1, "tok": "a"}', line, '{"ev": "END"}']) + "\n"
@@ -330,11 +334,20 @@ class TestReaderErrors:
 
 
 class TestReaderLayouts:
-    def test_blank_lines_and_crlf_are_accepted(self):
+    def test_blank_lines_and_crlf_are_accepted(self, monkeypatch):
+        import specmt.trace as trace_module
+
         trace = _trace(ev("READ", i=1, tok="a"), ev("END"), config=RunConfig(policy="wait_k"))
         text = trace.serialize()
+        assert parse_trace("".join(f" \t{line}\r \n" for line in text.split("\n")[:-1])) == trace
+        calls = []
+        real_loads = trace_module.json.loads
+        monkeypatch.setattr(trace_module.json, "loads", lambda s: calls.append(s) or real_loads(s))
+        # each text fails the layout check before any parse, then is parsed once in the writer's layout
         assert parse_trace("\n" + text.replace("\n", "\r\n\n")) == trace
+        assert calls == [f"[{text[:-1]}]".replace("}\n", "},\n")]
         assert parse_trace(text.rstrip("\n")) == trace
+        assert len(calls) == 2
 
     def test_null_fields_are_absent_fields(self):
         trace = parse_trace('{"policy": null}\n{"ev": "COMMIT", "i": null, "j": 2}\n')
@@ -415,7 +428,7 @@ class TestPlainTuples:
         kinds = set()
         for result in self._runs(toy):
             text = result.trace.serialize()
-            # the one-parse path, the line-by-line path, and a shared cache of parsed lines
+            # the writer's layout, the CRLF layout, and a shared cache of parsed lines
             known: dict[str, tuple] = {}
             parsed = [parse_trace(text), parse_trace(text.replace("\n", "\r\n")), parse_trace(text, known),
                       parse_trace(text, known)]

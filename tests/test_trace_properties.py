@@ -3,10 +3,10 @@
 The writer must reproduce the `json.dumps` writer (frozen in `oracles.py`)
 byte for byte, also when engine traces share one dict of encoded lines; the
 reader must map any text to an EventTrace or a TraceError naming a line, and
-its one-parse path must agree with the line-by-line parse on every input,
-also when traces share one cache of parsed lines. Its check of all new lines
-at once must agree with the check of each line, and both with the event
-rules written out here. `replay` must agree with the frozen row-building replay, the
+agree with the frozen line-by-line parse on every input, padded lines
+included, also when traces share one cache of parsed lines. Its check of all
+new lines at once must agree with the check of each line, and both with the
+event rules written out here. `replay` must agree with the frozen row-building replay, the
 brute-force delays and the brute-force count of predicted source tokens on
 any event list.
 """
@@ -25,10 +25,11 @@ from specmt import (  # noqa: E402
     EngineConfig, Event, EventTrace, ExperimentConfig, RunConfig, TraceError, parse_trace, replay,
     run_baseline, run_experiment, run_speculative,
 )
-from specmt.trace import EVENT_KINDS, _event, _events, _parse_lines  # noqa: E402
+from specmt.trace import EVENT_KINDS, _event_problem, _events  # noqa: E402
 from specmt.vocab import EOS_SURFACE, PHI_SURFACE  # noqa: E402
 from oracles import (  # noqa: E402
-    brute_force_delays, brute_force_predicted, dumps_event_json, dumps_serialize, event_json, snapshot_from_trace,
+    brute_force_delays, brute_force_predicted, dumps_event_json, dumps_serialize, event_json, frozen_event,
+    frozen_parse_lines, snapshot_from_trace,
 )
 from test_engine_properties import ScriptedPredictor, cases  # noqa: E402
 
@@ -119,7 +120,10 @@ def test_any_text_gives_a_trace_or_a_trace_error(text):
 # Lines near the format: valid events, objects with stray keys and wrongly
 # typed values, non-objects, broken JSON, several objects on one line, one
 # object broken over two lines between its members, and the two together,
-# which as a JSON array still has as many items as lines.
+# which as a JSON array still has as many items as lines. Valid lines come
+# padded too: with the whitespace JSON ignores around a value, and with a
+# form feed, a no-break space and a byte order mark, which JSON does not
+# ignore (`str.strip` removes the first two).
 _several = st.lists(events.map(event_json), min_size=2, max_size=3).map(", ".join)
 _broken = events.map(lambda e: event_json(e).replace(", ", "\n", 1))
 _keys = st.sampled_from(["ev", "i", "j", "tok", "pred", "p", "old", "new", "policy", "seed", "x"])
@@ -127,10 +131,19 @@ _values = st.one_of(
     st.none(), st.booleans(), ints, st.floats(), surfaces, st.sampled_from(sorted(EVENT_KINDS)),
     st.lists(st.integers(), max_size=2),
 )
+_pads = st.text(alphabet=[" ", "\t", "\r", "\x0c", "\ufeff", "\xa0"], max_size=2)
+
+
+def padded(lines):
+    return st.tuples(_pads, lines, _pads).map("".join)
+
+
 _near_lines = st.one_of(
     events.map(event_json),
     events.map(event_json),
     run_configs.map(RunConfig.to_json),
+    padded(events.map(event_json)),
+    padded(run_configs.map(RunConfig.to_json)),
     st.dictionaries(_keys, _values, max_size=4).map(json.dumps),
     _several,
     _broken,
@@ -142,10 +155,11 @@ _near_lines = st.one_of(
 
 
 @settings(max_examples=400)
-@given(run_configs, st.lists(_near_lines, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
-def test_one_parse_reader_agrees_with_line_by_line_parse(config, lines, newline, final_newline):
-    text = newline.join([config.to_json(), *lines]) + (newline if final_newline else "")
-    assert _outcome(parse_trace, text) == _outcome(_parse_lines, text)
+@given(padded(run_configs.map(RunConfig.to_json)), st.lists(_near_lines, max_size=8),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_one_parse_reader_agrees_with_line_by_line_parse(header, lines, newline, final_newline):
+    text = newline.join([header, *lines]) + (newline if final_newline else "")
+    assert _outcome(parse_trace, text) == _outcome(frozen_parse_lines, text)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +224,7 @@ def test_a_shared_cache_parses_every_text_as_it_parses_alone(sweep_texts, data):
         seen.update(new)
         alone_lines = (f"{header}\n{row}\n" for line in new for row in (line, line.replace('": "', '": " ', 1)))
         for each in (text, *alone_lines):
-            alone = _parsed(_parse_lines, each)
+            alone = _parsed(frozen_parse_lines, each)
             assert _parsed(parse_trace, each) == alone
             assert _parsed(lambda t: parse_trace(t, known), each) == alone
 
@@ -246,25 +260,29 @@ def _is_event(value) -> bool:
 
 
 def _checked(value):
-    """`_event(value)`, or None when it raises TraceError."""
-    try:
-        return _event(value)
-    except TraceError:
-        return None
+    """The event `_events([value])` makes of `value`, or None when it rejects it."""
+    events = _events([value])
+    return None if events is None else events[0]
 
 
 @settings(max_examples=500)
 @given(st.lists(_json_values, max_size=6))
 def test_the_bulk_event_check_agrees_with_the_check_of_each_value(values):
-    """`_events` gives `[_event(v) for v in values]` when every call succeeds
-    and rejects the list otherwise; `_event` accepts exactly the values that
-    follow the event rules, as their fields in `Event` order. Reprs tell an
-    int from a float and show a NaN, which compares unequal to itself."""
+    """`_events` gives `[_events([v])[0] for v in values]` when every value
+    passes alone and rejects the list otherwise; alone, it accepts exactly
+    the values that follow the event rules, as their fields in `Event`
+    order, and `_event_problem` says what is wrong with each other value as
+    the frozen `frozen_event` says it. Reprs tell an int from a float and
+    show a NaN, which compares unequal to itself."""
     each = [_checked(value) for value in values]
     for value, event in zip(values, each):
         assert (event is not None) == _is_event(value), value
         if event is not None:
-            assert repr(event) == repr(tuple(value.get(key) for key in Event._fields))
+            assert repr(event) == repr(tuple(value.get(key) for key in Event._fields)) == repr(frozen_event(value))
+        else:
+            with pytest.raises(TraceError) as frozen:
+                frozen_event(value)
+            assert _event_problem(value) == str(frozen.value)
     bulk = _events(values)
     if any(event is None for event in each):
         assert bulk is None
@@ -301,13 +319,13 @@ def _altered(draw, text):
 def test_an_altered_line_parses_as_the_line_by_line_parse_reads_it(sweep_texts, data):
     """Engine traces, some with one line altered, parsed in turn with one
     `known` dict: each gives the trace or the TraceError message that
-    `_parse_lines` gives."""
+    `frozen_parse_lines` gives."""
     known: dict[str, tuple] = {}
     for _ in range(data.draw(st.integers(1, 4))):
         text = data.draw(st.sampled_from(sweep_texts))
         if data.draw(st.booleans()):
             text = data.draw(_altered(text))
-        assert _parsed(lambda t: parse_trace(t, known), text) == _parsed(_parse_lines, text)
+        assert _parsed(lambda t: parse_trace(t, known), text) == _parsed(frozen_parse_lines, text)
 
 
 @settings(max_examples=200)
