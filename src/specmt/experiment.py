@@ -272,6 +272,9 @@ class ExperimentResult:
 
 def build_predictors(config: ExperimentConfig, data: PreparedData) -> dict[str, NgramModel]:
     """Train the n-gram predictors the grid asks for, each on its kind's sources."""
+    if "always_wrong" in config.predictors and len(data.lexicon.default) < 2:  # the ids it may guess
+        raise ExperimentError(f"predictors: always_wrong needs two source tokens, "
+                              f"the lexicon has {len(data.lexicon.default)}")
     sources = {
         "indomain": lambda: data.train_sources,
         "outdomain": lambda: generate_out_of_domain_sources(

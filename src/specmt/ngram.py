@@ -41,9 +41,10 @@ class NgramModel:
     """Immutable trained model; `predict` is a pure function of its arguments.
 
     `counts` maps contexts of every length 0..order-1 (BOS-padded tuples) to
-    positive per-token occurrence counts. `support`, derived from them, is the
-    prediction event space: EOS and every counted token, in ascending id
-    order. `predict` returns the argmax over it, ties going to the smallest id.
+    positive per-token occurrence counts; the empty context counts every token
+    any context does. `support` is the prediction event space: EOS and the
+    empty context's tokens, in ascending id order. `predict` returns the
+    argmax over it, ties going to the smallest id.
 
     The distribution after a context is one float64 vector that `predict`,
     `probability` and `evaluate` read: a slot per support token, in `support`
@@ -65,7 +66,7 @@ class NgramModel:
     _cache: dict[tuple[int, ...], Prediction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        support = tuple(sorted({EOS}.union(*self.counts.values())))
+        support = tuple(sorted({EOS, *self.counts[()]}))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "_position", {tok: n for n, tok in enumerate(support)})
         object.__setattr__(self, "_vectors", {})
@@ -267,6 +268,12 @@ def _model_from_payload(payload: object) -> NgramModel:
     # training counts BOS-padded contexts of every width up to order - 1
     if max(map(len, counts), default=-1) != order - 1:
         raise PredictorError(f"the longest counted context must have order - 1 = {order - 1} tokens")
+    # and counts every token in the empty context too, from which `support` is taken
+    unigrams = counts.get((), {})
+    stray = next((n for n, (_, tok, _) in enumerate(entries) if vocabulary.lookup(tok) not in unigrams), None)
+    if stray is not None:
+        raise PredictorError(f"counts entry {stray}: token {entries[stray][1]!r} is counted after a context "
+                             f"but not in the empty context, where training counts every token")
     return NgramModel(order=order, alpha=alpha, beta=beta, counts=counts, vocabulary=vocabulary)
 
 

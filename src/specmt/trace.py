@@ -52,35 +52,6 @@ def _value(value: object) -> str:
     return json.dumps(value, ensure_ascii=False)
 
 
-def _event_parts(parts: list[str], event: tuple) -> None:
-    """Append one event's JSON line, keys in field order and None fields
-    left out."""
-    ev, i, j, tok, pred, p, old, new = event
-    parts += ('{"ev": ', _value(ev))
-    if i is not None:
-        parts += (', "i": ', _value(i))
-    if j is not None:
-        parts += (', "j": ', _value(j))
-    if tok is not None:
-        parts += (', "tok": ', _value(tok))
-    if pred is not None:
-        parts += (', "pred": ', _value(pred))
-    if p is not None:
-        parts += (', "p": ', _value(p))
-    if old is not None:
-        parts += (', "old": ', _value(old))
-    if new is not None:
-        parts += (', "new": ', _value(new))
-    parts.append("}\n")
-
-
-def _event_line(event: tuple) -> str:
-    """One event's JSON line, its newline included."""
-    parts: list[str] = []
-    _event_parts(parts, event)
-    return "".join(parts)
-
-
 class Event(NamedTuple):
     """The fields of one trace record. In memory an event is a plain 8-tuple in
     this order; `Event._make(event)` names its fields, and `Event(...)` builds
@@ -110,6 +81,19 @@ class Event(NamedTuple):
     new: str | None = None
 
 
+_EVENT_KEYS = tuple(f', "{key}": ' for key in Event._fields[1:])  # what precedes each field after "ev"
+
+
+def _event_line(event: tuple) -> str:
+    """One event's JSON line, its newline included: "ev", then each other
+    field that is not None, keys in `Event`'s field order."""
+    parts = ['{"ev": ', _value(event[0])]
+    for key, value in zip(_EVENT_KEYS, event[1:]):
+        if value is not None:
+            parts += (key, _value(value))
+    return "".join(parts) + "}\n"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Identifying metadata for one run; serialized in the trace header."""
@@ -137,8 +121,8 @@ class EventTrace:
         return Counter(map(itemgetter(0), self.events))
 
     def serialize(self, lines: dict[tuple, str] | None = None) -> str:
-        """The JSON Lines file: the header, then one line per event, with
-        keys in a fixed order; byte-identical to `json.dumps` of each line.
+        """The JSON Lines file: the header, then one line per event from
+        `_event_line`, byte-identical to `json.dumps` of each line.
 
         `lines`, when given, maps each event already encoded to its line, and
         gains the events of this trace it lacks, so a writer that passes one
@@ -149,15 +133,11 @@ class EventTrace:
         bytes. A sweep's engine events cannot hit this, because their
         indices are ints and their probabilities are its predictors' floats.
         """
-        parts = [self.run_config.to_json(), "\n"]
         if lines is None:
-            for event in self.events:
-                _event_parts(parts, event)
-            return "".join(parts)
+            return "".join([self.run_config.to_json(), "\n", *map(_event_line, self.events)])
         for event in filterfalse(lines.__contains__, self.events):
             lines[event] = _event_line(event)
-        parts += map(lines.__getitem__, self.events)
-        return "".join(parts)
+        return "".join([self.run_config.to_json(), "\n", *map(lines.__getitem__, self.events)])
 
     def save(self, path: str | Path, lines: dict[tuple, str] | None = None) -> None:
         """Write `serialize(lines)` as a new file at `path`."""

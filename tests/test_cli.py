@@ -335,6 +335,9 @@ REJECTED_SWEEPS = {
     # inputs that fail only when read or generated
     "no sentences": (["n_sentences=0"], "n_sentences: need at least one sentence"),
     "one sentence": (["n_sentences=1"], "n_sentences: too few sentences for a train/test split (1)"),
+    "always_wrong with one source token": (
+        ["vocab_size=5", "n_sentences=20", "predictors=always_wrong", "k_grid=1,2"],
+        "predictors: always_wrong needs two source tokens, the lexicon has 1"),
     "corpus token without a lexicon rule": (
         ["corpus={out}/data/references.txt", "lexicon={out}/data/lexicon.tsv", "references={out}/data/references.txt"],
         "{out}/data/references.txt: line 1: token 'T18' has no lexicon rule"),

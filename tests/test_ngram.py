@@ -318,11 +318,23 @@ class TestSerialization:
         with pytest.raises(PredictorError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_ngram(path)
 
+    @pytest.mark.parametrize("order, entries, message", [
+        (2, '[[[], "a", 1], [["a"], "b", 1]]', "counts entry 1: token 'b' is counted after a context"),
+        (2, '[[["a"], "</s>", 1], [[], "a", 1]]', "counts entry 0: token '</s>' is counted after a context"),
+        (3, '[[["<s>", "<s>"], "<unk>", 1]]', "counts entry 0: token '<unk>' is counted after a context"),
+    ])
+    def test_load_rejects_a_token_the_empty_context_does_not_count(self, tmp_path, order, entries, message):
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"order": {order}, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": {entries}}}')
+        with pytest.raises(PredictorError, match=f"^{re.escape(str(path))}: {re.escape(message)} but not in the "
+                                                 "empty context, where training counts every token$"):
+            load_ngram(path)
+
     def test_load_accepts_padding_eos_and_unk_where_training_puts_them(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"order": 3, "alpha": 0.1, "beta": 0.9, "tokens": ["a", "b"], "counts": ['
                         '[["<s>", "<s>"], "a", 1], [["<s>", "a"], "</s>", 1], [["<s>"], "<unk>", 2], '
-                        '[["<unk>", "b"], "<unk>", 1], [[], "</s>", 1], [[], "a", 3]]}')
+                        '[["<unk>", "b"], "<unk>", 1], [[], "</s>", 1], [[], "a", 3], [[], "<unk>", 3]]}')
         model = load_ngram(path)
         assert model.counts[(BOS, BOS)] == {4: 1} and model.counts[(BOS, 4)] == {EOS: 1}
         assert model.counts[(BOS,)] == {UNK: 2} and model.counts[(UNK, 5)] == {UNK: 1}

@@ -389,8 +389,14 @@ class TestWriter:
         for event in (
             Event("READ", i=1, tok="1"), Event("READ", i=True, tok=1), Event("READ", i=1.0, tok=True),
             Event("READ", i=1, tok=1.0), Event("PREDICT", pred=None, p=True), Event(None, j="2"),
+            Event("WITHDRAW", i=-3, j=2 ** 70, tok="é\n", pred="\"", p=float("nan"), old="<phi>", new="</s>"),
         ):
-            assert event_json(event) == dumps_event_json(event)
+            expected = dumps_event_json(event)
+            assert event_json(event) == expected
+            # the shared-table path spells a fresh dict's line through the same encoder
+            lines: dict[tuple, str] = {}
+            assert _trace(event).serialize(lines).split("\n")[1] == expected
+            assert lines == {event: expected + "\n"}
         for config in (
             RunConfig(param=True, tau=False, seed=True), RunConfig(policy=None, param=None, corpus=None),
             RunConfig(param="0.5", seed="7"), RunConfig(policy=3, predictor=-1),
