@@ -24,9 +24,11 @@ the delays come from its `replay`, which scoring does, not the engine.
 The loop costs little beyond its translator and predictor calls: it has no
 closure, so all it touches is local, `step` and `predict` included, bound
 once per run; each event is a plain tuple in `Event` field order, surfaces
-are read from the vocabulary's token tuple, and each read slices its prefix
-once, or on a hit reuses the guessed prefix, which equals that slice; the
-next step's prediction and speculation reuse it.
+are read from the vocabulary's token tuple, and the source read so far is
+one list per run, which no read copies: a speculation appends its guess, and
+the read then keeps it on a hit, overwrites it on a miss (drops it at the
+end of source), or appends the real token. Every `step` and `predict` call
+is given that buffer, valid only for the call: what keeps it copies it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .model import SimtModel
 from .trace import COMMIT, END, PREDICT, READ, SPECULATE, WITHDRAW, WRITE, EventTrace, RunConfig
@@ -86,7 +89,7 @@ class RunResult:
 
 def run_baseline(
     model: SimtModel,
-    source: Sentence,
+    source: Sequence[int],
     run_config: RunConfig | None = None,
 ) -> RunResult:
     """Standard incremental loop: read, then write until the policy asks to read."""
@@ -96,7 +99,7 @@ def run_baseline(
 def run_speculative(
     model: SimtModel,
     predictor,
-    source: Sentence,
+    source: Sequence[int],
     config: EngineConfig | None = None,
     run_config: RunConfig | None = None,
 ) -> RunResult:
@@ -107,7 +110,7 @@ def run_speculative(
     return _run(model, predictor, source, (config or EngineConfig()).tau, run_config)
 
 
-def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: RunConfig | None) -> RunResult:
+def _run(model: SimtModel, predictor, source: Sequence[int], tau: float, run_config: RunConfig | None) -> RunResult:
     """The read/write loop, speculating only when there is a predictor.
 
     Each read step: predict the coming token from the prefix read so far and
@@ -133,7 +136,8 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
     emit = events.append
     slot = 0
 
-    prefix: Sentence = ()
+    # the one source buffer: source[:i - 1] before read i, source[:i] after it
+    prefix: list[int] = []
     for i in range(1, src_len + 2):
         speculated: int | None = None  # the decision speculated on the guess `token`
         if predict is not None:
@@ -141,8 +145,9 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
             emit((PREDICT, i, None, None, surfaces[token], probability, None, None))
             if not probability < tau:
                 guess_done = token == EOS
-                guessed = prefix if guess_done else prefix + (token,)
-                speculated = step(guessed, len(out), guess_done)
+                if not guess_done:
+                    prefix.append(token)
+                speculated = step(prefix, len(out), guess_done)
                 slot += 1
                 emit((SPECULATE, i - 1, slot, surfaces[speculated], None, None, None, None))
         tok = source[i - 1] if i <= src_len else EOS
@@ -151,14 +156,19 @@ def _run(model: SimtModel, predictor, source: Sentence, tau: float, run_config: 
 
         decision: int | None = None
         if speculated is None:
-            prefix = source[:i]  # the whole source at the end-of-sequence read
+            if not done:
+                prefix.append(tok)
         else:  # resolved against the token read, at the speculation's slot
-            if token == tok:
-                prefix = guessed  # a hit guessed source[:i]
+            if token == tok:  # the buffer holds source[:i] already
                 emit((COMMIT, None, slot, None, None, None, None, None))
                 decision = speculated
-            else:
-                prefix = source[:i]
+            else:  # the real token goes in after a guessed end or over a guessed token; the real end drops it
+                if guess_done:
+                    prefix.append(tok)
+                elif done:
+                    prefix.pop()
+                else:
+                    prefix[-1] = tok
                 decision = step(prefix, len(out), done)
                 emit((WITHDRAW, None, slot, None, None, None, surfaces[speculated], surfaces[decision]))
             if decision not in (PHI, EOS):

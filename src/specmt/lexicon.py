@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from .vocab import (
     BOS_SURFACE, EOS_SURFACE, PHI_SURFACE, RESERVED_SURFACES, Sentence, SpecmtError, Vocabulary,
@@ -37,8 +38,11 @@ class Lexicon:
                 raise LexiconError(f"ambiguous token id {src} lacks a default rule")
         object.__setattr__(self, "ambiguous", ambiguous)
 
-    def translate(self, prefix: Sentence, pos: int) -> int:
-        """The target of 1-based position `pos` of a visible source prefix."""
+    def translate(self, prefix: Sequence[int], pos: int) -> int:
+        """The target of 1-based position `pos` of a visible source prefix.
+
+        A prefix from the engine is its source buffer, valid only for the
+        call: code that keeps it copies it with `tuple(prefix)`."""
         token = prefix[pos - 1]
         if pos < len(prefix):
             conditioned = self.conditional.get((token, prefix[pos]))
@@ -49,9 +53,10 @@ class Lexicon:
         except KeyError:
             raise LexiconError(f"unknown source token id {token}") from None
 
-    def settled(self, prefix: Sentence, pos: int) -> bool:
+    def settled(self, prefix: Sequence[int], pos: int) -> bool:
         """Whether `translate(prefix, pos)` holds however the prefix grows:
-        the successor is visible, or the token has no conditional rule."""
+        the successor is visible, or the token has no conditional rule. As in
+        `translate`, the prefix is valid only for the call."""
         return pos < len(prefix) or prefix[pos - 1] not in self.ambiguous
 
     def translate_sentence(self, source: Sentence) -> Sentence:

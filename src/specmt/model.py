@@ -17,10 +17,10 @@ from predicted prefixes whenever the prediction turns out to be correct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .lexicon import Lexicon
-from .vocab import EOS, PHI, Sentence, SpecmtError, Vocabulary
+from .vocab import EOS, PHI, SpecmtError, Vocabulary
 
 WAIT_K = "wait_k"
 ADAPTIVE = "adaptive"
@@ -101,8 +101,8 @@ class SimtModel:
     policy: PolicyConfig
     vocabulary: Vocabulary
     _k: int | None = field(init=False, repr=False, compare=False)
-    _settled: Callable[[Sentence, int], bool] = field(init=False, repr=False, compare=False)
-    _translate: Callable[[Sentence, int], int] = field(init=False, repr=False, compare=False)
+    _settled: Callable[[Sequence[int], int], bool] = field(init=False, repr=False, compare=False)
+    _translate: Callable[[Sequence[int], int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kind, k = self.policy.rule
@@ -110,7 +110,7 @@ class SimtModel:
         object.__setattr__(self, "_settled", self.lexicon.settled)
         object.__setattr__(self, "_translate", self.lexicon.translate)
 
-    def step(self, source_prefix: Sentence, written: int, source_done: bool = False) -> int:
+    def step(self, source_prefix: Sequence[int], written: int, source_done: bool = False) -> int:
         """One incremental decision given the visible source prefix and the
         number of target tokens written so far, by the policy's `rule`.
 
@@ -119,6 +119,10 @@ class SimtModel:
         `source_done` marks that the end of the source stream has been
         observed (or is being hypothesized, during speculation on a predicted
         end of sequence); once set, the policy never reads again.
+
+        The engine passes its one source buffer as `source_prefix`, which is
+        valid only for the call: a translator that keeps the prefix copies it
+        with `tuple(source_prefix)`.
         """
         pos = written + 1  # 1-based source position to translate next
         if source_done:

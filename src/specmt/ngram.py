@@ -1,7 +1,10 @@
 """N-gram language models over source tokens, used as branch predictors.
 
 The predictor guesses the next source token from the true prefix read so far;
-the engine decodes against that guess before the token actually arrives.
+the engine decodes against that guess before the token actually arrives. A
+predictor's `predict(context)` gets that prefix as the engine's one source
+buffer, valid only for the call: a predictor that keeps it copies it with
+`tuple(context)`. The shipped ones read only its tail or its length.
 Smoothing is interpolated add-alpha: the maximum-likelihood estimate at each
 context order is mixed with the next-lower order using a fixed weight, down
 to an add-alpha unigram, so every conditional distribution sums to one over
@@ -115,7 +118,11 @@ class NgramModel:
         return Prediction(self.support[best], float(p[best]))
 
     def predict(self, context: Sequence[int]) -> Prediction:
-        """Most probable next token; ties break toward the smallest id."""
+        """Most probable next token; ties break toward the smallest id.
+
+        The engine's context is its source buffer, valid only for the call:
+        the cache keys on a tuple copy of its tail, and any other code that
+        keeps a context copies it with `tuple(context)`."""
         need = self.order - 1
         # a context with order - 1 tokens needs no padding, so its tail is the key
         ctx = tuple(context[-need:]) if 0 < need <= len(context) else self._context(context)
@@ -280,8 +287,9 @@ def _model_from_payload(payload: object) -> NgramModel:
 class OraclePredictor:
     """Always predicts the true next source token; the speculation upper bound.
 
-    `predict` indexes guesses built once: one per source position, then EOS
-    for any longer context.
+    `predict` indexes guesses built once by the context's length, all it
+    reads of the context: one per source position, then EOS for any longer
+    context.
     """
 
     def __init__(self, source: Sentence):

@@ -205,6 +205,24 @@ class TestEquivalence:
                         result = run_speculative(model, predictor, source, EngineConfig(tau=tau))
                         assert result.final_output == baseline.final_output
 
+    def test_a_list_source_runs_as_its_tuple(self, toy):
+        # the engine indexes the source and never adds it to a prefix, so any
+        # sequence of ids gives the trace bytes and output of its tuple
+        vocab, lexicon, ids = toy
+        rng = np.random.default_rng(7)
+        lm = train_ngram([vocab.encode(line) for line in ("a b c d", "b c a")], 2, vocabulary=vocab)
+        for source in _random_sources(ids, rng, 20):
+            for policy in (PolicyConfig.wait_k(1), PolicyConfig.wait_k(3), PolicyConfig.adaptive(0.5)):
+                model = make_model(vocab, lexicon, policy)
+                runs = [run_baseline(model, src) for src in (source, list(source))]
+                for predictor in (AlwaysWrongPredictor(source, vocab, lexicon.default), OraclePredictor(source), lm):
+                    for tau in (0.0, 0.5):
+                        runs += [run_speculative(model, predictor, src, EngineConfig(tau=tau))
+                                 for src in (source, list(source))]
+                for of_tuple, of_list in zip(runs[::2], runs[1::2]):
+                    assert of_list.trace.serialize() == of_tuple.trace.serialize()
+                    assert of_list.final_output == of_tuple.final_output
+
     def test_oracle_wait1_length5_worked_example(self, toy):
         # wait-1 on five unambiguous tokens: positions 2..5 shift one read
         # earlier, position 1 cannot (there is no row before the first read)

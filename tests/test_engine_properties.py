@@ -8,6 +8,9 @@ sentence, or another source token. For every case:
 
 - the engine's traces are byte-identical to the frozen engine's, which
   decides by `oracles.frozen_step`;
+- the engine makes the frozen engine's translator and predictor calls, in
+  the same order and with the same prefixes, written counts and done flags,
+  which the trace alone would not show where a wrong prefix decides alike;
 - the speculative output equals the baseline output;
 - each trace replays to its output, and its delays match the brute-force
   definition over the frozen snapshot matrix;
@@ -17,7 +20,7 @@ sentence, or another source token. For every case:
 
 A second property runs both engines with each shipped predictor, a trained
 n-gram model, the oracle and the always-wrong predictor, and asks for the
-same traces and output; the frozen engine runs the frozen copies of the
+same calls, traces and output; the frozen engine runs the frozen copies of the
 predictors in `oracles.py` (the full scan for the n-gram model). A third counts, over the same runs, the source
 tokens their traces replay as predicted: a share equal to the n-gram
 model's own `evaluate` accuracy, 1 for the oracle, 0 for the always-wrong
@@ -124,17 +127,40 @@ class ScriptedPredictor:
         raise AssertionError("a lexicon has at least two source tokens")
 
 
-class CountingModel:
-    """Counts translator calls, like the benchmark's proxy."""
+class RecordingModel:
+    """Forwards a translator's `step` and logs each call to `log`, in call
+    order, as ("step", the prefix as a tuple, written, done): the engine's
+    prefix is valid only for the call, so the log keeps a copy."""
 
-    def __init__(self, model):
+    def __init__(self, model, log):
         self._model = model
+        self._log = log
         self.vocabulary = model.vocabulary
-        self.calls = 0
 
     def step(self, source_prefix, written, done=False):
-        self.calls += 1
+        self._log.append(("step", tuple(source_prefix), written, done))
         return self._model.step(source_prefix, written, done)
+
+
+class RecordingPredictor:
+    """Forwards a predictor's `predict` and logs each call to `log` as
+    ("predict", the context as a tuple); any other attribute, `vocabulary`
+    included, is the predictor's."""
+
+    def __init__(self, predictor, log):
+        self._predictor = predictor
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._predictor, name)
+
+    def predict(self, context):
+        self._log.append(("predict", tuple(context)))
+        return self._predictor.predict(context)
+
+
+def step_calls(log):
+    return sum(entry[0] == "step" for entry in log)
 
 
 @st.composite
@@ -183,22 +209,29 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
     vocab = model.vocabulary
     config = RunConfig(policy=model.policy.kind, param=model.policy.param, tau=tau, predictor="scripted")
 
-    counting = CountingModel(model)
-    baseline = run_baseline(counting, source, config)
-    baseline_calls = counting.calls
-    counting.calls = 0
+    # each side's calls, in order: the same decisions from a wrong prefix would leave the trace as it is
+    baseline_log, speculative_log, frozen_baseline_log, frozen_speculative_log = [], [], [], []
+    baseline = run_baseline(RecordingModel(model, baseline_log), source, config)
     speculative = run_speculative(
-        counting, ScriptedPredictor(vocab, ids, source, script), source, EngineConfig(tau=tau), config
+        RecordingModel(model, speculative_log),
+        RecordingPredictor(ScriptedPredictor(vocab, ids, source, script), speculative_log),
+        source, EngineConfig(tau=tau), config,
     )
 
-    frozen_output, frozen_trace = frozen_run_baseline(FrozenStepModel(model), source, config)
+    frozen_output, frozen_trace = frozen_run_baseline(
+        RecordingModel(FrozenStepModel(model), frozen_baseline_log), source, config
+    )
     assert baseline.trace.serialize() == frozen_trace.serialize()
     assert baseline.final_output == frozen_output
+    assert baseline_log == frozen_baseline_log
     frozen_output, frozen_trace = frozen_run_speculative(
-        FrozenStepModel(model), ScriptedPredictor(vocab, ids, source, script), source, EngineConfig(tau=tau), config
+        RecordingModel(FrozenStepModel(model), frozen_speculative_log),
+        RecordingPredictor(ScriptedPredictor(vocab, ids, source, script), frozen_speculative_log),
+        source, EngineConfig(tau=tau), config,
     )
     assert speculative.trace.serialize() == frozen_trace.serialize()
     assert speculative.final_output == frozen_output
+    assert speculative_log == frozen_speculative_log
 
     assert speculative.final_output == baseline.final_output
     for result in (baseline, speculative):
@@ -213,7 +246,7 @@ def test_engine_matches_frozen_engine_and_keeps_its_invariants(case):
             used = {name for name in Event._fields[1:] if getattr(event, name) is not None}
             assert used == FIELDS_BY_KIND[event.ev], event
 
-    assert counting.calls == baseline_calls + speculative.withdrawals
+    assert step_calls(speculative_log) == step_calls(baseline_log) + speculative.withdrawals
     assert speculative.speculations == speculative.hits + speculative.withdrawals
     assert baseline.speculations == baseline.hits == baseline.withdrawals == 0
 
@@ -260,13 +293,19 @@ def test_engine_matches_frozen_engine_with_shipped_predictors(case):
     model, predictor_for, sources, tau, kind = case
     config = RunConfig(policy=model.policy.kind, param=model.policy.param, tau=tau, predictor=kind)
     for source in sources:
-        result = run_speculative(model, predictor_for(source), source, EngineConfig(tau=tau), config)
+        log, frozen_log = [], []
+        result = run_speculative(
+            RecordingModel(model, log), RecordingPredictor(predictor_for(source), log), source,
+            EngineConfig(tau=tau), config,
+        )
         frozen_output, frozen_trace = frozen_run_speculative(
-            FrozenStepModel(model), frozen_predictor(model, predictor_for, kind, source), source,
+            RecordingModel(FrozenStepModel(model), frozen_log),
+            RecordingPredictor(frozen_predictor(model, predictor_for, kind, source), frozen_log), source,
             EngineConfig(tau=tau), config,
         )
         assert result.trace.serialize() == frozen_trace.serialize()
         assert result.final_output == frozen_output
+        assert log == frozen_log
 
 
 def outcome(decide, *args):
